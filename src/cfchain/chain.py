@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import kernels
 from .config import NetworkConfig, Option
@@ -38,8 +37,13 @@ class ApState:
                    C=p * np.eye(K, dtype=complex))
 
 
+def _ct(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return M.conj().swapaxes(-1, -2)
+
+
 def hermitize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.conj().T)
+    return 0.5 * (M + _ct(M))
 
 
 def interap_decorrelate(y: np.ndarray, H_l: np.ndarray,
@@ -53,7 +57,10 @@ def interap_decorrelate(y: np.ndarray, H_l: np.ndarray,
 
 def residual_covariance(H_l: np.ndarray, C_prev: np.ndarray,
                         sigma2: float) -> np.ndarray:
-    """Covariance of the de-correlated received vector, H C H^H + sigma2 I."""
+    """Covariance of the de-correlated received vector, H C H^H + sigma2 I.
+
+    C_prev may be a (..., K, K) stack; the result is then (..., N, N).
+    """
     N = H_l.shape[0]
     return hermitize(H_l @ C_prev @ H_l.conj().T + sigma2 * np.eye(N))
 
@@ -61,30 +68,42 @@ def residual_covariance(H_l: np.ndarray, C_prev: np.ndarray,
 def pca_basis(R: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r orthonormal eigenvectors of a Hermitian PSD matrix.
 
-    Eigenvalues come out in descending order; equal eigenvalues keep the
-    solver's ascending-output order (stable sort), which maps an isotropic
-    matrix to the canonical basis. Each vector's largest-magnitude entry is
-    rotated to be real positive so repeated runs are bit-identical.
+    R may be a (..., N, N) stack; A is then (..., N, r) and the eigenvalues
+    (..., r). Eigenvalues come out in descending order. Each vector's
+    largest-magnitude entry is rotated to be real positive, and the vectors
+    of exactly equal eigenvalues are ordered lexicographically, which maps
+    an isotropic matrix to the canonical basis; repeated runs are
+    bit-identical.
     """
     R = np.asarray(R)
-    if r > R.shape[0]:
-        raise ValueError(f"r={r} exceeds matrix size {R.shape[0]}")
+    N = R.shape[-1]
+    if r > N:
+        raise ValueError(f"r={r} exceeds matrix size {N}")
     try:
         vals, vecs = np.linalg.eigh(R)
     except np.linalg.LinAlgError as e:
         raise ChainNumericsError(
-            f"eigendecomposition failed: {e}; trace={np.trace(R)!r}, "
-            f"norm={np.linalg.norm(R):g}") from e
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        piv = vecs[i, j]
-        mag = abs(piv)
-        if mag > 0:
-            vecs[:, j] *= np.conj(piv) / mag
-    # exact eigenvalue ties: order the tied columns lexicographically
+            f"eigendecomposition failed: {e}; "
+            f"trace={np.trace(R, axis1=-2, axis2=-1)!r}, "
+            f"norm={np.max(np.linalg.norm(R, axis=(-2, -1))):g}") from e
+    vals = vals[..., ::-1]  # eigh returns them ascending
+    vecs = vecs[..., ::-1]
+    # unit-norm columns: the pivot's magnitude is at least 1/sqrt(N)
+    piv = np.take_along_axis(
+        vecs, np.abs(vecs).argmax(axis=-2)[..., None, :], axis=-2)
+    vecs *= piv.conj() / np.abs(piv)
+    # exact eigenvalue ties among the leading r: order the tied columns
+    # lexicographically, matrix by matrix
+    m = min(r + 1, N)
+    tied = (vals[..., 1:m] == vals[..., :m - 1]).any(axis=-1)
+    if tied.any():
+        for idx in map(tuple, np.argwhere(tied)):
+            _order_tied_columns(vals[idx], vecs[idx], r)
+    return np.ascontiguousarray(vecs[..., :r]), vals[..., :r].real
+
+
+def _order_tied_columns(vals: np.ndarray, vecs: np.ndarray, r: int):
+    """Sort, in place, each run of equal eigenvalues that starts before r."""
     j = 0
     while j < r:
         k = j + 1
@@ -99,7 +118,6 @@ def pca_basis(R: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
                          reverse=True)
             vecs[:, j:k] = block[:, sel]
         j = k
-    return np.ascontiguousarray(vecs[:, :r]), vals[:r].real
 
 
 def project(A: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -112,7 +130,7 @@ def project(A: np.ndarray, G: np.ndarray) -> np.ndarray:
 def observation_covariance(A: np.ndarray, R_G: np.ndarray,
                            bank: QuantizerBank | None) -> np.ndarray:
     """Covariance of the forwarded observation: A^H R_G A + R_d + R_eta."""
-    Rf = hermitize(A.conj().T @ R_G @ A)
+    Rf = hermitize(_ct(A) @ R_G @ A)
     if bank is not None:
         Rf = Rf + bank.R_d + bank.R_eta
     return Rf
@@ -125,23 +143,24 @@ def refine_estimate(state_prev: ApState, H_l: np.ndarray, A: np.ndarray,
     f must already be de-biased: it carries only the innovation (plus
     dither and quantization noise). The update is
         V = C H^H A R_f^-1,  s_hat += V f,  C <- (I - V A^H H) C,
-    realized through a Cholesky solve and explicit re-Hermitization.
+    realized through a linear solve, after a Cholesky factorization has
+    confirmed that R_f is positive definite, and explicit re-Hermitization.
     """
     V, C_new = _combiner_and_covariance(state_prev.C, H_l, A, R_f)
     return ApState(s_hat=state_prev.s_hat + V @ f, C=C_new)
 
 
 def _combiner_and_covariance(C_prev, H_l, A, R_f):
-    M = A.conj().T @ H_l @ C_prev  # (r, K)
+    M = _ct(A) @ H_l @ C_prev      # (..., r, K)
     try:
-        cf = cho_factor(R_f, lower=True)
+        np.linalg.cholesky(R_f)
     except np.linalg.LinAlgError as e:
         raise ChainNumericsError(
             f"observation covariance not positive definite: {e}; "
-            f"cond~{np.linalg.cond(R_f):.2e}") from e
-    X = cho_solve(cf, M)           # R_f^-1 A^H H C
-    V = X.conj().T                 # (K, r)
-    C_new = hermitize(C_prev - M.conj().T @ X)
+            f"cond~{np.max(np.linalg.cond(R_f)):.2e}") from e
+    X = np.linalg.solve(R_f, M)    # R_f^-1 A^H H C
+    V = _ct(X)                     # (..., K, r)
+    C_new = hermitize(C_prev - _ct(M) @ X)
     return V, C_new
 
 
@@ -150,18 +169,19 @@ class ChainPlan:
     """Per-coherence-block combining data for one option and bit vector.
 
     Everything here is fixed across the samples of the block; the kernels
-    consume the stacked arrays.
+    consume the stacked arrays. A plan built for a sweep carries a leading
+    batch axis (B) on every array, one entry per axis point.
     """
 
     option: Option
     r: int
-    AH: np.ndarray       # (L, r, N) projection rows A^H
-    V: np.ndarray        # (L, K, r) combining matrices
-    gamma: np.ndarray    # (L, r) dynamic ranges (zeros for NOQUANT)
-    delta: np.ndarray    # (L, r) step sizes
-    eigvals: np.ndarray  # (L, r) basis-source spectra (diagnostic)
-    C_final: np.ndarray  # (K, K) final error covariance
-    traces: np.ndarray   # (L+1,) trace of C before/after each AP
+    AH: np.ndarray       # ([B,] L, r, N) projection rows A^H
+    V: np.ndarray        # ([B,] L, K, r) combining matrices
+    gamma: np.ndarray    # ([B,] L, r) dynamic ranges (zeros for NOQUANT)
+    delta: np.ndarray    # ([B,] L, r) step sizes
+    eigvals: np.ndarray  # ([B,] L, r) basis-source spectra (diagnostic)
+    C_final: np.ndarray  # ([B,] K, K) final error covariance
+    traces: np.ndarray   # ([B,] L+1) trace of C before/after each AP
     banks: list = field(default_factory=list)          # per-AP QuantizerBank
     covariances: list | None = None                    # per-AP C, optional
 
@@ -173,28 +193,33 @@ class ChainPlan:
 def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
                      option: Option | None = None,
                      bits: np.ndarray | None = None,
-                     p: float | None = None,
+                     p: float | np.ndarray | None = None,
                      keep_covariances: bool = False) -> ChainPlan:
     """Run the covariance recursion for one block's channels.
 
-    H is (L, N, K). bits overrides cfg.bits (one value per AP); p overrides
-    the configured transmit power (used by power sweeps).
+    H is (L, N, K). bits overrides cfg.bits, one value per AP: (L,) for one
+    plan or (B, L) for a batch of B plans. p overrides the configured
+    transmit power (used by power sweeps): a scalar, or (B,) for a batch.
+    With neither batched the plan's arrays have no batch axis.
     """
     option = cfg.option if option is None else option
-    bits = cfg.b_l if bits is None else np.asarray(bits, dtype=np.int64)
-    p = cfg.p if p is None else float(p)
+    bits = np.asarray(cfg.b_l if bits is None else bits, dtype=np.int64)
+    p = np.asarray(cfg.p if p is None else p, dtype=float)
     L, N, K = H.shape
+    batch = np.broadcast_shapes(bits.shape[:-1], p.shape)
+    bits = np.broadcast_to(bits, batch + (L,))
+    p = np.broadcast_to(p, batch)
     r = N if option is Option.OPTION3 else min(N, K)
     quantized = option.quantized
 
-    C = p * np.eye(K, dtype=complex)
-    AH = np.empty((L, r, N), dtype=complex)
-    V = np.empty((L, K, r), dtype=complex)
-    gamma = np.zeros((L, r))
-    delta = np.zeros((L, r))
-    eigvals = np.zeros((L, r))
-    traces = np.empty(L + 1)
-    traces[0] = np.trace(C).real
+    C = p[..., None, None] * np.eye(K, dtype=complex)
+    AH = np.empty(batch + (L, r, N), dtype=complex)
+    V = np.empty(batch + (L, K, r), dtype=complex)
+    gamma = np.zeros(batch + (L, r))
+    delta = np.zeros(batch + (L, r))
+    eigvals = np.zeros(batch + (L, r))
+    traces = np.empty(batch + (L + 1,))
+    traces[..., 0] = np.trace(C, axis1=-2, axis2=-1).real
     banks = []
     covs = [] if keep_covariances else None
 
@@ -205,26 +230,28 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
             A, lam = pca_basis(R_G, r)
             input_var = lam
         elif option is Option.OPTION2:
-            R_y = hermitize(p * (H_l @ H_l.conj().T)
+            R_y = hermitize(p[..., None, None] * (H_l @ H_l.conj().T)
                             + cfg.sigma2 * np.eye(N))
             A, lam = pca_basis(R_y, r)
             input_var = lam
         else:  # OPTION3: quantize the raw vector, no rotation
-            R_y = p * (H_l @ H_l.conj().T) + cfg.sigma2 * np.eye(N)
+            R_y = (p[..., None, None] * (H_l @ H_l.conj().T)
+                   + cfg.sigma2 * np.eye(N))
             A = np.eye(N, dtype=complex)
-            input_var = np.diag(R_y).real
+            input_var = np.diagonal(R_y, axis1=-2, axis2=-1).real
             lam = input_var
         bank = None
         if quantized:
-            bank = calibrate_dynamic_range(input_var, cfg.alpha, int(bits[l]))
-            gamma[l] = bank.gamma
-            delta[l] = bank.delta
+            bank = calibrate_dynamic_range(input_var, cfg.alpha,
+                                           bits[..., l])
+            gamma[..., l, :] = bank.gamma
+            delta[..., l, :] = bank.delta
         banks.append(bank)
         R_f = observation_covariance(A, R_G, bank)
-        V[l], C = _combiner_and_covariance(C, H_l, A, R_f)
-        AH[l] = A.conj().T
-        eigvals[l] = lam
-        traces[l + 1] = np.trace(C).real
+        V[..., l, :, :], C = _combiner_and_covariance(C, H_l, A, R_f)
+        AH[..., l, :, :] = _ct(A)
+        eigvals[..., l, :] = lam
+        traces[..., l + 1] = np.trace(C, axis1=-2, axis2=-1).real
         if covs is not None:
             covs.append(C.copy())
 
@@ -297,12 +324,9 @@ def apply_chain_collect(plan: ChainPlan, Y: np.ndarray, D: np.ndarray,
             predp = pred
         if quantized:
             z = qin + D[l]
-            g = plan.gamma[l][:, None]
-            d = plan.delta[l][:, None]
-            vr, cr = kernels.quantize_midrise_numpy(z.real, g, d)
-            vi, ci = kernels.quantize_midrise_numpy(z.imag, g, d)
-            clips[l] = int(np.count_nonzero(cr)) + int(np.count_nonzero(ci))
-            f = vr + 1j * vi
+            f, clipped = kernels.quantize_complex(
+                z, plan.gamma[l][:, None], plan.delta[l][:, None])
+            clips[l] = np.count_nonzero(clipped)
             if l == collect_ap:
                 eta_c = f - z
                 pre_c = qin.copy()

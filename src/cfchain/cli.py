@@ -6,7 +6,6 @@ Subcommands:
   preset <name>     run a built-in scenario: fig2|fig3|fig4|fig5|bitrate
   validate <config> parse and validate only; writes nothing
   selftest          run the built-in invariant suite
-  bench             compare the numba and numpy kernel backends
 
 Exit codes: 0 success, 1 run/selftest failure, 2 usage error,
 3 configuration error, 4 output I/O error.
@@ -66,11 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="run the invariant suite")
     p_self.add_argument("--fast", action="store_true",
                         help="smaller sample counts, looser thresholds")
-
-    p_bench = sub.add_parser("bench", help="benchmark kernel backends")
-    p_bench.add_argument("--samples", type=int, default=2000,
-                         help="batch size per kernel call")
-    p_bench.add_argument("--repeats", type=int, default=30)
     return ap
 
 
@@ -130,12 +124,6 @@ def _cmd_selftest(args) -> int:
     return run_selftest(fast=args.fast)
 
 
-def _cmd_bench(args) -> int:
-    from .bench import run_benchmark
-    run_benchmark(samples=args.samples, repeats=args.repeats)
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -147,7 +135,6 @@ def main(argv=None) -> int:
         "preset": _cmd_preset,
         "validate": _cmd_validate,
         "selftest": _cmd_selftest,
-        "bench": _cmd_bench,
     }[args.command]
     try:
         return handler(args)

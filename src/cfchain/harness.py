@@ -129,7 +129,13 @@ def _axis_and_metric(plan: ExperimentPlan):
 
 
 def _placement_worker(args):
-    """Everything one placement contributes to a sweep; fully seeded."""
+    """Everything one placement contributes to a sweep; fully seeded.
+
+    One plan and one kernel call per (block, option) cover the whole axis.
+    Each block is all-or-nothing: its options fill a local table that joins
+    the placement's cells only once every option of the block succeeded,
+    so an aborted block leaves all options paired on the same draws.
+    """
     cfg, plan, p_idx = args
     ms = plan.master_seed
     axis_name, axis, metric = _axis_and_metric(plan)
@@ -138,15 +144,10 @@ def _placement_worker(args):
     L, N, K, S = cfg.L, cfg.N, cfg.K, plan.n_samples
 
     cells = {}
-
-    def cell(opt, idx):
-        key = (opt.value, idx)
-        if key not in cells:
-            cells[key] = [np.zeros(K), np.zeros(K), 0, 0]
-        return cells[key]
-
-    aborted = 0
+    aborts = []
     for blk in range(plan.n_blocks):
+        table = {}  # (option, axis index) -> (error sums, energy, clipped)
+        opt = None
         try:
             ch = draw_channel(cfg, placement,
                               seed_stream(ms, p_idx, blk, 0, Role.CHANNEL))
@@ -160,74 +161,70 @@ def _placement_worker(args):
                 bits_tx = sig_rng.integers(0, 2, size=(K, S))
                 s_unit = (2.0 * bits_tx - 1.0).astype(complex)
             dither_u = {}
-            for opt in plan.options:
-                if not opt.quantized:
+            for o in plan.options:
+                if not o.quantized:
                     continue
-                r_opt = N if opt is Option.OPTION3 else min(N, K)
+                r_opt = N if o is Option.OPTION3 else min(N, K)
                 du = seed_stream(ms, p_idx, blk, 0, Role.DITHER,
-                                 option_tag=opt.mode)
-                dither_u[opt] = (du.uniform(-0.5, 0.5, (L, r_opt, S))
-                                 + 1j * du.uniform(-0.5, 0.5, (L, r_opt, S)))
+                                 option_tag=o.mode)
+                dither_u[o] = (du.uniform(-0.5, 0.5, (L, r_opt, S))
+                               + 1j * du.uniform(-0.5, 0.5, (L, r_opt, S)))
 
-            if plan.kind == "nmse_vs_bits":
+            if metric == "nmse":
                 s = np.sqrt(cfg.p) * s_unit
                 Y = np.einsum("lnk,ks->lns", ch.H, s) + noise
-                for opt in plan.options:
-                    if not opt.quantized:
-                        cplan = build_chain_plan(cfg, ch.H, option=opt)
-                        sh, _ = kernels.apply_chain(
-                            ch.H, cplan.AH, cplan.V, cplan.gamma, cplan.delta,
-                            Y, np.zeros((L, cplan.r, S), complex),
-                            cplan.mode, False)
-                        c = cell(opt, 0)
-                        c[0] += np.sum(np.abs(s - sh) ** 2, axis=1)
-                        c[1] += np.sum(np.abs(s) ** 2, axis=1)
-                        c[2] += S
-                        continue
-                    for bi, b in enumerate(axis):
-                        cplan = build_chain_plan(
-                            cfg, ch.H, option=opt, bits=np.full(L, b))
-                        D = cplan.delta[:, :, None] * dither_u[opt]
-                        sh, clips = kernels.apply_chain(
-                            ch.H, cplan.AH, cplan.V, cplan.gamma, cplan.delta,
-                            Y, D, cplan.mode, True)
-                        c = cell(opt, bi)
-                        c[0] += np.sum(np.abs(s - sh) ** 2, axis=1)
-                        c[1] += np.sum(np.abs(s) ** 2, axis=1)
-                        c[2] += S
-                        c[3] += int(clips.sum())
+                sweep = {"bits": np.repeat(np.asarray(axis)[:, None], L, 1)}
+                energy = np.sum(np.abs(s) ** 2, axis=1)
             else:  # ber_vs_power
-                for pi, p_db in enumerate(axis):
-                    p_lin = 10.0 ** (p_db / 10.0)
-                    s = np.sqrt(p_lin) * s_unit
-                    Y = np.einsum("lnk,ks->lns", ch.H, s) + noise
-                    for opt in plan.options:
-                        cplan = build_chain_plan(cfg, ch.H, option=opt,
-                                                 p=p_lin)
-                        if opt.quantized:
-                            D = cplan.delta[:, :, None] * dither_u[opt]
-                        else:
-                            D = np.zeros((L, cplan.r, S), complex)
-                        sh, clips = kernels.apply_chain(
-                            ch.H, cplan.AH, cplan.V, cplan.gamma, cplan.delta,
-                            Y, D, cplan.mode, opt.quantized)
-                        dec = (np.real(sh) > 0).astype(np.int64)
-                        c = cell(opt, pi)
-                        c[0] += (dec != bits_tx).sum(axis=1)
-                        c[1] += S
-                        c[2] += S
-                        c[3] += int(clips.sum()) if opt.quantized else 0
-        except (ChainNumericsError, np.linalg.LinAlgError):
-            aborted += 1
-    return p_idx, cells, aborted
+                p_lin = 10.0 ** (np.asarray(axis, dtype=float) / 10.0)
+                Y = (np.sqrt(p_lin)[:, None, None, None] * (ch.H @ s_unit)
+                     + noise)
+                sweep = {"p": p_lin}
+                energy = S  # bits sent per user
+            for opt in plan.options:
+                # a lossless chain ignores the bit axis: one plan, one cell
+                flat = metric == "nmse" and not opt.quantized
+                cplan = build_chain_plan(cfg, ch.H, option=opt,
+                                         **({} if flat else sweep))
+                if opt.quantized:
+                    D = cplan.delta[..., None] * dither_u[opt]
+                else:
+                    D = np.zeros(cplan.delta.shape + (S,), complex)
+                sh, clips = kernels.apply_chain(
+                    ch.H, cplan.AH, cplan.V, cplan.gamma, cplan.delta, Y, D,
+                    cplan.mode, opt.quantized)
+                if metric == "nmse":
+                    err = np.sum(np.abs(s - sh) ** 2, axis=-1)
+                else:
+                    err = ((np.real(sh) > 0) != bits_tx).sum(axis=-1)
+                if flat:
+                    table[(opt.value, 0)] = (err, energy, 0)
+                    continue
+                for i in range(len(axis)):
+                    table[(opt.value, i)] = (err[i], energy,
+                                             int(clips[i].sum()))
+        except (ChainNumericsError, np.linalg.LinAlgError) as e:
+            aborts.append({"placement": p_idx, "block": blk,
+                           "option": None if opt is None else opt.value,
+                           "error": f"{type(e).__name__}: {e}"})
+            continue
+        for key, (a, b, clipped) in table.items():
+            if key not in cells:
+                cells[key] = [np.zeros(K), np.zeros(K), 0, 0]
+            c = cells[key]
+            c[0] += a
+            c[1] += b
+            c[2] += S
+            c[3] += clipped
+    return p_idx, cells, aborts
 
 
 def _aggregate_sweep(cfg, plan, results, metric, axis):
     n_p = plan.n_placements
     agg: dict[tuple, Cell] = {}
-    aborted_total = 0
-    for p_idx, cells, aborted in results:
-        aborted_total += aborted
+    aborts = []
+    for p_idx, cells, p_aborts in results:
+        aborts += p_aborts
         for key, (a, b, count, clipped) in sorted(cells.items()):
             if key not in agg:
                 agg[key] = Cell(a=np.zeros(cfg.K), b=np.zeros(cfg.K),
@@ -243,10 +240,10 @@ def _aggregate_sweep(cfg, plan, results, metric, axis):
             else:
                 c.placement_values[p_idx] = float(a.sum() / b.sum())
     total_trials = plan.n_placements * plan.n_blocks
-    if aborted_total / total_trials > ABORT_BUDGET:
+    if len(aborts) / total_trials > ABORT_BUDGET:
         raise RunFailedError(
-            f"{aborted_total}/{total_trials} trials aborted "
-            f"(budget {ABORT_BUDGET:.1%})")
+            f"{len(aborts)}/{total_trials} trials aborted "
+            f"(budget {ABORT_BUDGET:.1%}); first: {aborts[0]}")
     # a lossless chain ignores the bit axis: one cell feeds every axis point
     if plan.kind == "nmse_vs_bits":
         for opt in plan.options:
@@ -255,7 +252,7 @@ def _aggregate_sweep(cfg, plan, results, metric, axis):
             base = agg.pop((opt.value, 0))
             for bi in range(len(axis)):
                 agg[(opt.value, bi)] = base
-    return agg, aborted_total, total_trials
+    return agg, aborts, total_trials
 
 
 def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
@@ -359,14 +356,15 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
         else:
             results = [_placement_worker(a) for a in args]
         results.sort(key=lambda t: t[0])
-        cells, aborted, total = _aggregate_sweep(cfg, plan, results, metric,
-                                                 axis)
+        cells, aborts, total = _aggregate_sweep(cfg, plan, results, metric,
+                                                axis)
         result = SweepResult(
             kind=plan.kind, axis_name=axis_name, axis_values=axis,
             options=[o.value for o in plan.options], metric=metric,
             cells=cells)
-        result.metadata["aborted_trials"] = aborted
+        result.metadata["aborted_trials"] = len(aborts)
         result.metadata["total_trials"] = total
+        result.metadata["aborts"] = aborts
     result.metadata.update({
         "config": cfg.as_dict(),
         "plan": plan.as_dict(),

@@ -1,290 +1,106 @@
-"""Hot numeric kernels with interchangeable numba / pure-numpy backends.
+"""Hot numeric kernels: the per-sample chain evaluation and the mid-rise
+quantizer, in numpy.
 
-The per-sample chain evaluation and the element-wise mid-rise quantizer
-dominate sweep runtime. Both exist in two functionally identical
-implementations:
-
-  * a pure-numpy version that batches over the sample axis, and
-  * a numba ``@njit`` version with explicit loops (cached to disk).
-
-Backend selection, checked once at import:
-
-  CFCHAIN_BACKEND=numba   force numba (raises if numba is unavailable)
-  CFCHAIN_BACKEND=numpy   force the pure-numpy path
-  CFCHAIN_BACKEND=auto    numba when importable, numpy otherwise (default)
-
-``set_backend()`` switches at runtime, which the benchmark uses to compare
-both paths in one process. The backends agree to floating-point roundoff
-(the quantizer bit-exactly; matrix products differ only in summation
-order).
+The chain kernel batches over the sample axis and, optionally, over a
+leading sweep axis (bit widths or transmit powers), so a whole sweep of
+one option runs in one call.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_ENV_VAR = "CFCHAIN_BACKEND"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # noqa: D103
-        def deco(f):
-            return f
-        return deco(args[0]) if args and callable(args[0]) else deco
-
-
-_backend = None
-
-
-def _resolve_default() -> str:
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"{_ENV_VAR} must be auto|numba|numpy, got {choice!r}")
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError(f"{_ENV_VAR}=numba but numba is not importable")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return choice
 
 
 def active_backend() -> str:
-    global _backend
-    if _backend is None:
-        _backend = _resolve_default()
-    return _backend
-
-
-def set_backend(name: str):
-    """Select 'numba' or 'numpy' for subsequent kernel calls."""
-    global _backend
-    name = name.strip().lower()
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"backend must be 'numba' or 'numpy', got {name!r}")
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _backend = name
+    """Name of the kernel implementation, recorded in run manifests."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # mid-rise quantizer, 2^b levels over [-gamma, gamma], saturating at the edge
 # ---------------------------------------------------------------------------
 
-def quantize_midrise_numpy(x: np.ndarray, gamma: np.ndarray,
-                           delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def quantize_midrise(x: np.ndarray, gamma: np.ndarray,
+                     delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quantize real values; gamma/delta broadcast against x.
 
     Returns (values, clipped_mask). A zero step size degenerates to a
     constant-zero quantizer that never counts clipping.
     """
     x = np.asarray(x, dtype=float)
-    g = np.broadcast_to(np.asarray(gamma, dtype=float), x.shape)
-    d = np.broadcast_to(np.asarray(delta, dtype=float), x.shape)
+    g = np.asarray(gamma, dtype=float)
+    d = np.asarray(delta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        idx = np.floor((x + g) / d)
-        v = -g + (idx + 0.5) * d
-        v = np.minimum(np.maximum(v, -g + 0.5 * d), g - 0.5 * d)
-    v = np.where(d > 0, v, 0.0)
-    clipped = (d > 0) & ((x < -g) | (x > g))
+        v = x + g
+        v /= d
+        np.floor(v, out=v)
+        v += 0.5
+        v *= d
+        v -= g
+        half = 0.5 * d
+        np.maximum(v, half - g, out=v)
+        np.minimum(v, g - half, out=v)
+    clipped = np.abs(x) > g
+    live = d > 0
+    if not live.all():
+        v = np.where(live, v, 0.0)
+        clipped = clipped & live
     return v, clipped
 
 
-@njit(cache=True)
-def _quantize_midrise_nb(x, g, d, out, clipped):  # pragma: no cover - jitted
-    n = x.size
-    xf = x.ravel()
-    gf = g.ravel()
-    df = d.ravel()
-    of = out.ravel()
-    cf = clipped.ravel()
-    for i in range(n):
-        if df[i] <= 0.0:
-            of[i] = 0.0
-            cf[i] = False
-            continue
-        idx = np.floor((xf[i] + gf[i]) / df[i])
-        v = -gf[i] + (idx + 0.5) * df[i]
-        lo = -gf[i] + 0.5 * df[i]
-        hi = gf[i] - 0.5 * df[i]
-        if v < lo:
-            v = lo
-        if v > hi:
-            v = hi
-        of[i] = v
-        cf[i] = xf[i] < -gf[i] or xf[i] > gf[i]
+def quantize_complex(z: np.ndarray, gamma: np.ndarray,
+                     delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One mid-rise quantizer each for the real and imaginary parts of z.
 
-
-def quantize_midrise_numba(x, gamma, delta):
-    x = np.ascontiguousarray(x, dtype=float)
-    g = np.ascontiguousarray(np.broadcast_to(np.asarray(gamma, float), x.shape))
-    d = np.ascontiguousarray(np.broadcast_to(np.asarray(delta, float), x.shape))
-    out = np.empty_like(x)
-    clipped = np.empty(x.shape, dtype=np.bool_)
-    _quantize_midrise_nb(x, g, d, out, clipped)
-    return out, clipped
-
-
-def quantize_midrise(x, gamma, delta):
-    if active_backend() == "numba":
-        return quantize_midrise_numba(x, gamma, delta)
-    return quantize_midrise_numpy(x, gamma, delta)
+    gamma/delta broadcast against z. Both parts go through one call, as
+    the interleaved float view of z. Returns (values, clipped_mask) with
+    the mask shaped z.shape + (2,): real, imaginary.
+    """
+    x = np.ascontiguousarray(z, dtype=complex)[..., None].view(float)
+    v, clipped = quantize_midrise(x, np.asarray(gamma)[..., None],
+                                  np.asarray(delta)[..., None])
+    return v.view(complex)[..., 0], clipped
 
 
 # ---------------------------------------------------------------------------
 # per-sample daisy-chain evaluation
 #
 # mode: 0 = lossless, 1/2/3 = the three processing sequences.
-# Shapes: H (L,N,K), AH (L,r,N) = A^H, V (L,K,r), gamma/delta (L,r),
-#         Y (L,N,S), D (L,r,S) dither, all complex128/float64.
-# Returns the final estimates (K,S) and per-AP clipped-component counts (L,).
+# Shapes, with an optional leading batch shape (...) shared by the plan
+# arrays: H (L,N,K), AH (...,L,r,N) = A^H, V (...,L,K,r), gamma/delta
+# (...,L,r), Y (L,N,S) shared by the batch or (...,L,N,S), D (...,L,r,S)
+# dither, all complex128/float64.
+# Returns the final estimates (...,K,S) and per-AP clipped-component counts
+# (...,L).
 # ---------------------------------------------------------------------------
 
-def apply_chain_numpy(H, AH, V, gamma, delta, Y, D, mode, do_quant):
+def apply_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant):
     L, _, K = H.shape
-    S = Y.shape[2]
-    s_hat = np.zeros((K, S), dtype=complex)
-    clips = np.zeros(L, dtype=np.int64)
+    batch = AH.shape[:-3]
+    S = Y.shape[-1]
+    s_hat = np.zeros(batch + (K, S), dtype=complex)
+    clips = np.zeros(batch + (L,), dtype=np.int64)
     for l in range(L):
+        AH_l = AH[..., l, :, :]
+        Y_l = Y[..., l, :, :]
         pred = H[l] @ s_hat
         if mode <= 1:
-            qin = AH[l] @ (Y[l] - pred)
+            qin = AH_l @ (Y_l - pred)
             predp = None
         elif mode == 2:
-            qin = AH[l] @ Y[l]
-            predp = AH[l] @ pred
+            qin = AH_l @ Y_l
+            predp = AH_l @ pred
         else:
-            qin = Y[l]
+            qin = Y_l
             predp = pred
         if do_quant:
-            z = qin + D[l]
-            g = gamma[l][:, None]
-            d = delta[l][:, None]
-            vr, cr = quantize_midrise_numpy(z.real, g, d)
-            vi, ci = quantize_midrise_numpy(z.imag, g, d)
-            clips[l] = int(np.count_nonzero(cr)) + int(np.count_nonzero(ci))
-            f = vr + 1j * vi
+            f, clipped = quantize_complex(qin + D[..., l, :, :],
+                                          gamma[..., l, :, None],
+                                          delta[..., l, :, None])
+            clips[..., l] = np.count_nonzero(clipped, axis=(-3, -2, -1))
         else:
             f = qin
         if mode >= 2:
             f = f - predp
-        s_hat = s_hat + V[l] @ f
+        s_hat += V[..., l, :, :] @ f
     return s_hat, clips
-
-
-@njit(cache=True)
-def _apply_chain_nb(H, AH, V, gamma, delta, Y, D, mode, do_quant,
-                    s_hat, clips):  # pragma: no cover - jitted
-    L, N, K = H.shape
-    r = AH.shape[1]
-    S = Y.shape[2]
-    pred = np.empty(N, dtype=np.complex128)
-    qin = np.empty(r, dtype=np.complex128)
-    predp = np.empty(r, dtype=np.complex128)
-    f = np.empty(r, dtype=np.complex128)
-    for s in range(S):
-        for l in range(L):
-            for n in range(N):
-                acc = 0.0 + 0.0j
-                for k in range(K):
-                    acc += H[l, n, k] * s_hat[k, s]
-                pred[n] = acc
-            if mode <= 1:
-                for i in range(r):
-                    acc = 0.0 + 0.0j
-                    for n in range(N):
-                        acc += AH[l, i, n] * (Y[l, n, s] - pred[n])
-                    qin[i] = acc
-            elif mode == 2:
-                for i in range(r):
-                    a = 0.0 + 0.0j
-                    b = 0.0 + 0.0j
-                    for n in range(N):
-                        a += AH[l, i, n] * Y[l, n, s]
-                        b += AH[l, i, n] * pred[n]
-                    qin[i] = a
-                    predp[i] = b
-            else:
-                for i in range(r):
-                    qin[i] = Y[l, i, s]
-                    predp[i] = pred[i]
-            if do_quant:
-                for i in range(r):
-                    g = gamma[l, i]
-                    d = delta[l, i]
-                    zr = qin[i].real + D[l, i, s].real
-                    zi = qin[i].imag + D[l, i, s].imag
-                    if d <= 0.0:
-                        f[i] = 0.0 + 0.0j
-                        continue
-                    lo = -g + 0.5 * d
-                    hi = g - 0.5 * d
-                    vr = -g + (np.floor((zr + g) / d) + 0.5) * d
-                    if vr < lo:
-                        vr = lo
-                    if vr > hi:
-                        vr = hi
-                    vi = -g + (np.floor((zi + g) / d) + 0.5) * d
-                    if vi < lo:
-                        vi = lo
-                    if vi > hi:
-                        vi = hi
-                    if zr < -g or zr > g:
-                        clips[l] += 1
-                    if zi < -g or zi > g:
-                        clips[l] += 1
-                    f[i] = complex(vr, vi)
-            else:
-                for i in range(r):
-                    f[i] = qin[i]
-            if mode >= 2:
-                for i in range(r):
-                    f[i] = f[i] - predp[i]
-            for k in range(K):
-                acc = 0.0 + 0.0j
-                for i in range(r):
-                    acc += V[l, k, i] * f[i]
-                s_hat[k, s] += acc
-
-
-def apply_chain_numba(H, AH, V, gamma, delta, Y, D, mode, do_quant):
-    K = H.shape[2]
-    S = Y.shape[2]
-    s_hat = np.zeros((K, S), dtype=np.complex128)
-    clips = np.zeros(H.shape[0], dtype=np.int64)
-    _apply_chain_nb(
-        np.ascontiguousarray(H, dtype=np.complex128),
-        np.ascontiguousarray(AH, dtype=np.complex128),
-        np.ascontiguousarray(V, dtype=np.complex128),
-        np.ascontiguousarray(gamma, dtype=np.float64),
-        np.ascontiguousarray(delta, dtype=np.float64),
-        np.ascontiguousarray(Y, dtype=np.complex128),
-        np.ascontiguousarray(D, dtype=np.complex128),
-        mode, do_quant, s_hat, clips)
-    return s_hat, clips
-
-
-def apply_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant):
-    if active_backend() == "numba":
-        return apply_chain_numba(H, AH, V, gamma, delta, Y, D, mode, do_quant)
-    return apply_chain_numpy(H, AH, V, gamma, delta, Y, D, mode, do_quant)
-
-
-def warmup():
-    """Trigger JIT compilation so timed sections measure steady state."""
-    if active_backend() != "numba":
-        return
-    H = np.zeros((1, 2, 2), dtype=complex)
-    AH = np.zeros((1, 2, 2), dtype=complex)
-    V = np.zeros((1, 2, 2), dtype=complex)
-    g = np.ones((1, 2))
-    Y = np.zeros((1, 2, 1), dtype=complex)
-    D = np.zeros((1, 2, 1), dtype=complex)
-    for mode in (0, 1, 2, 3):
-        apply_chain_numba(H, AH, V, g, g, Y, D, mode, mode != 0)
-    quantize_midrise_numba(np.zeros(2), np.ones(2), np.ones(2))

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import kernels
 from .config import ConfigError, _check_alpha_bits
@@ -31,15 +30,15 @@ class InsufficientSamplesError(ValueError):
 class QuantizerBank:
     """Calibrated per-stream quantizers for one AP (2r real quantizers)."""
 
-    b: int                # bits per real quantizer
-    gamma: np.ndarray     # (r,) dynamic ranges
-    delta: np.ndarray     # (r,) step sizes, exactly 2*gamma/2^b
-    R_d: np.ndarray       # (r,r) diagonal dither covariance, diag = delta^2/6
-    R_eta: np.ndarray     # (r,r) quantization-noise covariance, equals R_d
+    b: int | np.ndarray   # bits per real quantizer, () or (...,)
+    gamma: np.ndarray     # (...,r) dynamic ranges
+    delta: np.ndarray     # (...,r) step sizes, exactly 2*gamma/2^b
+    R_d: np.ndarray       # (...,r,r) diagonal dither covariance, delta^2/6
+    R_eta: np.ndarray     # (...,r,r) quantization-noise covariance, = R_d
 
     @property
     def r(self) -> int:
-        return self.gamma.size
+        return self.gamma.shape[-1]
 
     @property
     def noise_diag(self) -> np.ndarray:
@@ -81,25 +80,27 @@ class StatReport:
             }
 
 
-def calibrate_dynamic_range(input_var, alpha: float, b: int) -> QuantizerBank:
+def calibrate_dynamic_range(input_var, alpha: float, b) -> QuantizerBank:
     """Build a bank from per-stream input variances E{|input_i|^2}.
 
-    A zero-variance stream degenerates to gamma = delta = 0; the quantizer
+    input_var is (..., r) and b an integer or an integer array of the
+    leading shape (...), one bit width per bank of a stacked sweep. A
+    zero-variance stream degenerates to gamma = delta = 0; the quantizer
     then passes 0 and never counts clipping.
     """
     input_var = np.atleast_1d(np.asarray(input_var, dtype=float))
-    if np.any(input_var < 0):
+    if (input_var < 0).any():
         raise ConfigError("input_var >= 0 required")
-    b = int(b)
-    if b < 1:
+    b = np.asarray(b, dtype=np.int64)
+    if (b < 1).any():
         raise ConfigError("b_l >= 1")
-    _check_alpha_bits(alpha, b)
-    corr = 1.0 - alpha ** 2 / (3.0 * 4.0 ** b)
+    _check_alpha_bits(alpha, int(b.min()))  # the bound tightens as b falls
+    corr = 1.0 - alpha ** 2 / (3.0 * 4.0 ** b[..., None])
     gamma = np.sqrt(alpha ** 2 / corr * input_var / 2.0)
-    delta = 2.0 * gamma / 2.0 ** b
-    R_d = np.diag(delta ** 2 / 6.0)
-    return QuantizerBank(b=b, gamma=gamma, delta=delta, R_d=R_d,
-                         R_eta=R_d.copy())
+    delta = 2.0 * gamma / 2.0 ** b[..., None]
+    R_d = (delta ** 2 / 6.0)[..., None] * np.eye(delta.shape[-1])
+    return QuantizerBank(b=int(b) if b.ndim == 0 else b, gamma=gamma,
+                         delta=delta, R_d=R_d, R_eta=R_d.copy())
 
 
 def draw_dither(bank: QuantizerBank, rng: np.random.Generator,
@@ -119,12 +120,9 @@ def quantize(bank: QuantizerBank, z: np.ndarray) -> QuantizedFrame:
     z = np.asarray(z, dtype=complex)
     if z.shape != (bank.r,):
         raise ValueError(f"expected shape ({bank.r},), got {z.shape}")
-    vr, cr = kernels.quantize_midrise(z.real, bank.gamma, bank.delta)
-    vi, ci = kernels.quantize_midrise(z.imag, bank.gamma, bank.delta)
-    f = vr + 1j * vi
+    f, clipped = kernels.quantize_complex(z, bank.gamma, bank.delta)
     return QuantizedFrame(f=f, eta=f - z,
-                          clipped_count=int(np.count_nonzero(cr))
-                          + int(np.count_nonzero(ci)))
+                          clipped_count=int(np.count_nonzero(clipped)))
 
 
 def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
@@ -137,6 +135,8 @@ def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
     |component of eta| > delta/2 and excluded, since the uniform law only
     holds for in-range operation.
     """
+    from scipy import stats
+
     eta = np.asarray(eta)
     pre = np.asarray(pre_input)
     if eta.shape != pre.shape or eta.ndim != 2 or eta.shape[0] != bank.r:

@@ -126,7 +126,6 @@ ALL_CHECKS = [check_formula_goldens, check_oracle_equivalence,
 
 
 def run_selftest(fast: bool = False, echo=print) -> int:
-    kernels.warmup()
     failures = 0
     for check in ALL_CHECKS:
         name, ok, detail = check(fast=fast)

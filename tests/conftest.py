@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from cfchain import NetworkConfig, kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT compilation happens once here so timed tests see steady state
-    kernels.warmup()
+from cfchain import NetworkConfig
 
 
 @pytest.fixture

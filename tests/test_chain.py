@@ -11,6 +11,7 @@ from cfchain.chain import (ApState, ChainNumericsError, attach_channels,
 from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
+from cfchain.presets import preset
 from cfchain.quantizer import calibrate_dynamic_range
 
 
@@ -108,6 +109,19 @@ class TestPcaBasis:
             assert A1[i, j].real > 0
             assert abs(A1[i, j].imag) < 1e-12
 
+    def test_batch_mixing_isotropic_and_generic(self, rng):
+        X = crandn(rng, 4, 4)
+        stack = np.stack([hermitize(X @ X.conj().T),
+                          0.5 * np.eye(4, dtype=complex),
+                          np.diag([2.0, 2.0, 1.0, 1.0]).astype(complex)])
+        A, vals = pca_basis(stack, 3)
+        assert A.shape == (3, 4, 3) and vals.shape == (3, 3)
+        for i in range(3):
+            A_i, vals_i = pca_basis(stack[i], 3)
+            assert np.allclose(A[i], A_i, rtol=0, atol=1e-12)
+            assert np.allclose(vals[i], vals_i, rtol=0, atol=1e-12)
+        assert np.allclose(A[1], np.eye(4)[:, :3])
+
 
 class TestProjectAndObservation:
     def test_identity_projection(self, rng):
@@ -154,15 +168,60 @@ class TestProjectAndObservation:
         l = 0
         qin = plan.AH[l] @ Y[l]
         z = qin + plan.delta[l][:, None] * Du[l]
-        vr, _ = kernels.quantize_midrise_numpy(
+        vr, _ = kernels.quantize_midrise(
             z.real, plan.gamma[l][:, None], plan.delta[l][:, None])
-        vi, _ = kernels.quantize_midrise_numpy(
+        vi, _ = kernels.quantize_midrise(
             z.imag, plan.gamma[l][:, None], plan.delta[l][:, None])
         f = vr + 1j * vi
         var_emp = np.mean(np.abs(f) ** 2, axis=1)
         R_G = residual_covariance(ch.H[l], cfg.p * np.eye(cfg.K), cfg.sigma2)
         Rf = observation_covariance(plan.AH[l].conj().T, R_G, plan.banks[l])
         assert np.allclose(var_emp, np.diag(Rf).real, rtol=0.03)
+
+
+class TestBatchedPlan:
+    """A plan batched over the sweep axis equals one plan per axis point."""
+
+    FIELDS = ("AH", "V", "gamma", "C_final")
+
+    def _check(self, batched, singles):
+        for name in self.FIELDS:
+            stacked = getattr(batched, name)
+            assert stacked.shape[0] == len(singles)
+            for i, single in enumerate(singles):
+                ref = getattr(single, name)
+                assert (np.linalg.norm(stacked[i] - ref)
+                        <= 1e-10 * np.linalg.norm(ref)), name
+
+    @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
+                                     Option.OPTION3, Option.NOQUANT])
+    def test_bit_sweep(self, opt):
+        cfg, ch = _scenario(seed=3)
+        bits = np.repeat(np.arange(1, 9)[:, None], cfg.L, axis=1)
+        batched = build_chain_plan(cfg, ch.H, option=opt, bits=bits)
+        self._check(batched, [build_chain_plan(cfg, ch.H, option=opt, bits=b)
+                              for b in bits])
+
+    @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
+                                     Option.OPTION3, Option.NOQUANT])
+    def test_power_sweep(self, opt):
+        cfg, ch = _scenario(seed=5)
+        p_db = np.asarray(preset("fig5")[1].power_sweep_db, dtype=float)
+        p_lin = 10.0 ** (p_db / 10.0)
+        batched = build_chain_plan(cfg, ch.H, option=opt, p=p_lin)
+        self._check(batched, [build_chain_plan(cfg, ch.H, option=opt, p=p)
+                              for p in p_lin])
+
+    def test_unbatched_shapes(self):
+        cfg, ch = _scenario()
+        L, N, K, r = cfg.L, cfg.N, cfg.K, cfg.r
+        plan = build_chain_plan(cfg, ch.H)
+        assert plan.AH.shape == (L, r, N)
+        assert plan.V.shape == (L, K, r)
+        assert plan.gamma.shape == plan.delta.shape == (L, r)
+        assert plan.C_final.shape == (K, K)
+        assert plan.traces.shape == (L + 1,)
+        assert plan.banks[0].gamma.shape == (r,)
 
 
 class TestRefineEstimate:
@@ -282,9 +341,9 @@ class TestRunChain:
         D = plan.delta[:, :, None] * Du
         # reproduce f_1 and s_hat_1, then the AP-2 innovation
         z = plan.AH[0] @ Y[0] + D[0]
-        vr, _ = kernels.quantize_midrise_numpy(
+        vr, _ = kernels.quantize_midrise(
             z.real, plan.gamma[0][:, None], plan.delta[0][:, None])
-        vi, _ = kernels.quantize_midrise_numpy(
+        vi, _ = kernels.quantize_midrise(
             z.imag, plan.gamma[0][:, None], plan.delta[0][:, None])
         f1 = vr + 1j * vi
         s_hat1 = plan.V[0] @ f1

@@ -125,13 +125,40 @@ class TestRunExperiment:
         with pytest.raises(RunFailedError, match="aborted"):
             run_experiment(_tiny_plan(), NetworkConfig())
 
+    def test_aborted_block_keeps_options_paired(self, monkeypatch):
+        # one factorization fails on the second option of the first block:
+        # the whole block is dropped, so every cell keeps the same count
+        import cfchain.harness as hmod
+        real = hmod.build_chain_plan
+        calls = {"n": 0}
+
+        def fails_once(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hmod, "build_chain_plan", fails_once)
+        # 1000 trials: one abort stays within ABORT_BUDGET
+        plan = _tiny_plan(n_placements=1, n_blocks=1000, n_samples=2,
+                          bits_sweep=(2, 4),
+                          options=(Option.OPTION1, Option.OPTION2))
+        res = run_experiment(plan, NetworkConfig(L=2))
+        expected = (plan.n_placements * plan.n_blocks - 1) * plan.n_samples
+        assert {cell.count for cell in res.cells.values()} == {expected}
+        assert res.metadata["aborted_trials"] == 1
+        assert res.metadata["aborts"] == [{
+            "placement": 0, "block": 0, "option": plan.options[1].value,
+            "error": "LinAlgError: synthetic failure"}]
+
     def test_metadata_snapshot(self):
         cfg = NetworkConfig()
         res = run_experiment(_tiny_plan(), cfg)
         assert res.metadata["config"]["L"] == cfg.L
         assert res.metadata["plan"]["kind"] == "nmse_vs_bits"
         assert res.metadata["aborted_trials"] == 0
-        assert res.metadata["backend"] in ("numba", "numpy")
+        assert res.metadata["aborts"] == []
+        assert res.metadata["backend"] == "numpy"
 
 
 class TestNoiseKinds:

@@ -1,18 +1,16 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from cfchain import kernels
-from cfchain.chain import attach_channels, build_chain_plan
+from cfchain.chain import build_chain_plan
 from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
+from cfchain.presets import preset
 
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA,
-                                 reason="numba not installed")
+OPTIONS = [Option.OPTION1, Option.OPTION2, Option.OPTION3, Option.NOQUANT]
+BITS = np.arange(1, 9)
+POWERS_DB = np.asarray(preset("fig5")[1].power_sweep_db, dtype=float)
 
 
 def _workload(seed=0, S=64):
@@ -27,101 +25,69 @@ def _workload(seed=0, S=64):
     return cfg, ch, Y
 
 
-class TestQuantizeKernelParity:
-    @needs_numba
-    def test_bit_identical_backends(self, rng):
-        x = rng.normal(0, 1, 5000)
-        g = np.abs(rng.normal(1.5, 0.2, 5000)) + 0.1
-        d = 2 * g / 2 ** 3
-        d[::17] = 0.0  # exercise the degenerate branch
-        v_np, c_np = kernels.quantize_midrise_numpy(x, g, d)
-        v_nb, c_nb = kernels.quantize_midrise_numba(x, g, d)
-        assert np.array_equal(v_np, v_nb)
-        assert np.array_equal(c_np, c_nb)
+def _dither_u(cfg, opt, S):
+    r = cfg.N if opt is Option.OPTION3 else min(cfg.N, cfg.K)
+    du = seed_stream(0, 0, 0, 0, Role.DITHER, option_tag=opt.mode)
+    return (du.uniform(-0.5, 0.5, (cfg.L, r, S))
+            + 1j * du.uniform(-0.5, 0.5, (cfg.L, r, S)))
 
+
+def _run(ch, plan, Y, U):
+    D = plan.delta[..., None] * U
+    return kernels.apply_chain(ch.H, plan.AH, plan.V, plan.gamma, plan.delta,
+                               Y, D, plan.mode, plan.option.quantized)
+
+
+class TestQuantizeKernelParity:
     def test_broadcasting_per_row(self, rng):
         x = rng.normal(0, 1, (4, 100))
         g = np.array([1.0, 2.0, 0.5, 3.0])[:, None]
         d = 2 * g / 8
-        v, c = kernels.quantize_midrise_numpy(x, g, d)
+        v, c = kernels.quantize_midrise(x, g, d)
         assert v.shape == x.shape
         for i in range(4):
-            vi, ci = kernels.quantize_midrise_numpy(x[i], g[i, 0] * np.ones(100),
-                                                    d[i, 0] * np.ones(100))
+            vi, ci = kernels.quantize_midrise(x[i], g[i, 0] * np.ones(100),
+                                              d[i, 0] * np.ones(100))
             assert np.array_equal(v[i], vi)
 
 
-class TestChainKernelParity:
-    @needs_numba
-    @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
-                                     Option.OPTION3, Option.NOQUANT])
-    def test_backends_agree(self, opt):
-        cfg, ch, Y = _workload()
-        plan = build_chain_plan(cfg, ch.H, option=opt)
-        S = Y.shape[2]
-        du = seed_stream(0, 0, 0, 0, Role.DITHER, option_tag=opt.mode)
-        D = plan.delta[:, :, None] * (
-            du.uniform(-0.5, 0.5, (cfg.L, plan.r, S))
-            + 1j * du.uniform(-0.5, 0.5, (cfg.L, plan.r, S)))
-        a_np = kernels.apply_chain_numpy(ch.H, plan.AH, plan.V, plan.gamma,
-                                         plan.delta, Y, D, plan.mode,
-                                         opt.quantized)
-        a_nb = kernels.apply_chain_numba(ch.H, plan.AH, plan.V, plan.gamma,
-                                         plan.delta, Y, D, plan.mode,
-                                         opt.quantized)
-        assert np.max(np.abs(a_np[0] - a_nb[0])) < 1e-12
-        assert np.array_equal(a_np[1], a_nb[1])
+class TestChainKernelBatch:
+    """A batch over the sweep axis matches one call per axis point."""
 
-    def test_dispatcher_follows_set_backend(self):
-        cfg, ch, Y = _workload()
-        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-        D = np.zeros((cfg.L, plan.r, Y.shape[2]), complex)
-        previous = kernels.active_backend()
-        try:
-            kernels.set_backend("numpy")
-            out_np, _ = kernels.apply_chain(ch.H, plan.AH, plan.V, plan.gamma,
-                                            plan.delta, Y, D, 0, False)
-            ref, _ = kernels.apply_chain_numpy(ch.H, plan.AH, plan.V,
-                                               plan.gamma, plan.delta, Y, D,
-                                               0, False)
-            assert np.array_equal(out_np, ref)
-        finally:
-            kernels.set_backend(previous)
+    @staticmethod
+    def _check(batched, singles):
+        sh_b, clips_b = batched
+        assert sh_b.shape[0] == len(singles)
+        for i, (sh, clips) in enumerate(singles):
+            assert (np.max(np.abs(sh_b[i] - sh))
+                    <= 1e-10 * np.max(np.abs(sh)))
+            assert np.array_equal(clips_b[i], clips)
 
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            kernels.set_backend("tpu")
+    @pytest.mark.parametrize("opt", OPTIONS)
+    def test_bit_sweep_with_shared_samples(self, opt):
+        cfg, ch, Y = _workload(S=256)
+        U = _dither_u(cfg, opt, Y.shape[2])
+        bits = np.repeat(BITS[:, None], cfg.L, axis=1)
+        batched = _run(ch, build_chain_plan(cfg, ch.H, option=opt, bits=bits),
+                       Y, U)
+        singles = [_run(ch, build_chain_plan(cfg, ch.H, option=opt, bits=b),
+                        Y, U) for b in bits]
+        self._check(batched, singles)
+        if opt.quantized:
+            assert batched[1][0].sum() > 0  # one bit clips: counts compared
 
-
-class TestEnvSelection:
-    @pytest.mark.parametrize("env,expected", [("numpy", "numpy"),
-                                              ("numba", "numba"),
-                                              ("auto", "numba")])
-    def test_env_variable_controls_backend(self, env, expected):
-        if expected == "numba" and not kernels.HAS_NUMBA:
-            pytest.skip("numba not installed")
-        code = ("import cfchain.kernels as k; print(k.active_backend())")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "CFCHAIN_BACKEND": env},
-            capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == expected
-
-    def test_invalid_env_rejected(self):
-        code = ("import cfchain.kernels as k; k.active_backend()")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "CFCHAIN_BACKEND": "gpu"},
-            capture_output=True, text=True)
-        assert out.returncode != 0
-
-
-class TestBenchmark:
-    def test_benchmark_runs_both_backends(self):
-        from cfchain.bench import run_benchmark
-        lines = []
-        timings = run_benchmark(samples=64, repeats=2, echo=lines.append)
-        assert "numpy" in timings
-        if kernels.HAS_NUMBA:
-            assert "numba" in timings
-        assert any("backend" in ln for ln in lines)
+    @pytest.mark.parametrize("opt", OPTIONS)
+    def test_power_sweep_with_stacked_samples(self, opt):
+        cfg, ch, _ = _workload()
+        S = 128
+        p_lin = 10.0 ** (POWERS_DB / 10.0)
+        rng = seed_stream(0, 0, 0, 0, Role.SIGNAL)
+        s = np.sqrt(p_lin)[:, None, None] * crandn(rng, cfg.K, S)
+        Y = np.einsum("lnk,bks->blns", ch.H, s) \
+            + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, S)
+        U = _dither_u(cfg, opt, S)
+        batched = _run(ch, build_chain_plan(cfg, ch.H, option=opt, p=p_lin),
+                       Y, U)
+        singles = [_run(ch, build_chain_plan(cfg, ch.H, option=opt, p=p),
+                        Y[i], U) for i, p in enumerate(p_lin)]
+        self._check(batched, singles)

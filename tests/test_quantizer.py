@@ -43,6 +43,17 @@ class TestCalibration:
         with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
             calibrate_dynamic_range([1.0], alpha=4.0, b=1)
 
+    def test_stacked_bits_match_one_at_a_time(self):
+        var = np.array([[2.0, 0.7], [1.0, 4.0], [0.5, 0.5]])
+        bits = np.array([1, 3, 8])
+        bank = calibrate_dynamic_range(var, alpha=1.5, b=bits)
+        for i, b in enumerate(bits):
+            one = calibrate_dynamic_range(var[i], alpha=1.5, b=b)
+            assert np.array_equal(bank.gamma[i], one.gamma)
+            assert np.array_equal(bank.R_d[i], one.R_d)
+        with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
+            calibrate_dynamic_range(var, alpha=4.0, b=bits)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ConfigError):
             calibrate_dynamic_range([-1.0], alpha=3.0, b=3)
