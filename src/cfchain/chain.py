@@ -4,9 +4,13 @@ Each AP receives the running user-signal estimate and its error covariance
 from the previous AP, quantizes a (possibly de-correlated) view of its own
 received vector, refines the estimate with a linear MMSE update, and
 forwards the updated state. The error covariance is conditioned on the
-local channels, so all combining matrices are recomputed once per
-coherence block while the per-sample work reduces to small matrix-vector
-products handled by the kernels module.
+local channels, so `build_chain_plan` runs the covariance recursion once
+per coherence block and stores every combining matrix in a `ChainPlan`.
+The per-sample work is one loop over the APs, `kernels.evaluate_chain`:
+`kernels.apply_chain` runs it for the sweeps and `apply_chain_collect`
+runs it keeping one AP's quantizer internals for the noise statistics.
+`centralized_mmse_oracle` is the batch estimator the lossless chain is
+tested against.
 """
 
 from __future__ import annotations
@@ -17,24 +21,11 @@ import numpy as np
 
 from . import kernels
 from .config import NetworkConfig, Option
-from .quantizer import QuantizerBank, calibrate_dynamic_range, draw_dither
+from .quantizer import QuantizerBank, calibrate_dynamic_range
 
 
 class ChainNumericsError(RuntimeError):
     """A matrix factorization failed inside the chain recursion."""
-
-
-@dataclass
-class ApState:
-    """Running estimate and error covariance passed along the chain."""
-
-    s_hat: np.ndarray  # (K,) complex
-    C: np.ndarray      # (K,K) Hermitian PSD error covariance
-
-    @classmethod
-    def initial(cls, K: int, p: float) -> "ApState":
-        return cls(s_hat=np.zeros(K, dtype=complex),
-                   C=p * np.eye(K, dtype=complex))
 
 
 def _ct(M: np.ndarray) -> np.ndarray:
@@ -44,15 +35,6 @@ def _ct(M: np.ndarray) -> np.ndarray:
 
 def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + _ct(M))
-
-
-def interap_decorrelate(y: np.ndarray, H_l: np.ndarray,
-                        s_hat_prev: np.ndarray) -> np.ndarray:
-    """Remove the part of y predictable from the previous estimate."""
-    y = np.asarray(y)
-    if H_l.shape[0] != y.shape[0] or H_l.shape[1] != s_hat_prev.shape[0]:
-        raise ValueError("dimension mismatch between y, H_l, s_hat_prev")
-    return y - H_l @ s_hat_prev
 
 
 def residual_covariance(H_l: np.ndarray, C_prev: np.ndarray,
@@ -120,13 +102,6 @@ def _order_tied_columns(vals: np.ndarray, vecs: np.ndarray, r: int):
         j = k
 
 
-def project(A: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Coordinates of G in the retained basis: A^H G."""
-    if A.shape[0] != G.shape[0]:
-        raise ValueError("dimension mismatch between A and G")
-    return A.conj().T @ G
-
-
 def observation_covariance(A: np.ndarray, R_G: np.ndarray,
                            bank: QuantizerBank | None) -> np.ndarray:
     """Covariance of the forwarded observation: A^H R_G A + R_d + R_eta."""
@@ -134,20 +109,6 @@ def observation_covariance(A: np.ndarray, R_G: np.ndarray,
     if bank is not None:
         Rf = Rf + bank.R_d + bank.R_eta
     return Rf
-
-
-def refine_estimate(state_prev: ApState, H_l: np.ndarray, A: np.ndarray,
-                    R_f: np.ndarray, f: np.ndarray) -> ApState:
-    """One linear MMSE refinement step.
-
-    f must already be de-biased: it carries only the innovation (plus
-    dither and quantization noise). The update is
-        V = C H^H A R_f^-1,  s_hat += V f,  C <- (I - V A^H H) C,
-    realized through a linear solve, after a Cholesky factorization has
-    confirmed that R_f is positive definite, and explicit re-Hermitization.
-    """
-    V, C_new = _combiner_and_covariance(state_prev.C, H_l, A, R_f)
-    return ApState(s_hat=state_prev.s_hat + V @ f, C=C_new)
 
 
 def _combiner_and_covariance(C_prev, H_l, A, R_f):
@@ -175,15 +136,15 @@ class ChainPlan:
 
     option: Option
     r: int
+    H: np.ndarray        # (L, N, K) the block's channels, shared by the batch
     AH: np.ndarray       # ([B,] L, r, N) projection rows A^H
     V: np.ndarray        # ([B,] L, K, r) combining matrices
     gamma: np.ndarray    # ([B,] L, r) dynamic ranges (zeros for NOQUANT)
     delta: np.ndarray    # ([B,] L, r) step sizes
-    eigvals: np.ndarray  # ([B,] L, r) basis-source spectra (diagnostic)
     C_final: np.ndarray  # ([B,] K, K) final error covariance
     traces: np.ndarray   # ([B,] L+1) trace of C before/after each AP
-    banks: list = field(default_factory=list)          # per-AP QuantizerBank
-    covariances: list | None = None                    # per-AP C, optional
+    banks: list = field(default_factory=list)        # per-AP QuantizerBank
+    covariances: list = field(default_factory=list)  # per-AP C after the AP
 
     @property
     def mode(self) -> int:
@@ -193,8 +154,7 @@ class ChainPlan:
 def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
                      option: Option | None = None,
                      bits: np.ndarray | None = None,
-                     p: float | np.ndarray | None = None,
-                     keep_covariances: bool = False) -> ChainPlan:
+                     p: float | np.ndarray | None = None) -> ChainPlan:
     """Run the covariance recursion for one block's channels.
 
     H is (L, N, K). bits overrides cfg.bits, one value per AP: (L,) for one
@@ -217,29 +177,25 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
     V = np.empty(batch + (L, K, r), dtype=complex)
     gamma = np.zeros(batch + (L, r))
     delta = np.zeros(batch + (L, r))
-    eigvals = np.zeros(batch + (L, r))
     traces = np.empty(batch + (L + 1,))
     traces[..., 0] = np.trace(C, axis1=-2, axis2=-1).real
     banks = []
-    covs = [] if keep_covariances else None
+    covs = []
 
     for l in range(L):
         H_l = H[l]
         R_G = residual_covariance(H_l, C, cfg.sigma2)
         if option in (Option.OPTION1, Option.NOQUANT):
-            A, lam = pca_basis(R_G, r)
-            input_var = lam
+            A, input_var = pca_basis(R_G, r)
         elif option is Option.OPTION2:
             R_y = hermitize(p[..., None, None] * (H_l @ H_l.conj().T)
                             + cfg.sigma2 * np.eye(N))
-            A, lam = pca_basis(R_y, r)
-            input_var = lam
+            A, input_var = pca_basis(R_y, r)
         else:  # OPTION3: quantize the raw vector, no rotation
             R_y = (p[..., None, None] * (H_l @ H_l.conj().T)
                    + cfg.sigma2 * np.eye(N))
             A = np.eye(N, dtype=complex)
             input_var = np.diagonal(R_y, axis1=-2, axis2=-1).real
-            lam = input_var
         bank = None
         if quantized:
             bank = calibrate_dynamic_range(input_var, cfg.alpha,
@@ -250,98 +206,27 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
         R_f = observation_covariance(A, R_G, bank)
         V[..., l, :, :], C = _combiner_and_covariance(C, H_l, A, R_f)
         AH[..., l, :, :] = _ct(A)
-        eigvals[..., l, :] = lam
         traces[..., l + 1] = np.trace(C, axis1=-2, axis2=-1).real
-        if covs is not None:
-            covs.append(C.copy())
+        covs.append(C)
 
-    return ChainPlan(option=option, r=r, AH=AH, V=V, gamma=gamma, delta=delta,
-                     eigvals=eigvals, C_final=C, traces=traces, banks=banks,
+    return ChainPlan(option=option, r=r, H=H, AH=AH, V=V, gamma=gamma,
+                     delta=delta, C_final=C, traces=traces, banks=banks,
                      covariances=covs)
-
-
-def run_chain(cfg: NetworkConfig, channel, y: np.ndarray,
-              rng: np.random.Generator,
-              option: Option | None = None) -> tuple[ApState, dict]:
-    """Process one received sample y (L, N) through the whole chain.
-
-    Dither is drawn from rng, AP by AP. Returns the final state plus
-    per-AP diagnostics (covariance traces, basis spectra, clipping counts).
-    """
-    option = cfg.option if option is None else option
-    H = channel.H if hasattr(channel, "H") else np.asarray(channel)
-    plan = build_chain_plan(cfg, H, option=option)
-    y = np.asarray(y, dtype=complex)
-    if y.shape != H.shape[:2]:
-        raise ValueError(f"y must be (L, N) = {H.shape[:2]}, got {y.shape}")
-    L = H.shape[0]
-    if option.quantized:
-        D = np.stack([draw_dither(plan.banks[l], rng) for l in range(L)])
-    else:
-        D = np.zeros((L, plan.r), dtype=complex)
-    s_hat, clips = kernels.apply_chain(
-        H, plan.AH, plan.V, plan.gamma, plan.delta, y[:, :, None],
-        D[:, :, None], plan.mode, option.quantized)
-    state = ApState(s_hat=s_hat[:, 0], C=plan.C_final)
-    diagnostics = {
-        "traces": plan.traces,
-        "eigvals": plan.eigvals,
-        "clipped": clips,
-        "gamma": plan.gamma,
-        "delta": plan.delta,
-    }
-    return state, diagnostics
 
 
 def apply_chain_collect(plan: ChainPlan, Y: np.ndarray, D: np.ndarray,
                         collect_ap: int):
-    """Numpy-only chain evaluation that retains one AP's quantizer internals.
+    """Evaluate the plan's chain and keep one AP's quantizer internals.
 
     Returns (s_hat (K,S), eta (r,S), pre (r,S), clips (L,)) where eta is
     the realized quantization noise at collect_ap and pre the pre-dither
-    quantizer input there. Used by the noise-statistics experiments; not a
-    hot path.
+    quantizer input there. Used by the noise-statistics experiments.
     """
-    L = plan.AH.shape[0]
-    K = plan.V.shape[1]
-    S = Y.shape[2]
-    quantized = plan.option.quantized
-    mode = plan.mode
-    s_hat = np.zeros((K, S), dtype=complex)
-    clips = np.zeros(L, dtype=np.int64)
-    eta_c = None
-    pre_c = None
-    for l in range(L):
-        pred = plan._H[l] @ s_hat
-        if mode <= 1:
-            qin = plan.AH[l] @ (Y[l] - pred)
-            predp = None
-        elif mode == 2:
-            qin = plan.AH[l] @ Y[l]
-            predp = plan.AH[l] @ pred
-        else:
-            qin = Y[l]
-            predp = pred
-        if quantized:
-            z = qin + D[l]
-            f, clipped = kernels.quantize_complex(
-                z, plan.gamma[l][:, None], plan.delta[l][:, None])
-            clips[l] = np.count_nonzero(clipped)
-            if l == collect_ap:
-                eta_c = f - z
-                pre_c = qin.copy()
-        else:
-            f = qin
-        if mode >= 2:
-            f = f - predp
-        s_hat = s_hat + plan.V[l] @ f
-    return s_hat, eta_c, pre_c, clips
-
-
-def attach_channels(plan: ChainPlan, H: np.ndarray) -> ChainPlan:
-    """Store the block's channels on the plan for the collect path."""
-    plan._H = np.asarray(H)
-    return plan
+    # not kernels.apply_chain: traced kernel clips must equal Cell.clipped
+    s_hat, clips, eta, pre = kernels.evaluate_chain(
+        plan.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D, plan.mode,
+        plan.option.quantized, collect_ap)
+    return s_hat, eta, pre, clips
 
 
 def centralized_mmse_oracle(H_all: np.ndarray, y_all: np.ndarray, p: float,

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError
 from .harness import RunFailedError, run_experiment
 from .presets import PRESETS, preset
-from .runio import RunManifest, emit_results, parse_config
+from .runio import RunManifest, emit_results, parse_config, parse_overrides
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -95,21 +96,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_preset(args) -> int:
     cfg, plan = preset(args.name)
-    if args.override:
-        from .runio import _NETWORK_FIELDS, _parse_value, _PLAN_FIELDS
-        for ov in args.override:
-            if "=" not in ov:
-                raise ConfigError(f"override must be key=value, got {ov!r}")
-            key, raw = ov.split("=", 1)
-            key = key.strip()
-            if key in _NETWORK_FIELDS:
-                cfg = cfg.with_(**{key: _parse_value(key, raw)})
-            elif key in _PLAN_FIELDS:
-                setattr(plan, key, _parse_value(key, raw))
-                plan.__post_init__()
-            else:
-                raise ConfigError(f"unknown override key {key!r}")
-    return _execute(cfg, plan, args)
+    net_ov, plan_ov = parse_overrides(args.override)
+    return _execute(cfg.with_(**net_ov), replace(plan, **plan_ov), args)
 
 
 def _cmd_validate(args) -> int:

@@ -31,10 +31,13 @@ class Placement:
 
 @dataclass
 class ChannelRealization:
-    """One coherence block's channels with their generating statistics."""
+    """One coherence block's channels and their large-scale gains.
+
+    The spatial covariance of H[l, :, k] is
+    build_spatial_covariance(cfg, beta[l, k]).
+    """
 
     H: np.ndarray     # (L, N, K) complex, column k of H[l] is the k-th user
-    R_h: np.ndarray   # (L, K, N, N) Hermitian PSD spatial covariances
     beta: np.ndarray  # (L, K) large-scale gains, linear
 
 
@@ -122,23 +125,7 @@ def draw_channel(cfg: NetworkConfig, placement: Placement,
     sqrtT = _correlation_sqrt(cfg)
     w = crandn(rng, cfg.L, cfg.N, cfg.K)
     H = np.sqrt(beta)[:, None, :] * np.einsum("nm,lmk->lnk", sqrtT, w)
-    R = np.empty((cfg.L, cfg.K, cfg.N, cfg.N), dtype=complex)
-    for l in range(cfg.L):
-        for k in range(cfg.K):
-            R[l, k] = build_spatial_covariance(cfg, beta[l, k])
-    return ChannelRealization(H=H, R_h=R, beta=beta)
-
-
-def receive_signal(H_l: np.ndarray, s: np.ndarray, sigma2: float,
-                   rng: np.random.Generator) -> np.ndarray:
-    """y = H s + n with n ~ CN(0, sigma2 I); s may be (K,) or (K, S)."""
-    H_l = np.asarray(H_l)
-    s = np.asarray(s)
-    if H_l.shape[1] != s.shape[0]:
-        raise ValueError(f"dimension mismatch: H is {H_l.shape}, s is {s.shape}")
-    noise_shape = (H_l.shape[0],) + s.shape[1:]
-    n = np.sqrt(sigma2) * crandn(rng, *noise_shape)
-    return H_l @ s + n
+    return ChannelRealization(H=H, beta=beta)
 
 
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:

@@ -18,12 +18,12 @@ import numpy as np
 
 from . import __version__ as _version
 from . import kernels
-from .chain import (ChainNumericsError, apply_chain_collect, attach_channels,
-                    build_chain_plan)
+from .chain import ChainNumericsError, apply_chain_collect, build_chain_plan
 from .config import ExperimentPlan, NetworkConfig, Option
 from .geometry import crandn, draw_channel, generate_placement
-from .metrics import fronthaul_bitrate, multiplier_width
-from .quantizer import validate_noise_statistics
+from .metrics import (Cell, ber_sums, fronthaul_bitrate, multiplier_width,
+                      nmse_sums)
+from .quantizer import draw_dither, validate_noise_statistics
 
 
 class RunFailedError(RuntimeError):
@@ -51,31 +51,6 @@ def seed_stream(master_seed: int, placement_idx: int, block_idx: int,
         spawn_key=(int(placement_idx), int(block_idx), int(sample_idx),
                    int(role), int(option_tag)))
     return np.random.Generator(np.random.Philox(ss))
-
-
-@dataclass
-class Cell:
-    """One (option, axis point) aggregate."""
-
-    a: np.ndarray                 # per-user error sums (or bit errors)
-    b: np.ndarray                 # per-user energy sums (or bits sent)
-    count: int = 0                # accumulated samples
-    clipped: int = 0              # clipped real components
-    placement_values: np.ndarray = None  # per-placement scalar metric
-
-    def value(self, metric: str) -> float:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(self.b > 0, self.a / self.b, np.nan)
-        if metric == "nmse":
-            return float(np.mean(ratio))
-        return float(self.a.sum() / self.b.sum())
-
-    def halfwidth(self) -> float:
-        v = self.placement_values
-        v = v[~np.isnan(v)]
-        if v.size < 2:
-            return 0.0
-        return float(1.96 * v.std(ddof=1) / np.sqrt(v.size))
 
 
 @dataclass
@@ -146,7 +121,7 @@ def _placement_worker(args):
     cells = {}
     aborts = []
     for blk in range(plan.n_blocks):
-        table = {}  # (option, axis index) -> (error sums, energy, clipped)
+        table = {}  # (option, axis index) -> this block's Cell
         opt = None
         try:
             ch = draw_channel(cfg, placement,
@@ -155,67 +130,48 @@ def _placement_worker(args):
                 seed_stream(ms, p_idx, blk, 0, Role.NOISE), L, N, S)
             sig_rng = seed_stream(ms, p_idx, blk, 0, Role.SIGNAL)
             if metric == "nmse":
-                s_unit = crandn(sig_rng, K, S)
-                bits_tx = None
-            else:
-                bits_tx = sig_rng.integers(0, 2, size=(K, S))
-                s_unit = (2.0 * bits_tx - 1.0).astype(complex)
-            dither_u = {}
-            for o in plan.options:
-                if not o.quantized:
-                    continue
-                r_opt = N if o is Option.OPTION3 else min(N, K)
-                du = seed_stream(ms, p_idx, blk, 0, Role.DITHER,
-                                 option_tag=o.mode)
-                dither_u[o] = (du.uniform(-0.5, 0.5, (L, r_opt, S))
-                               + 1j * du.uniform(-0.5, 0.5, (L, r_opt, S)))
-
-            if metric == "nmse":
-                s = np.sqrt(cfg.p) * s_unit
-                Y = np.einsum("lnk,ks->lns", ch.H, s) + noise
+                truth = np.sqrt(cfg.p) * crandn(sig_rng, K, S)
+                Y = ch.H @ truth + noise
                 sweep = {"bits": np.repeat(np.asarray(axis)[:, None], L, 1)}
-                energy = np.sum(np.abs(s) ** 2, axis=1)
+                score = nmse_sums
             else:  # ber_vs_power
+                truth = sig_rng.integers(0, 2, size=(K, S))
+                s_unit = (2.0 * truth - 1.0).astype(complex)
                 p_lin = 10.0 ** (np.asarray(axis, dtype=float) / 10.0)
                 Y = (np.sqrt(p_lin)[:, None, None, None] * (ch.H @ s_unit)
                      + noise)
                 sweep = {"p": p_lin}
-                energy = S  # bits sent per user
+                score = ber_sums
             for opt in plan.options:
                 # a lossless chain ignores the bit axis: one plan, one cell
                 flat = metric == "nmse" and not opt.quantized
                 cplan = build_chain_plan(cfg, ch.H, option=opt,
                                          **({} if flat else sweep))
                 if opt.quantized:
-                    D = cplan.delta[..., None] * dither_u[opt]
+                    D = cplan.delta[..., None] * draw_dither(
+                        seed_stream(ms, p_idx, blk, 0, Role.DITHER,
+                                    option_tag=opt.mode), (L, cplan.r, S))
                 else:
                     D = np.zeros(cplan.delta.shape + (S,), complex)
                 sh, clips = kernels.apply_chain(
-                    ch.H, cplan.AH, cplan.V, cplan.gamma, cplan.delta, Y, D,
-                    cplan.mode, opt.quantized)
-                if metric == "nmse":
-                    err = np.sum(np.abs(s - sh) ** 2, axis=-1)
-                else:
-                    err = ((np.real(sh) > 0) != bits_tx).sum(axis=-1)
+                    cplan.H, cplan.AH, cplan.V, cplan.gamma, cplan.delta, Y,
+                    D, cplan.mode, opt.quantized)
+                a, b = score(truth, sh)
                 if flat:
-                    table[(opt.value, 0)] = (err, energy, 0)
+                    table[(opt.value, 0)] = Cell(a, b, S)
                     continue
                 for i in range(len(axis)):
-                    table[(opt.value, i)] = (err[i], energy,
-                                             int(clips[i].sum()))
+                    table[(opt.value, i)] = Cell(a[i], b, S,
+                                                 int(clips[i].sum()))
         except (ChainNumericsError, np.linalg.LinAlgError) as e:
             aborts.append({"placement": p_idx, "block": blk,
                            "option": None if opt is None else opt.value,
                            "error": f"{type(e).__name__}: {e}"})
             continue
-        for key, (a, b, clipped) in table.items():
+        for key, part in table.items():
             if key not in cells:
-                cells[key] = [np.zeros(K), np.zeros(K), 0, 0]
-            c = cells[key]
-            c[0] += a
-            c[1] += b
-            c[2] += S
-            c[3] += clipped
+                cells[key] = Cell.zeros(K)
+            cells[key].merge(part)
     return p_idx, cells, aborts
 
 
@@ -225,20 +181,11 @@ def _aggregate_sweep(cfg, plan, results, metric, axis):
     aborts = []
     for p_idx, cells, p_aborts in results:
         aborts += p_aborts
-        for key, (a, b, count, clipped) in sorted(cells.items()):
+        for key, part in sorted(cells.items()):
             if key not in agg:
-                agg[key] = Cell(a=np.zeros(cfg.K), b=np.zeros(cfg.K),
-                                placement_values=np.full(n_p, np.nan))
-            c = agg[key]
-            c.a += a
-            c.b += b
-            c.count += count
-            c.clipped += clipped
-            if metric == "nmse":
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    c.placement_values[p_idx] = float(np.mean(a / b))
-            else:
-                c.placement_values[p_idx] = float(a.sum() / b.sum())
+                agg[key] = Cell.zeros(cfg.K, n_p)
+            agg[key].merge(part)
+            agg[key].placement_values[p_idx] = part.value(metric)
     total_trials = plan.n_placements * plan.n_blocks
     if len(aborts) / total_trials > ABORT_BUDGET:
         raise RunFailedError(
@@ -266,7 +213,7 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
     placement = generate_placement(
         cfg, seed_stream(ms, 0, 0, 0, Role.PLACEMENT))
     ch = draw_channel(cfg, placement, seed_stream(ms, 0, 0, 0, Role.CHANNEL))
-    cplan = attach_channels(build_chain_plan(cfg, ch.H, option=option), ch.H)
+    cplan = build_chain_plan(cfg, ch.H, option=option)
     ap = int(seed_stream(ms, 0, 0, 0, Role.MISC).integers(cfg.L))
     L, N, K = cfg.L, cfg.N, cfg.K
     r = cplan.r
@@ -280,12 +227,11 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
             seed_stream(ms, 0, 0, done, Role.NOISE), L, N, S)
         s = np.sqrt(cfg.p) * crandn(
             seed_stream(ms, 0, 0, done, Role.SIGNAL), K, S)
-        du = seed_stream(ms, 0, 0, done, Role.DITHER, option_tag=option.mode)
-        Du = du.uniform(-0.5, 0.5, (L, r, S)) + 1j * du.uniform(
-            -0.5, 0.5, (L, r, S))
-        Y = np.einsum("lnk,ks->lns", ch.H, s) + noise
+        Du = draw_dither(seed_stream(ms, 0, 0, done, Role.DITHER,
+                                     option_tag=option.mode), (L, r, S))
         _, eta, pre, _ = apply_chain_collect(
-            cplan, Y, cplan.delta[:, :, None] * Du, collect_ap=ap)
+            cplan, ch.H @ s + noise, cplan.delta[:, :, None] * Du,
+            collect_ap=ap)
         etas.append(eta)
         pres.append(pre)
         done += S

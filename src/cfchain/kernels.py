@@ -69,17 +69,25 @@ def quantize_complex(z: np.ndarray, gamma: np.ndarray,
 # Shapes, with an optional leading batch shape (...) shared by the plan
 # arrays: H (L,N,K), AH (...,L,r,N) = A^H, V (...,L,K,r), gamma/delta
 # (...,L,r), Y (L,N,S) shared by the batch or (...,L,N,S), D (...,L,r,S)
-# dither, all complex128/float64.
-# Returns the final estimates (...,K,S) and per-AP clipped-component counts
-# (...,L).
+# dither (unused, and may be None, when do_quant is false), all
+# complex128/float64.
 # ---------------------------------------------------------------------------
 
-def apply_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant):
+def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
+                   collect_ap=None):
+    """The one loop over APs: de-correlate, quantize, refine.
+
+    Returns the final estimates (...,K,S), per-AP clipped-component counts
+    (...,L), and at collect_ap the realized quantization noise f - z (zero
+    for a lossless chain) and the pre-dither quantizer input, each
+    (...,r,S); both are None when collect_ap is None.
+    """
     L, _, K = H.shape
     batch = AH.shape[:-3]
     S = Y.shape[-1]
     s_hat = np.zeros(batch + (K, S), dtype=complex)
     clips = np.zeros(batch + (L,), dtype=np.int64)
+    eta = pre = None
     for l in range(L):
         AH_l = AH[..., l, :, :]
         Y_l = Y[..., l, :, :]
@@ -100,7 +108,19 @@ def apply_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant):
             clips[..., l] = np.count_nonzero(clipped, axis=(-3, -2, -1))
         else:
             f = qin
+        if l == collect_ap:
+            # z is formed again rather than kept from above: holding one
+            # more (...,r,S) array across APs raised the power sweep's
+            # page faults and wall time. qin may be a view of Y; the copy
+            # does not keep Y alive.
+            z = qin + D[..., l, :, :] if do_quant else qin
+            eta, pre = f - z, qin.copy()
         if mode >= 2:
             f = f - predp
         s_hat += V[..., l, :, :] @ f
-    return s_hat, clips
+    return s_hat, clips, eta, pre
+
+
+def apply_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant):
+    """Final estimates (...,K,S) and per-AP clip counts (...,L)."""
+    return evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant)[:2]

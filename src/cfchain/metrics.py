@@ -1,80 +1,78 @@
 """Performance and fronthaul-cost metrics.
 
 NMSE is normalized per user by the empirical signal energy, so the
-all-zero estimator scores exactly 1. Accumulators are pure folds and merge
-like monoids, which lets parallel workers keep private copies.
+all-zero estimator scores exactly 1. A `Cell` accumulates the sums behind
+one metric value; cells are pure folds and merge like monoids, which lets
+parallel workers keep private copies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError, NetworkConfig
 
 
+def nmse_sums(s: np.ndarray, s_hat: np.ndarray):
+    """Per-user squared-error and signal-energy sums over the sample axis.
+
+    s is (K, S); s_hat is (..., K, S). Returns ((..., K), (K,)).
+    """
+    return (np.sum(np.abs(s - s_hat) ** 2, axis=-1),
+            np.sum(np.abs(s) ** 2, axis=-1))
+
+
+def ber_sums(bits: np.ndarray, s_hat: np.ndarray):
+    """Per-user bit errors of sign(Re(s_hat)) against bits {0,1}, and bits
+    sent. bits is (K, S); s_hat is (..., K, S). Returns ((..., K), (K,)).
+    """
+    errors = ((np.real(s_hat) > 0) != bits).sum(axis=-1)
+    return errors, np.full(bits.shape[0], bits.shape[-1])
+
+
 @dataclass
-class MetricAccumulator:
-    """Streaming per-user error/energy sums and BPSK bit-error counters."""
+class Cell:
+    """One (option, axis point) aggregate: error sums over energy sums.
 
-    K: int
-    sum_sq_err: np.ndarray = field(default=None)
-    sum_sq_sig: np.ndarray = field(default=None)
-    bit_errors: np.ndarray = field(default=None)
-    bits_sent: np.ndarray = field(default=None)
-    n_samples: int = 0
+    a/b are the per-user sums of `nmse_sums` or `ber_sums`. A sweep's cell
+    also keeps one metric value per placement for the half-width.
+    """
 
-    def __post_init__(self):
-        if self.sum_sq_err is None:
-            self.sum_sq_err = np.zeros(self.K)
-            self.sum_sq_sig = np.zeros(self.K)
-            self.bit_errors = np.zeros(self.K, dtype=np.int64)
-            self.bits_sent = np.zeros(self.K, dtype=np.int64)
+    a: np.ndarray                 # per-user error sums (or bit errors)
+    b: np.ndarray                 # per-user energy sums (or bits sent)
+    count: int = 0                # accumulated samples
+    clipped: int = 0              # clipped real components
+    placement_values: np.ndarray | None = None  # per-placement metric
 
-    def accumulate_nmse(self, s_true: np.ndarray, s_hat: np.ndarray):
-        """Add one or more samples; arrays are (K,) or (K, S)."""
-        err = np.abs(s_true - s_hat) ** 2
-        sig = np.abs(s_true) ** 2
-        if err.ndim == 1:
-            err = err[:, None]
-            sig = sig[:, None]
-        self.sum_sq_err += err.sum(axis=1)
-        self.sum_sq_sig += sig.sum(axis=1)
-        self.n_samples += err.shape[1]
+    @classmethod
+    def zeros(cls, K: int, n_placements: int = 0) -> "Cell":
+        return cls(a=np.zeros(K), b=np.zeros(K),
+                   placement_values=np.full(n_placements, np.nan))
 
-    def accumulate_ber(self, s_true_bits: np.ndarray, s_hat: np.ndarray):
-        """Decide sign(Re(s_hat)) against the transmitted bits {0,1}."""
-        bits = np.asarray(s_true_bits)
-        dec = (np.real(s_hat) > 0).astype(np.int64)
-        if bits.ndim == 1:
-            bits = bits[:, None]
-            dec = dec[:, None]
-        self.bit_errors += (dec != bits).sum(axis=1)
-        self.bits_sent += bits.shape[1]
-        self.n_samples += bits.shape[1]
-
-    def merge(self, other: "MetricAccumulator") -> "MetricAccumulator":
-        if other.K != self.K:
-            raise ValueError("accumulator sizes differ")
-        self.sum_sq_err += other.sum_sq_err
-        self.sum_sq_sig += other.sum_sq_sig
-        self.bit_errors += other.bit_errors
-        self.bits_sent += other.bits_sent
-        self.n_samples += other.n_samples
+    def merge(self, other: "Cell") -> "Cell":
+        self.a += other.a
+        self.b += other.b
+        self.count += other.count
+        self.clipped += other.clipped
         return self
 
-    def nmse_per_user(self) -> np.ndarray:
+    def per_user(self) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.sum_sq_sig > 0,
-                            self.sum_sq_err / self.sum_sq_sig, np.nan)
+            return np.where(self.b > 0, self.a / self.b, np.nan)
 
-    def nmse_avg(self) -> float:
-        return float(np.mean(self.nmse_per_user()))
+    def value(self, metric: str) -> float:
+        if metric == "nmse":
+            return float(np.mean(self.per_user()))
+        return float(self.a.sum() / self.b.sum())
 
-    def ber(self) -> float:
-        total = self.bits_sent.sum()
-        return float(self.bit_errors.sum() / total) if total else float("nan")
+    def halfwidth(self) -> float:
+        v = self.placement_values
+        v = v[~np.isnan(v)]
+        if v.size < 2:
+            return 0.0
+        return float(1.96 * v.std(ddof=1) / np.sqrt(v.size))
 
 
 def multiplier_width(b_c: int, b_l: int, r: int) -> tuple[int, int]:

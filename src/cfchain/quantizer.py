@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .config import ConfigError, _check_alpha_bits
 
 
@@ -39,18 +38,6 @@ class QuantizerBank:
     @property
     def r(self) -> int:
         return self.gamma.shape[-1]
-
-    @property
-    def noise_diag(self) -> np.ndarray:
-        """Diagonal of R_d + R_eta."""
-        return 2.0 * self.delta ** 2 / 6.0
-
-
-@dataclass
-class QuantizedFrame:
-    f: np.ndarray          # (r,) quantized complex output
-    eta: np.ndarray        # (r,) realized quantization noise (diagnostic)
-    clipped_count: int
 
 
 @dataclass
@@ -103,26 +90,13 @@ def calibrate_dynamic_range(input_var, alpha: float, b) -> QuantizerBank:
                          delta=delta, R_d=R_d, R_eta=R_d.copy())
 
 
-def draw_dither(bank: QuantizerBank, rng: np.random.Generator,
-                size: int | None = None) -> np.ndarray:
-    """I.i.d. uniform dither on [-delta/2, delta/2] per real component.
+def draw_dither(rng: np.random.Generator, shape) -> np.ndarray:
+    """Unit-step dither: i.i.d. uniform on [-1/2, 1/2] per real component.
 
-    Returns (r,) when size is None, else (r, size).
+    The real parts are drawn before the imaginary parts. Scale by the step
+    size delta for a quantizer's dither.
     """
-    shape = (bank.r,) if size is None else (bank.r, size)
-    u = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
-    d = bank.delta if size is None else bank.delta[:, None]
-    return d * u
-
-
-def quantize(bank: QuantizerBank, z: np.ndarray) -> QuantizedFrame:
-    """Element-wise mid-rise quantization of the dithered vector z."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (bank.r,):
-        raise ValueError(f"expected shape ({bank.r},), got {z.shape}")
-    f, clipped = kernels.quantize_complex(z, bank.gamma, bank.delta)
-    return QuantizedFrame(f=f, eta=f - z,
-                          clipped_count=int(np.count_nonzero(clipped)))
+    return rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
 
 
 def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,

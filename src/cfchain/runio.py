@@ -49,13 +49,37 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
+def parse_overrides(overrides: list[str] | None) -> tuple[dict, dict]:
+    """Split repeatable "key=value" strings into network and plan kwargs.
+
+    Keys are matched against the network section first, then the plan. A
+    seed override also moves master_seed, unless master_seed is overridden
+    too.
+    """
+    net_kwargs: dict = {}
+    plan_kwargs: dict = {}
+    for ov in overrides or []:
+        if "=" not in ov:
+            raise ConfigError(f"override must be key=value, got {ov!r}")
+        key, raw = ov.split("=", 1)
+        key = key.strip()
+        if key in _NETWORK_FIELDS:
+            net_kwargs[key] = _parse_value(key, raw)
+        elif key in _PLAN_FIELDS:
+            plan_kwargs[key] = _parse_value(key, raw)
+        else:
+            raise ConfigError(f"unknown override key {key!r}")
+    if "seed" in net_kwargs:
+        plan_kwargs.setdefault("master_seed", net_kwargs["seed"])
+    return net_kwargs, plan_kwargs
+
+
 def parse_config(path: str | None = None, overrides: list[str] | None = None
                  ) -> tuple[NetworkConfig, ExperimentPlan]:
     """Load (NetworkConfig, ExperimentPlan) from an INI file or manifest.
 
     path=None or an empty file yields the full default scenario. overrides
-    are repeatable "key=value" strings applied after the file; keys are
-    matched against the network section first, then the plan.
+    (see parse_overrides) are applied after the file.
     """
     net_kwargs: dict = {}
     plan_kwargs: dict = {}
@@ -70,18 +94,9 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None
         else:
             net_kwargs, plan_kwargs = _from_ini(path)
 
-    for ov in overrides or []:
-        if "=" not in ov:
-            raise ConfigError(f"override must be key=value, got {ov!r}")
-        key, raw = ov.split("=", 1)
-        key = key.strip()
-        if key in _NETWORK_FIELDS:
-            net_kwargs[key] = _parse_value(key, raw)
-        elif key in _PLAN_FIELDS:
-            plan_kwargs[key] = _parse_value(key, raw)
-        else:
-            raise ConfigError(f"unknown override key {key!r}")
-
+    net_ov, plan_ov = parse_overrides(overrides)
+    net_kwargs.update(net_ov)
+    plan_kwargs.update(plan_ov)
     cfg = NetworkConfig(**net_kwargs)
     plan_kwargs.setdefault("master_seed", cfg.seed)
     plan = ExperimentPlan(**plan_kwargs)

@@ -10,13 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .chain import (apply_chain_collect, attach_channels, build_chain_plan,
+from .chain import (apply_chain_collect, build_chain_plan,
                     centralized_mmse_oracle)
 from .config import NetworkConfig, Option
 from .geometry import crandn, draw_channel, generate_placement
 from .harness import Role, seed_stream
 from .metrics import fronthaul_bitrate, multiplier_width
-from .quantizer import calibrate_dynamic_range, validate_noise_statistics
+from .quantizer import (calibrate_dynamic_range, draw_dither,
+                        validate_noise_statistics)
 
 
 def check_oracle_equivalence(fast: bool = False):
@@ -31,8 +32,7 @@ def check_oracle_equivalence(fast: bool = False):
                           seed_stream(cfg.seed, i, 0, 0, Role.CHANNEL))
         rng = seed_stream(cfg.seed, i, 0, 0, Role.NOISE)
         s = np.sqrt(cfg.p) * crandn(rng, cfg.K)
-        y = np.einsum("lnk,k->ln", ch.H, s) \
-            + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N)
+        y = ch.H @ s + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N)
         plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
         sh, _ = kernels.apply_chain(
             ch.H, plan.AH, plan.V, plan.gamma, plan.delta, y[:, :, None],
@@ -52,15 +52,12 @@ def check_noise_statistics(fast: bool = False):
         cfg, seed_stream(cfg.seed, 0, 0, 0, Role.PLACEMENT))
     ch = draw_channel(cfg, placement,
                       seed_stream(cfg.seed, 0, 0, 0, Role.CHANNEL))
-    plan = attach_channels(build_chain_plan(cfg, ch.H, option=Option.OPTION1),
-                           ch.H)
+    plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
     rng = seed_stream(cfg.seed, 0, 0, 0, Role.NOISE)
     s = np.sqrt(cfg.p) * crandn(rng, cfg.K, n)
-    Y = np.einsum("lnk,ks->lns", ch.H, s) \
-        + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)
-    du = seed_stream(cfg.seed, 0, 0, 0, Role.DITHER, option_tag=1)
-    Du = du.uniform(-0.5, 0.5, (cfg.L, plan.r, n)) \
-        + 1j * du.uniform(-0.5, 0.5, (cfg.L, plan.r, n))
+    Y = ch.H @ s + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)
+    Du = draw_dither(seed_stream(cfg.seed, 0, 0, 0, Role.DITHER, option_tag=1),
+                     (cfg.L, plan.r, n))
     ap = 2
     _, eta, pre, _ = apply_chain_collect(
         plan, Y, plan.delta[:, :, None] * Du, collect_ap=ap)
@@ -88,8 +85,7 @@ def check_covariance_monotonicity(fast: bool = False):
             cfg, seed_stream(cfg.seed, i, 0, 0, Role.PLACEMENT))
         ch = draw_channel(cfg, placement,
                           seed_stream(cfg.seed, i, 1, 0, Role.CHANNEL))
-        plan = build_chain_plan(cfg, ch.H, option=opts[i % 4],
-                                keep_covariances=True)
+        plan = build_chain_plan(cfg, ch.H, option=opts[i % 4])
         inc = np.max(np.diff(plan.traces)) / plan.traces[0]
         worst_inc = max(worst_inc, float(inc))
         for C in plan.covariances:

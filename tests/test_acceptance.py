@@ -275,8 +275,7 @@ def test_criterion_6_covariance_recursion(report):
             ch = draw_channel(cfg, placement,
                               seed_stream(cfg.seed, p_idx, blk, 0,
                                           Role.CHANNEL))
-            plan = build_chain_plan(cfg, ch.H, option=opts[run % 4],
-                                    keep_covariances=True)
+            plan = build_chain_plan(cfg, ch.H, option=opts[run % 4])
             worst_inc = max(worst_inc,
                             float(np.max(np.diff(plan.traces))
                                   / plan.traces[0]))

@@ -1,0 +1,72 @@
+"""The benchmark's probe points into the package must keep resolving.
+
+`perfbench/tracer.py` wraps functions by (module, attribute) and unpacks
+the arguments and results of the chain kernel and the collect path; a
+rename or a changed signature would break the benchmark, not the suite.
+"""
+
+import importlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+from cfchain import kernels
+from cfchain.chain import apply_chain_collect, build_chain_plan
+from cfchain.config import NetworkConfig, Option
+from cfchain.geometry import crandn, draw_channel, generate_placement
+from cfchain.harness import Role, seed_stream
+from cfchain.quantizer import draw_dither
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _block(S=32):
+    cfg = NetworkConfig()
+    placement = generate_placement(cfg, seed_stream(1, 0, 0, 0,
+                                                    Role.PLACEMENT))
+    ch = draw_channel(cfg, placement, seed_stream(1, 0, 0, 0, Role.CHANNEL))
+    plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
+    Y = ch.H @ (np.sqrt(cfg.p) * crandn(np.random.default_rng(0), cfg.K, S))
+    D = plan.delta[:, :, None] * draw_dither(np.random.default_rng(1),
+                                             (cfg.L, plan.r, S))
+    return plan, Y, D
+
+
+def test_every_target_resolves():
+    for mod_name, attr, _span in _tracer().TARGETS:
+        mod = importlib.import_module(f"cfchain.{mod_name}")
+        assert callable(getattr(mod, attr)), (mod_name, attr)
+
+
+def test_kernel_call_unpacks_as_the_tracer_expects():
+    tracer = _tracer()
+    plan, Y, D = _block()
+    args = (plan.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D,
+            plan.mode, True)
+    out = kernels.apply_chain(*args)
+    counters = Counter()
+    tracer._kernel_counts(counters, args, out)
+    L, r, S = plan.AH.shape[0], plan.r, Y.shape[2]
+    assert counters["kernel_quantized"] == 2 * L * r * S
+    assert counters["kernel_clipped"] == int(out[1].sum())
+
+
+def test_collect_call_unpacks_as_the_tracer_expects():
+    tracer = _tracer()
+    plan, Y, D = _block()
+    out = apply_chain_collect(plan, Y, D, 2)
+    counters = Counter()
+    tracer._collect_counts(counters, (plan, Y, D, 2), out)
+    s_hat, eta, pre, clips = out
+    assert s_hat.shape == (plan.V.shape[1], Y.shape[2])
+    assert eta.shape == pre.shape == (plan.r, Y.shape[2])
+    assert counters["collect_clipped"] == int(clips.sum())

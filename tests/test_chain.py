@@ -2,17 +2,15 @@ import numpy as np
 import pytest
 
 from cfchain import kernels
-from cfchain.chain import (ApState, ChainNumericsError, attach_channels,
-                           apply_chain_collect, build_chain_plan,
-                           centralized_mmse_oracle, hermitize,
-                           interap_decorrelate, observation_covariance,
-                           pca_basis, project, refine_estimate,
-                           residual_covariance, run_chain)
+from cfchain.chain import (ChainNumericsError, apply_chain_collect,
+                           build_chain_plan, centralized_mmse_oracle,
+                           hermitize, observation_covariance, pca_basis,
+                           residual_covariance)
 from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
 from cfchain.presets import preset
-from cfchain.quantizer import calibrate_dynamic_range
+from cfchain.quantizer import calibrate_dynamic_range, draw_dither
 
 
 def _scenario(seed=0, **kw):
@@ -26,28 +24,51 @@ def _scenario(seed=0, **kw):
 def _received(cfg, ch, S, seed=0):
     rng = seed_stream(seed, 0, 0, 0, Role.NOISE)
     s = np.sqrt(cfg.p) * crandn(rng, cfg.K, S)
-    Y = np.einsum("lnk,ks->lns", ch.H, s) \
-        + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, S)
+    Y = ch.H @ s + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, S)
     return s, Y
 
 
+def _dither(plan, S, seed=0):
+    """The plan's scaled dither, (L, r, S), drawn as the harness does."""
+    du = seed_stream(seed, 0, 0, 0, Role.DITHER, option_tag=plan.mode)
+    return plan.delta[:, :, None] * draw_dither(du, plan.delta.shape + (S,))
+
+
+def _lossless(plan, Y):
+    """Estimates of a lossless plan through the production kernel."""
+    sh, _ = kernels.apply_chain(plan.H, plan.AH, plan.V, plan.gamma,
+                                plan.delta, Y, None, plan.mode, False)
+    return sh
+
+
 class TestDecorrelateAndCovariance:
-    def test_zero_prior_passthrough(self, rng):
-        H = crandn(rng, 4, 10)
-        y = crandn(rng, 4)
-        out = interap_decorrelate(y, H, np.zeros(10, complex))
-        assert np.array_equal(out, y)
+    def test_zero_prior_passthrough(self):
+        # the first AP has no prior estimate: it quantizes A^H y itself
+        cfg, ch = _scenario(seed=1)
+        _, Y = _received(cfg, ch, 64, seed=1)
+        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
+        _, _, pre, _ = apply_chain_collect(plan, Y, _dither(plan, 64), 0)
+        assert np.array_equal(pre, plan.AH[0] @ Y[0])
 
     def test_perfect_prior_noiseless(self, rng):
-        H = crandn(rng, 4, 10)
-        s = crandn(rng, 10)
-        out = interap_decorrelate(H @ s, H, s)
-        assert np.max(np.abs(out)) < 1e-12
+        # AP 0 recovers s exactly (N > K, noiseless, pseudo-inverse
+        # combiner), so AP 1's de-correlated input vanishes
+        L, N, K, S = 2, 4, 3, 16
+        H = crandn(rng, L, N, K)
+        Y = H @ crandn(rng, K, S)
+        AH = np.broadcast_to(np.eye(N, dtype=complex), (L, N, N))
+        V = np.stack([np.linalg.pinv(H[0]), np.zeros((K, N))])
+        zero = np.zeros((L, N))
+        _, _, eta, pre = kernels.evaluate_chain(H, AH, V, zero, zero, Y, None,
+                                                1, False, collect_ap=1)
+        assert np.max(np.abs(pre)) < 1e-12 * np.max(np.abs(Y))
+        assert not eta.any()
 
-    def test_dimension_mismatch(self, rng):
+    def test_dimension_mismatch(self):
+        cfg, ch = _scenario()
+        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
         with pytest.raises(ValueError):
-            interap_decorrelate(crandn(rng, 4), crandn(rng, 4, 10),
-                                np.zeros(9, complex))
+            _lossless(plan, np.zeros((cfg.L, cfg.N + 1, 3), complex))
 
     def test_residual_trivials(self, rng):
         H = crandn(rng, 4, 10)
@@ -124,20 +145,33 @@ class TestPcaBasis:
 
 
 class TestProjectAndObservation:
-    def test_identity_projection(self, rng):
-        G = crandn(rng, 4)
-        assert np.array_equal(project(np.eye(4, dtype=complex), G), G)
+    def test_identity_projection(self):
+        # option3 quantizes the raw received vector: A = I at every AP
+        cfg, ch = _scenario(seed=2)
+        _, Y = _received(cfg, ch, 32, seed=2)
+        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION3)
+        assert np.array_equal(plan.AH,
+                              np.broadcast_to(np.eye(cfg.N), plan.AH.shape))
+        _, _, pre, _ = apply_chain_collect(plan, Y, _dither(plan, 32), 0)
+        assert np.array_equal(pre, Y[0])
 
     def test_nullspace_input(self):
-        A = np.eye(4, dtype=complex)[:, :2]
-        G = np.array([0, 0, 1.0, 2.0], dtype=complex)
-        assert np.max(np.abs(project(A, G))) == 0
+        # with r < N, the eigendirections AP 0 discards project to zero
+        with pytest.warns(UserWarning):
+            cfg, ch = _scenario(seed=1, N=6, K=4)
+        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
+        R = residual_covariance(ch.H[0], cfg.p * np.eye(cfg.K), cfg.sigma2)
+        G = np.linalg.eigh(R)[1][:, :cfg.N - cfg.r]  # smallest eigenvalues
+        assert np.max(np.abs(plan.AH[0] @ G)) < 1e-10
 
     def test_non_expansive(self, rng):
-        X = crandn(rng, 5, 5)
-        A, _ = pca_basis(hermitize(X @ X.conj().T), 3)
-        G = crandn(rng, 5)
-        assert np.linalg.norm(project(A, G)) <= np.linalg.norm(G) + 1e-12
+        with pytest.warns(UserWarning):
+            cfg, ch = _scenario(seed=1, N=6, K=4)
+        G = crandn(rng, cfg.N, 50)
+        for opt in (Option.OPTION1, Option.OPTION2):
+            AH = build_chain_plan(cfg, ch.H, option=opt).AH
+            assert np.all(np.linalg.norm(AH @ G, axis=-2)
+                          <= np.linalg.norm(G, axis=0) + 1e-12)
 
     def test_fine_quantization_limit(self, rng):
         X = crandn(rng, 4, 4)
@@ -157,22 +191,14 @@ class TestProjectAndObservation:
     def test_observation_diag_matches_monte_carlo(self):
         # diag(R_f) vs sample variance of the forwarded observation
         cfg, ch = _scenario(seed=4)
-        plan = attach_channels(
-            build_chain_plan(cfg, ch.H, option=Option.OPTION1), ch.H)
+        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
         n = 100_000
         s, Y = _received(cfg, ch, n, seed=4)
-        du = seed_stream(4, 0, 0, 0, Role.DITHER, option_tag=1)
-        Du = du.uniform(-0.5, 0.5, (cfg.L, plan.r, n)) \
-            + 1j * du.uniform(-0.5, 0.5, (cfg.L, plan.r, n))
+        D = _dither(plan, n, seed=4)
         # AP 0: f = quantized projection of y (no prior to subtract)
         l = 0
-        qin = plan.AH[l] @ Y[l]
-        z = qin + plan.delta[l][:, None] * Du[l]
-        vr, _ = kernels.quantize_midrise(
-            z.real, plan.gamma[l][:, None], plan.delta[l][:, None])
-        vi, _ = kernels.quantize_midrise(
-            z.imag, plan.gamma[l][:, None], plan.delta[l][:, None])
-        f = vr + 1j * vi
+        _, eta, pre, _ = apply_chain_collect(plan, Y, D, l)
+        f = pre + D[l] + eta
         var_emp = np.mean(np.abs(f) ** 2, axis=1)
         R_G = residual_covariance(ch.H[l], cfg.p * np.eye(cfg.K), cfg.sigma2)
         Rf = observation_covariance(plan.AH[l].conj().T, R_G, plan.banks[l])
@@ -226,42 +252,47 @@ class TestBatchedPlan:
 
 class TestRefineEstimate:
     def test_zero_channel_keeps_state(self, rng):
-        state = ApState.initial(10, 0.1)
-        H = np.zeros((4, 10), complex)
-        A = np.eye(4, dtype=complex)
-        Rf = np.eye(4, dtype=complex)
-        out = refine_estimate(state, H, A, Rf, crandn(rng, 4))
-        assert np.array_equal(out.s_hat, state.s_hat)
-        assert np.allclose(out.C, state.C)
+        # APs that hear nobody leave the estimate and covariance unchanged
+        cfg = NetworkConfig()
+        plan = build_chain_plan(cfg, np.zeros((cfg.L, cfg.N, cfg.K), complex),
+                                option=Option.NOQUANT)
+        assert not plan.V.any()
+        assert np.allclose(plan.C_final, cfg.p * np.eye(cfg.K))
+        assert not _lossless(plan, crandn(rng, cfg.L, cfg.N, 8)).any()
 
-    def test_zero_covariance_keeps_state(self, rng):
-        state = ApState(s_hat=crandn(rng, 10),
-                        C=np.zeros((10, 10), complex))
-        H = crandn(rng, 4, 10)
-        out = refine_estimate(state, H, np.eye(4, dtype=complex),
-                              np.eye(4, dtype=complex), crandn(rng, 4))
-        assert np.allclose(out.s_hat, state.s_hat)
+    def test_zero_covariance_keeps_state(self):
+        # a prior without uncertainty (p = 0) is never refined
+        cfg, ch = _scenario()
+        _, Y = _received(cfg, ch, 8)
+        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1, p=0.0)
+        assert not plan.V.any()
+        assert not plan.C_final.any()
+        sh, _ = kernels.apply_chain(plan.H, plan.AH, plan.V, plan.gamma,
+                                    plan.delta, Y, _dither(plan, 8),
+                                    plan.mode, True)
+        assert not sh.any()
 
     def test_single_ap_textbook_lmmse(self, rng):
-        # chain step from the prior equals p H^H (p H H^H + s2 I)^-1 y
-        N, K, p, sigma2 = 4, 10, 0.1, 0.05
-        H = crandn(rng, N, K)
-        y = crandn(rng, N)
-        state = ApState.initial(K, p)
-        R_G = residual_covariance(H, state.C, sigma2)
-        A = np.eye(N, dtype=complex)
-        out = refine_estimate(state, H, A, observation_covariance(A, R_G, None),
-                              y)
-        ref = p * H.conj().T @ np.linalg.solve(
-            p * (H @ H.conj().T) + sigma2 * np.eye(N), y)
-        assert np.max(np.abs(out.s_hat - ref)) < 1e-10
+        # one AP, full basis: p H^H (p H H^H + s2 I)^-1 y
+        cfg = NetworkConfig(L=1, bits=3)
+        placement = generate_placement(cfg, np.random.default_rng(0))
+        ch = draw_channel(cfg, placement, np.random.default_rng(1))
+        y = (ch.H @ (np.sqrt(cfg.p) * crandn(rng, cfg.K, 1))
+             + np.sqrt(cfg.sigma2) * crandn(rng, 1, cfg.N, 1))
+        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
+        H = ch.H[0]
+        ref = cfg.p * H.conj().T @ np.linalg.solve(
+            cfg.p * (H @ H.conj().T) + cfg.sigma2 * np.eye(cfg.N), y[0])
+        sh = _lossless(plan, y)
+        assert np.max(np.abs(sh - ref)) < 1e-10 * np.max(np.abs(ref))
 
     def test_non_pd_observation_raises(self):
-        state = ApState.initial(4, 1.0)
-        H = np.eye(4, dtype=complex)
+        # no channel and no noise: the observation covariance is zero
+        cfg = NetworkConfig()
+        cfg.sigma2 = 0.0
         with pytest.raises(ChainNumericsError):
-            refine_estimate(state, H, np.eye(4, dtype=complex),
-                            np.zeros((4, 4), complex), np.zeros(4, complex))
+            build_chain_plan(cfg, np.zeros((cfg.L, cfg.N, cfg.K), complex),
+                             option=Option.NOQUANT)
 
 
 class TestRunChain:
@@ -270,29 +301,31 @@ class TestRunChain:
         for seed in range(5):
             cfg, ch = _scenario(seed=seed)
             s, Y = _received(cfg, ch, 1, seed=seed)
-            state, diag = run_chain(cfg, ch, Y[:, :, 0],
-                                    np.random.default_rng(seed),
-                                    option=Option.NOQUANT)
+            plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
             ref = centralized_mmse_oracle(ch.H, Y[:, :, 0], cfg.p, cfg.sigma2)
-            worst = max(worst, float(np.max(np.abs(state.s_hat - ref))))
+            worst = max(worst, float(np.max(np.abs(_lossless(plan, Y)[:, 0]
+                                                   - ref))))
         assert worst < 1e-9
 
     def test_single_ap_chain_equals_refine(self, rng):
-        cfg = NetworkConfig(L=1, bits=3)
+        # one AP with r < N: the LMMSE update from the retained
+        # coordinates A^H y, written out
+        with pytest.warns(UserWarning):
+            cfg = NetworkConfig(L=1, N=6, K=4, bits=3)
         placement = generate_placement(cfg, np.random.default_rng(0))
         ch = draw_channel(cfg, placement, np.random.default_rng(1))
-        y = (ch.H[0] @ (np.sqrt(cfg.p) * crandn(rng, cfg.K))
-             + np.sqrt(cfg.sigma2) * crandn(rng, cfg.N))
-        state, _ = run_chain(cfg, ch, y[None, :], np.random.default_rng(2),
-                             option=Option.NOQUANT)
-        prior = ApState.initial(cfg.K, cfg.p)
-        R_G = residual_covariance(ch.H[0], prior.C, cfg.sigma2)
-        A, _ = pca_basis(R_G, cfg.r)
-        ref = refine_estimate(prior, ch.H[0], A,
-                              observation_covariance(A, R_G, None),
-                              project(A, y))
-        assert np.max(np.abs(state.s_hat - ref.s_hat)) < 1e-10
-        assert np.allclose(state.C, ref.C, atol=1e-12)
+        y = (ch.H @ (np.sqrt(cfg.p) * crandn(rng, cfg.K, 1))
+             + np.sqrt(cfg.sigma2) * crandn(rng, 1, cfg.N, 1))
+        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
+        H, AH = ch.H[0], plan.AH[0]
+        R_f = AH @ (cfg.p * (H @ H.conj().T)
+                    + cfg.sigma2 * np.eye(cfg.N)) @ AH.conj().T
+        V = cfg.p * H.conj().T @ AH.conj().T @ np.linalg.inv(R_f)
+        C = cfg.p * np.eye(cfg.K) - cfg.p * V @ AH @ H
+        ref = V @ AH @ y[0]
+        sh = _lossless(plan, y)
+        assert np.max(np.abs(sh - ref)) < 1e-9 * np.max(np.abs(ref))
+        assert np.allclose(plan.C_final, C, rtol=0, atol=1e-9 * cfg.p)
 
     def test_fine_quantization_tracks_lossless(self):
         cfg, ch = _scenario(seed=2)
@@ -301,16 +334,10 @@ class TestRunChain:
         plan_q = build_chain_plan(cfg, ch.H, option=Option.OPTION1,
                                   bits=np.full(cfg.L, 12))
         plan_0 = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-        du = seed_stream(2, 0, 0, 0, Role.DITHER, option_tag=1)
-        Du = du.uniform(-0.5, 0.5, (cfg.L, plan_q.r, n)) \
-            + 1j * du.uniform(-0.5, 0.5, (cfg.L, plan_q.r, n))
         sh_q, _ = kernels.apply_chain(ch.H, plan_q.AH, plan_q.V, plan_q.gamma,
-                                      plan_q.delta, Y,
-                                      plan_q.delta[:, :, None] * Du, 1, True)
-        sh_0, _ = kernels.apply_chain(ch.H, plan_0.AH, plan_0.V, plan_0.gamma,
-                                      plan_0.delta, Y,
-                                      np.zeros((cfg.L, plan_0.r, n), complex),
-                                      0, False)
+                                      plan_q.delta, Y, _dither(plan_q, n, 2),
+                                      1, True)
+        sh_0 = _lossless(plan_0, Y)
         nm_q = np.mean(np.sum(np.abs(s - sh_q) ** 2, 0) /
                        np.sum(np.abs(s) ** 2, 0))
         nm_0 = np.mean(np.sum(np.abs(s - sh_0) ** 2, 0) /
@@ -321,8 +348,7 @@ class TestRunChain:
         for seed, opt in [(0, Option.OPTION1), (1, Option.OPTION2),
                           (2, Option.OPTION3), (3, Option.NOQUANT)]:
             cfg, ch = _scenario(seed=seed)
-            plan = build_chain_plan(cfg, ch.H, option=opt,
-                                    keep_covariances=True)
+            plan = build_chain_plan(cfg, ch.H, option=opt)
             assert np.all(np.diff(plan.traces) <= 1e-8 * plan.traces[0])
             for C in plan.covariances:
                 assert np.max(np.abs(C - C.conj().T)) < 1e-10
@@ -331,21 +357,13 @@ class TestRunChain:
     def test_interap_orthogonality(self):
         # quantized output of AP 1 is uncorrelated with the innovation at AP 2
         cfg, ch = _scenario(seed=6)
-        plan = attach_channels(
-            build_chain_plan(cfg, ch.H, option=Option.OPTION1), ch.H)
+        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
         n = 100_000
         s, Y = _received(cfg, ch, n, seed=6)
-        du = seed_stream(6, 0, 0, 0, Role.DITHER, option_tag=1)
-        Du = du.uniform(-0.5, 0.5, (cfg.L, plan.r, n)) \
-            + 1j * du.uniform(-0.5, 0.5, (cfg.L, plan.r, n))
-        D = plan.delta[:, :, None] * Du
+        D = _dither(plan, n, seed=6)
         # reproduce f_1 and s_hat_1, then the AP-2 innovation
-        z = plan.AH[0] @ Y[0] + D[0]
-        vr, _ = kernels.quantize_midrise(
-            z.real, plan.gamma[0][:, None], plan.delta[0][:, None])
-        vi, _ = kernels.quantize_midrise(
-            z.imag, plan.gamma[0][:, None], plan.delta[0][:, None])
-        f1 = vr + 1j * vi
+        _, eta, pre, _ = apply_chain_collect(plan, Y, D, 0)
+        f1 = pre + D[0] + eta
         s_hat1 = plan.V[0] @ f1
         G2 = Y[1] - ch.H[1] @ s_hat1
         f1c = f1 - f1.mean(axis=1, keepdims=True)
@@ -361,10 +379,7 @@ class TestRunChain:
         n = 10_000
         s, Y = _received(cfg, ch, n, seed=8)
         plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-        sh, _ = kernels.apply_chain(ch.H, plan.AH, plan.V, plan.gamma,
-                                    plan.delta, Y,
-                                    np.zeros((cfg.L, plan.r, n), complex),
-                                    0, False)
+        sh = _lossless(plan, Y)
         emp = np.mean(np.sum(np.abs(s - sh) ** 2, axis=0))
         assert emp == pytest.approx(plan.traces[-1], rel=0.03)
 
@@ -387,12 +402,8 @@ class TestRunChain:
         n = 256
         s, Y = _received(cfg, ch, n, seed=9)
         for opt in (Option.OPTION1, Option.OPTION2, Option.OPTION3):
-            plan = attach_channels(build_chain_plan(cfg, ch.H, option=opt),
-                                   ch.H)
-            du = seed_stream(9, 0, 0, 0, Role.DITHER, option_tag=opt.mode)
-            Du = du.uniform(-0.5, 0.5, (cfg.L, plan.r, n)) \
-                + 1j * du.uniform(-0.5, 0.5, (cfg.L, plan.r, n))
-            D = plan.delta[:, :, None] * Du
+            plan = build_chain_plan(cfg, ch.H, option=opt)
+            D = _dither(plan, n, seed=9)
             sh_a, eta, pre, clips_a = apply_chain_collect(plan, Y, D, 2)
             sh_b, clips_b = kernels.apply_chain(
                 ch.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D,

@@ -206,6 +206,19 @@ n_samples = 8
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["config"]["b_c"] == 9
 
+    def test_preset_seed_override_moves_master_seed(self, tmp_path):
+        out = tmp_path / "s"
+        assert main(["preset", "bitrate", "--out", str(out),
+                     "--override", "seed=7"]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["config"]["seed"] == 7
+        assert doc["plan"]["master_seed"] == 7
+        assert main(["preset", "bitrate", "--out", str(out),
+                     "--override", "seed=7", "--override",
+                     "master_seed=3"]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["plan"]["master_seed"] == 3
+
     def test_selftest_fast(self, capsys):
         assert main(["selftest", "--fast"]) == 0
         out = capsys.readouterr().out

@@ -6,48 +6,47 @@ from cfchain.chain import build_chain_plan
 from cfchain.config import ConfigError, NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
-from cfchain.metrics import (MetricAccumulator, fronthaul_bitrate,
-                             multiplier_width)
+from cfchain.metrics import (Cell, ber_sums, fronthaul_bitrate,
+                             multiplier_width, nmse_sums)
+
+
+def _nmse_cell(s, s_hat):
+    return Cell(*nmse_sums(s, s_hat), count=s.shape[-1])
+
+
+def _ber_cell(bits, s_hat):
+    return Cell(*ber_sums(bits, s_hat), count=bits.shape[-1])
 
 
 class TestNmseAccumulator:
     def test_perfect_estimate(self, rng):
-        acc = MetricAccumulator(K=4)
         s = crandn(rng, 4, 100)
-        acc.accumulate_nmse(s, s)
-        assert acc.nmse_avg() == 0.0
+        assert _nmse_cell(s, s).value("nmse") == 0.0
 
     def test_zero_estimator_scores_one(self, rng):
-        acc = MetricAccumulator(K=4)
         s = crandn(rng, 4, 100)
-        acc.accumulate_nmse(s, np.zeros_like(s))
-        assert acc.nmse_avg() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(acc.nmse_per_user(), 1.0)
+        cell = _nmse_cell(s, np.zeros_like(s))
+        assert cell.value("nmse") == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(cell.per_user(), 1.0)
 
     def test_order_invariance(self, rng):
         s = crandn(rng, 4, 60)
         sh = crandn(rng, 4, 60)
-        a = MetricAccumulator(K=4)
-        a.accumulate_nmse(s, sh)
-        b = MetricAccumulator(K=4)
-        perm = rng.permutation(60)
-        for j in perm:
-            b.accumulate_nmse(s[:, j], sh[:, j])
-        assert np.allclose(a.nmse_per_user(), b.nmse_per_user(), rtol=1e-12)
+        a = _nmse_cell(s, sh)
+        b = Cell.zeros(4)
+        for j in rng.permutation(60):
+            b.merge(_nmse_cell(s[:, j:j + 1], sh[:, j:j + 1]))
+        assert np.allclose(a.per_user(), b.per_user(), rtol=1e-12)
+        assert a.count == b.count
 
     def test_merge_equals_concatenation(self, rng):
         s = crandn(rng, 4, 80)
         sh = crandn(rng, 4, 80)
-        whole = MetricAccumulator(K=4)
-        whole.accumulate_nmse(s, sh)
-        left = MetricAccumulator(K=4)
-        left.accumulate_nmse(s[:, :30], sh[:, :30])
-        right = MetricAccumulator(K=4)
-        right.accumulate_nmse(s[:, 30:], sh[:, 30:])
-        left.merge(right)
-        assert np.allclose(left.nmse_per_user(), whole.nmse_per_user(),
-                           rtol=1e-12)
-        assert left.n_samples == whole.n_samples
+        whole = _nmse_cell(s, sh)
+        left = _nmse_cell(s[:, :30], sh[:, :30])
+        left.merge(_nmse_cell(s[:, 30:], sh[:, 30:]))
+        assert np.allclose(left.per_user(), whole.per_user(), rtol=1e-12)
+        assert left.count == whole.count
 
     def test_lossless_chain_matches_error_covariance(self):
         # NMSE * p * K tracks trace(C_L) for a fixed channel
@@ -60,41 +59,30 @@ class TestNmseAccumulator:
         n = 10_000
         rng = seed_stream(3, 0, 0, 0, Role.NOISE)
         s = np.sqrt(cfg.p) * crandn(rng, cfg.K, n)
-        Y = np.einsum("lnk,ks->lns", ch.H, s) \
-            + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)
-        sh, _ = kernels.apply_chain(ch.H, plan.AH, plan.V, plan.gamma,
-                                    plan.delta, Y,
-                                    np.zeros((cfg.L, plan.r, n), complex),
-                                    0, False)
-        acc = MetricAccumulator(K=cfg.K)
-        acc.accumulate_nmse(s, sh)
-        assert acc.nmse_avg() * cfg.p * cfg.K == pytest.approx(
-            plan.traces[-1], rel=0.03)
+        Y = ch.H @ s + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)
+        sh, _ = kernels.apply_chain(plan.H, plan.AH, plan.V, plan.gamma,
+                                    plan.delta, Y, None, 0, False)
+        assert _nmse_cell(s, sh).value("nmse") * cfg.p * cfg.K \
+            == pytest.approx(plan.traces[-1], rel=0.03)
 
 
 class TestBerAccumulator:
     def test_perfect_and_inverted(self):
-        acc = MetricAccumulator(K=3)
         bits = np.array([[1, 0, 1], [0, 0, 1], [1, 1, 0]])
         s = (2.0 * bits - 1.0).astype(complex)
-        acc.accumulate_ber(bits, s)
-        assert acc.ber() == 0.0
-        acc2 = MetricAccumulator(K=3)
-        acc2.accumulate_ber(bits, -s)
-        assert acc2.ber() == 1.0
+        assert _ber_cell(bits, s).value("ber") == 0.0
+        assert _ber_cell(bits, -s).value("ber") == 1.0
 
     def test_pure_noise_is_half(self, rng):
         n = 100_000
         bits = rng.integers(0, 2, (1, n))
         noise = crandn(rng, 1, n)  # decision independent of bits
-        acc = MetricAccumulator(K=1)
-        acc.accumulate_ber(bits, noise)
-        assert acc.ber() == pytest.approx(0.5, abs=0.01)
+        assert _ber_cell(bits, noise).value("ber") == pytest.approx(
+            0.5, abs=0.01)
 
     def test_range(self, rng):
-        acc = MetricAccumulator(K=2)
-        acc.accumulate_ber(rng.integers(0, 2, (2, 500)), crandn(rng, 2, 500))
-        assert 0.0 <= acc.ber() <= 1.0
+        cell = _ber_cell(rng.integers(0, 2, (2, 500)), crandn(rng, 2, 500))
+        assert 0.0 <= cell.value("ber") <= 1.0
 
 
 class TestBitAccounting:

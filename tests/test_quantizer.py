@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from cfchain.chain import apply_chain_collect, attach_channels, build_chain_plan
+from cfchain import kernels
+from cfchain.chain import apply_chain_collect, build_chain_plan
 from cfchain.config import ConfigError, NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
-from cfchain.quantizer import (InsufficientSamplesError, QuantizerBank,
-                               calibrate_dynamic_range, draw_dither, quantize,
+from cfchain.quantizer import (InsufficientSamplesError,
+                               calibrate_dynamic_range, draw_dither,
                                validate_noise_statistics)
 
 GAMMA_GOLDEN = 3.0728851183895034  # sqrt(9 / (1 - 9/192)), hand-derived
@@ -30,9 +31,9 @@ class TestCalibration:
         bank = calibrate_dynamic_range([0.0], alpha=3.0, b=3)
         assert bank.gamma[0] == 0.0
         assert bank.delta[0] == 0.0
-        frame = quantize(bank, np.array([0.3 + 0.1j]))
-        assert frame.f[0] == 0.0
-        assert frame.clipped_count == 0
+        f, clipped = _quantize(bank, 0.3 + 0.1j)
+        assert f[0] == 0.0
+        assert not clipped.any()
 
     def test_fine_quantization_limit(self):
         # correction factor -> 1, gamma -> alpha * sqrt(var/2)
@@ -59,16 +60,21 @@ class TestCalibration:
             calibrate_dynamic_range([-1.0], alpha=3.0, b=3)
 
 
+def _scaled_dither(bank, rng, n):
+    """(r, n) dither of the bank, scaled as the harness scales it."""
+    return bank.delta[:, None] * draw_dither(rng, (bank.r, n))
+
+
 class TestDither:
     def test_zero_delta_gives_zero(self, rng):
         bank = calibrate_dynamic_range([0.0, 1.0], alpha=3.0, b=3)
-        d = draw_dither(bank, rng, size=100)
+        d = _scaled_dither(bank, rng, 100)
         assert np.all(d[0] == 0)
 
     def test_moments(self, rng):
         bank = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
         n = 1_000_000
-        d = draw_dither(bank, rng, size=n)[0]
+        d = _scaled_dither(bank, rng, n)[0]
         delta = bank.delta[0]
         assert np.var(d.real) == pytest.approx(delta ** 2 / 12, rel=0.01)
         assert np.var(d.imag) == pytest.approx(delta ** 2 / 12, rel=0.01)
@@ -76,7 +82,7 @@ class TestDither:
 
     def test_bounded_support(self, rng):
         bank = calibrate_dynamic_range([1.0, 3.0], alpha=3.0, b=2)
-        d = draw_dither(bank, rng, size=10_000)
+        d = _scaled_dither(bank, rng, 10_000)
         half = bank.delta[:, None] / 2
         assert np.all(np.abs(d.real) <= half)
         assert np.all(np.abs(d.imag) <= half)
@@ -90,43 +96,47 @@ def _unit_bank(b):
     return bank
 
 
+def _quantize(bank, z):
+    """The bank's quantizers on one complex value, as the chain applies
+    them: (f, clipped mask)."""
+    return kernels.quantize_complex(np.array([z]), bank.gamma, bank.delta)
+
+
 class TestQuantize:
     def test_hand_evaluated_midrise(self):
         bank = _unit_bank(3)
-        frame = quantize(bank, np.array([0.1 + 0.1j]))
-        assert frame.f[0] == pytest.approx(0.125 + 0.125j, abs=1e-15)
+        f, _ = _quantize(bank, 0.1 + 0.1j)
+        assert f[0] == pytest.approx(0.125 + 0.125j, abs=1e-15)
 
     def test_reconstruction_levels_are_fixed_points(self):
         bank = _unit_bank(3)
         delta = bank.delta[0]
         levels = -1.0 + (np.arange(8) + 0.5) * delta
         for lv in levels:
-            frame = quantize(bank, np.array([lv + 1j * lv]))
-            assert frame.f[0] == pytest.approx(lv + 1j * lv, abs=1e-15)
-            assert abs(frame.eta[0]) < 1e-15
+            f, _ = _quantize(bank, lv + 1j * lv)
+            assert f[0] == pytest.approx(lv + 1j * lv, abs=1e-15)
 
     def test_saturation(self):
         bank = _unit_bank(3)
-        frame = quantize(bank, np.array([10.0 + 0.0j]))
-        assert frame.f[0].real == pytest.approx(1.0 - bank.delta[0] / 2)
-        assert frame.clipped_count == 1
-        frame = quantize(bank, np.array([-10.0 - 10.0j]))
-        assert frame.f[0].real == pytest.approx(-1.0 + bank.delta[0] / 2)
-        assert frame.clipped_count == 2
+        f, clipped = _quantize(bank, 10.0 + 0.0j)
+        assert f[0].real == pytest.approx(1.0 - bank.delta[0] / 2)
+        assert np.count_nonzero(clipped) == 1
+        f, clipped = _quantize(bank, -10.0 - 10.0j)
+        assert f[0].real == pytest.approx(-1.0 + bank.delta[0] / 2)
+        assert np.count_nonzero(clipped) == 2
 
     def test_monotone_per_component(self, rng):
         bank = _unit_bank(4)
         x = np.sort(rng.uniform(-2, 2, 500))
-        out = np.array([quantize(bank, np.array([v + 0j])).f[0].real
-                        for v in x])
+        out = np.array([_quantize(bank, v + 0j)[0][0].real for v in x])
         assert np.all(np.diff(out) >= 0)
 
     def test_in_range_error_bound(self, rng):
         bank = _unit_bank(5)
         x = rng.uniform(-1, 1, 2000)
         for v in x[:50]:
-            frame = quantize(bank, np.array([v + 0j]))
-            assert abs(frame.eta[0].real) <= bank.delta[0] / 2 + 1e-15
+            f, _ = _quantize(bank, v + 0j)
+            assert abs(f[0].real - v) <= bank.delta[0] / 2 + 1e-15
 
     def test_realized_noise_variance(self, rng):
         # unclipped samples: var(eta) -> delta^2/12 per real component
@@ -135,7 +145,6 @@ class TestQuantize:
         x = np.sqrt(2.0 / 2.0) * rng.standard_normal(n)  # var 1 per real
         d = rng.uniform(-0.5, 0.5, n) * bank.delta[0]
         z = x + d
-        from cfchain import kernels
         v, clipped = kernels.quantize_midrise(
             z, bank.gamma[0] * np.ones(n), bank.delta[0] * np.ones(n))
         eta = (v - z)[~clipped]
@@ -147,15 +156,12 @@ def _collect_noise(n=100_000, seed=1):
     placement = generate_placement(
         cfg, seed_stream(seed, 0, 0, 0, Role.PLACEMENT))
     ch = draw_channel(cfg, placement, seed_stream(seed, 0, 0, 0, Role.CHANNEL))
-    plan = attach_channels(build_chain_plan(cfg, ch.H, option=Option.OPTION1),
-                           ch.H)
+    plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
     rng = seed_stream(seed, 0, 0, 0, Role.NOISE)
     s = np.sqrt(cfg.p) * crandn(rng, cfg.K, n)
-    Y = np.einsum("lnk,ks->lns", ch.H, s) \
-        + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)
-    du = seed_stream(seed, 0, 0, 0, Role.DITHER, option_tag=1)
-    Du = du.uniform(-0.5, 0.5, (cfg.L, plan.r, n)) \
-        + 1j * du.uniform(-0.5, 0.5, (cfg.L, plan.r, n))
+    Y = ch.H @ s + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)
+    Du = draw_dither(seed_stream(seed, 0, 0, 0, Role.DITHER, option_tag=1),
+                     (cfg.L, plan.r, n))
     ap = 1
     _, eta, pre, _ = apply_chain_collect(
         plan, Y, plan.delta[:, :, None] * Du, collect_ap=ap)
