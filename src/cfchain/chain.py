@@ -5,7 +5,10 @@ from the previous AP, quantizes a (possibly de-correlated) view of its own
 received vector, refines the estimate with a linear MMSE update, and
 forwards the updated state. The error covariance is conditioned on the
 local channels, so `build_chain_plan` runs the covariance recursion once
-per coherence block and stores every combining matrix in a `ChainPlan`.
+per coherence block and stores every combining matrix in a `ChainPlan`,
+with the per-AP error covariances; the last one is the final error
+covariance. The quantizers enter only through their step sizes, whose
+noise model is `quantizer.noise_covariance`.
 The per-sample work is one loop over the APs, `kernels.evaluate_chain`:
 `kernels.apply_chain` runs it for the sweeps and `apply_chain_collect`
 runs it keeping one AP's quantizer internals for the noise statistics.
@@ -15,13 +18,13 @@ tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .config import NetworkConfig, Option
-from .quantizer import QuantizerBank, calibrate_dynamic_range
+from .quantizer import calibrate_dynamic_range, noise_covariance
 
 
 class ChainNumericsError(RuntimeError):
@@ -103,12 +106,10 @@ def _order_tied_columns(vals: np.ndarray, vecs: np.ndarray, r: int):
 
 
 def observation_covariance(A: np.ndarray, R_G: np.ndarray,
-                           bank: QuantizerBank | None) -> np.ndarray:
-    """Covariance of the forwarded observation: A^H R_G A + R_d + R_eta."""
-    Rf = hermitize(_ct(A) @ R_G @ A)
-    if bank is not None:
-        Rf = Rf + bank.R_d + bank.R_eta
-    return Rf
+                           delta: np.ndarray) -> np.ndarray:
+    """Covariance of the forwarded observation: A^H R_G A plus the
+    quantizer noise model for step sizes delta (zero steps add nothing)."""
+    return hermitize(_ct(A) @ R_G @ A) + noise_covariance(delta)
 
 
 def _combiner_and_covariance(C_prev, H_l, A, R_f):
@@ -140,11 +141,9 @@ class ChainPlan:
     AH: np.ndarray       # ([B,] L, r, N) projection rows A^H
     V: np.ndarray        # ([B,] L, K, r) combining matrices
     gamma: np.ndarray    # ([B,] L, r) dynamic ranges (zeros for NOQUANT)
-    delta: np.ndarray    # ([B,] L, r) step sizes
-    C_final: np.ndarray  # ([B,] K, K) final error covariance
+    delta: np.ndarray    # ([B,] L, r) step sizes (zeros for NOQUANT)
     traces: np.ndarray   # ([B,] L+1) trace of C before/after each AP
-    banks: list = field(default_factory=list)        # per-AP QuantizerBank
-    covariances: list = field(default_factory=list)  # per-AP C after the AP
+    covariances: list    # L x ([B,] K, K): C after each AP, the last final
 
     @property
     def mode(self) -> int:
@@ -179,7 +178,6 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
     delta = np.zeros(batch + (L, r))
     traces = np.empty(batch + (L + 1,))
     traces[..., 0] = np.trace(C, axis1=-2, axis2=-1).real
-    banks = []
     covs = []
 
     for l in range(L):
@@ -196,22 +194,19 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
                    + cfg.sigma2 * np.eye(N))
             A = np.eye(N, dtype=complex)
             input_var = np.diagonal(R_y, axis1=-2, axis2=-1).real
-        bank = None
         if quantized:
             bank = calibrate_dynamic_range(input_var, cfg.alpha,
                                            bits[..., l])
             gamma[..., l, :] = bank.gamma
             delta[..., l, :] = bank.delta
-        banks.append(bank)
-        R_f = observation_covariance(A, R_G, bank)
+        R_f = observation_covariance(A, R_G, delta[..., l, :])
         V[..., l, :, :], C = _combiner_and_covariance(C, H_l, A, R_f)
         AH[..., l, :, :] = _ct(A)
         traces[..., l + 1] = np.trace(C, axis1=-2, axis2=-1).real
         covs.append(C)
 
     return ChainPlan(option=option, r=r, H=H, AH=AH, V=V, gamma=gamma,
-                     delta=delta, C_final=C, traces=traces, banks=banks,
-                     covariances=covs)
+                     delta=delta, traces=traces, covariances=covs)
 
 
 def apply_chain_collect(plan: ChainPlan, Y: np.ndarray, D: np.ndarray,

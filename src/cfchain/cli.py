@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError
 from .harness import RunFailedError, run_experiment
-from .presets import PRESETS, preset
-from .runio import RunManifest, emit_results, parse_config, parse_overrides
+from .presets import PRESETS
+from .runio import RunManifest, build_config, emit_results, parse_config
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,10 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _overrides(args) -> list[str]:
+    """--override values, then --seed as a seed and master_seed override."""
+    if args.seed is None:
+        return args.override
+    return args.override + [f"seed={args.seed}", f"master_seed={args.seed}"]
+
+
 def _execute(cfg, plan, args) -> int:
-    if args.seed is not None:
-        cfg = cfg.with_(seed=args.seed)
-        plan.master_seed = args.seed
     manifest = RunManifest.create(cfg, plan, args.out)
     try:
         result = run_experiment(plan, cfg, workers=args.workers)
@@ -90,14 +93,13 @@ def _execute(cfg, plan, args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg, plan = parse_config(args.config, overrides=args.override)
+    cfg, plan = parse_config(args.config, overrides=_overrides(args))
     return _execute(cfg, plan, args)
 
 
 def _cmd_preset(args) -> int:
-    cfg, plan = preset(args.name)
-    net_ov, plan_ov = parse_overrides(args.override)
-    return _execute(cfg.with_(**net_ov), replace(plan, **plan_ov), args)
+    cfg, plan = build_config({}, PRESETS[args.name], _overrides(args))
+    return _execute(cfg, plan, args)
 
 
 def _cmd_validate(args) -> int:

@@ -8,7 +8,7 @@ system (watts) when the config object is built.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -146,19 +146,13 @@ class NetworkConfig:
              f"corr_model must be 'uncorrelated' or 'exponential', "
              f"got {self.corr_model!r}")
         need(0.0 <= self.rho < 1.0, "rho in [0, 1)")
-        b_min = min(self.bits)
         if self.option.quantized:
-            need(self.alpha ** 2 < 3.0 * 4.0 ** b_min,
-                 f"alpha^2 < 3*4^b (alpha={self.alpha}, b={b_min})")
+            _check_alpha_bits(self.alpha, min(self.bits))
         if self.K <= self.N:
             warnings.warn(
                 f"K={self.K} <= N={self.N}: outside the intended K > N regime; "
                 "results remain valid but streams are not reduced",
                 UserWarning, stacklevel=2)
-
-    def with_(self, **changes) -> "NetworkConfig":
-        """Copy with some fields replaced; linear powers are re-derived."""
-        return replace(self, **changes)
 
     def as_dict(self) -> dict:
         out = {}
@@ -221,6 +215,9 @@ class ExperimentPlan:
         need(self.n_samples >= 1, "n_samples >= 1")
         need(len(self.options) >= 1, "options non-empty")
         need(len(set(self.options)) == len(self.options), "options unique")
+        if self.kind in ("noise_cdf", "noise_cov"):
+            need(len(self.options) == 1 and self.options[0].quantized,
+                 f"{self.kind} takes exactly one quantized option")
         if self.kind in ("nmse_vs_bits", "bitrate_table"):
             need(len(self.bits_sweep) >= 1, "bits_sweep non-empty")
             need(all(b >= 1 for b in self.bits_sweep), "bits_sweep values >= 1")

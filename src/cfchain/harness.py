@@ -16,14 +16,13 @@ from enum import IntEnum
 
 import numpy as np
 
-from . import __version__ as _version
 from . import kernels
 from .chain import ChainNumericsError, apply_chain_collect, build_chain_plan
 from .config import ExperimentPlan, NetworkConfig, Option
 from .geometry import crandn, draw_channel, generate_placement
 from .metrics import (Cell, ber_sums, fronthaul_bitrate, multiplier_width,
                       nmse_sums)
-from .quantizer import draw_dither, validate_noise_statistics
+from .quantizer import StatReport, draw_dither, validate_noise_statistics
 
 
 class RunFailedError(RuntimeError):
@@ -55,7 +54,12 @@ def seed_stream(master_seed: int, placement_idx: int, block_idx: int,
 
 @dataclass
 class SweepResult:
-    """Aggregated output of one experiment."""
+    """Aggregated output of one experiment.
+
+    `tables` maps each CSV file name to its (header, rows), in the order
+    the files are written; rows is a list of rows or a 2-D float array.
+    `metadata` holds what the run itself measured.
+    """
 
     kind: str
     axis_name: str
@@ -64,7 +68,8 @@ class SweepResult:
     metric: str                       # "nmse" | "ber" | ""
     cells: dict = field(default_factory=dict)  # (opt_value, idx) -> Cell
     metadata: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
+    stat_report: StatReport | None = None         # noise kinds only
 
     def value(self, option, idx: int) -> float:
         return self.cells[self._key(option, idx)].value(self.metric)
@@ -96,11 +101,7 @@ class SweepResult:
 def _axis_and_metric(plan: ExperimentPlan):
     if plan.kind == "nmse_vs_bits":
         return "b_l", list(plan.bits_sweep), "nmse"
-    if plan.kind == "ber_vs_power":
-        return "p_db", list(plan.power_sweep_db), "ber"
-    if plan.kind == "bitrate_table":
-        return "b_l", list(plan.bits_sweep), ""
-    return "pair", [], ""
+    return "p_db", list(plan.power_sweep_db), "ber"
 
 
 def _placement_worker(args):
@@ -113,7 +114,7 @@ def _placement_worker(args):
     """
     cfg, plan, p_idx = args
     ms = plan.master_seed
-    axis_name, axis, metric = _axis_and_metric(plan)
+    _, axis, metric = _axis_and_metric(plan)
     rng_p = seed_stream(ms, p_idx, 0, 0, Role.PLACEMENT)
     placement = generate_placement(cfg, rng_p)
     L, N, K, S = cfg.L, cfg.N, cfg.K, plan.n_samples
@@ -143,7 +144,8 @@ def _placement_worker(args):
                 sweep = {"p": p_lin}
                 score = ber_sums
             for opt in plan.options:
-                # a lossless chain ignores the bit axis: one plan, one cell
+                # a lossless chain ignores the bit axis: one plan serves
+                # every bit width
                 flat = metric == "nmse" and not opt.quantized
                 cplan = build_chain_plan(cfg, ch.H, option=opt,
                                          **({} if flat else sweep))
@@ -158,8 +160,7 @@ def _placement_worker(args):
                     D, cplan.mode, opt.quantized)
                 a, b = score(truth, sh)
                 if flat:
-                    table[(opt.value, 0)] = Cell(a, b, S)
-                    continue
+                    a, clips = [a] * len(axis), [clips] * len(axis)
                 for i in range(len(axis)):
                     table[(opt.value, i)] = Cell(a[i], b, S,
                                                  int(clips[i].sum()))
@@ -175,7 +176,7 @@ def _placement_worker(args):
     return p_idx, cells, aborts
 
 
-def _aggregate_sweep(cfg, plan, results, metric, axis):
+def _aggregate_sweep(cfg, plan, results, metric):
     n_p = plan.n_placements
     agg: dict[tuple, Cell] = {}
     aborts = []
@@ -191,25 +192,18 @@ def _aggregate_sweep(cfg, plan, results, metric, axis):
         raise RunFailedError(
             f"{len(aborts)}/{total_trials} trials aborted "
             f"(budget {ABORT_BUDGET:.1%}); first: {aborts[0]}")
-    # a lossless chain ignores the bit axis: one cell feeds every axis point
-    if plan.kind == "nmse_vs_bits":
-        for opt in plan.options:
-            if opt.quantized:
-                continue
-            base = agg.pop((opt.value, 0))
-            for bi in range(len(axis)):
-                agg[(opt.value, bi)] = base
     return agg, aborts, total_trials
 
 
 def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
     """Shared flow for the noise-CDF and noise-covariance experiments.
 
-    One placement, one coherence block (one fixed calibration), sample
-    chunks streamed through the collect path of the chain.
+    One placement, one coherence block (one fixed calibration) of the
+    plan's one quantized option, sample chunks streamed through the
+    collect path of the chain.
     """
     ms = plan.master_seed
-    option = cfg.option if cfg.option.quantized else Option.OPTION1
+    option, = plan.options
     placement = generate_placement(
         cfg, seed_stream(ms, 0, 0, 0, Role.PLACEMENT))
     ch = draw_channel(cfg, placement, seed_stream(ms, 0, 0, 0, Role.CHANNEL))
@@ -237,16 +231,14 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
         done += S
     eta = np.concatenate(etas, axis=1)
     pre = np.concatenate(pres, axis=1)
-    bank = cplan.banks[ap]
-    report = validate_noise_statistics(eta, pre, bank)
+    delta = cplan.delta[ap]
+    report = validate_noise_statistics(eta, pre, delta)
 
-    extra = {"stat_report": report, "ap": ap, "option": option.value,
-             "delta": bank.delta.copy(), "gamma": bank.gamma.copy()}
+    tables = {}
     if plan.kind == "noise_cdf":
-        curves = {}
         grid = np.linspace(0.0, 1.0, 2001)
         for i in range(r):
-            half = bank.delta[i] / 2.0
+            half = delta[i] / 2.0
             ok_re = np.abs(eta[i].real) <= half * (1 + 1e-12)
             ok_im = np.abs(eta[i].imag) <= half * (1 + 1e-12)
             x = np.quantile(eta[i].real[ok_re], grid)
@@ -256,16 +248,19 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
                 / ok_im.sum()
             uni = np.clip((x + half) / (2 * half), 0, 1) if half > 0 \
                 else np.zeros_like(x)
-            curves[i] = np.column_stack([x, cdf_re, cdf_im_interp, uni])
-        extra["cdf_curves"] = curves
+            tables[f"noise_cdf_pair{i}.csv"] = (
+                ["value", "cdf_re", "cdf_im", "cdf_uniform"],
+                np.column_stack([x, cdf_re, cdf_im_interp, uni]))
+        tables["noise_stats.csv"] = (StatReport.HEADER, list(report.rows()))
     else:
         diag = np.sort(np.diag(report.cov).real)[::-1]
         eig = np.sort(np.linalg.eigvalsh(report.cov))[::-1]
-        extra["cov_rows"] = np.column_stack(
-            [np.arange(1, r + 1), diag, eig])
+        tables["noise_cov.csv"] = (
+            ["index", "diagonal", "eigenvalue"],
+            np.column_stack([np.arange(1, r + 1), diag, eig]))
     return SweepResult(kind=plan.kind, axis_name="pair",
                        axis_values=list(range(r)), options=[option.value],
-                       metric="", extra=extra)
+                       metric="", tables=tables, stat_report=report)
 
 
 def _run_bitrate_table(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
@@ -274,11 +269,10 @@ def _run_bitrate_table(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
         rate, b_s = fronthaul_bitrate(cfg, b_l=b)
         width, _ = multiplier_width(cfg.b_c, b, cfg.r)
         rows.append([b, width, b_s, rate])
-    res = SweepResult(kind=plan.kind, axis_name="b_l",
-                      axis_values=list(plan.bits_sweep),
-                      options=[], metric="")
-    res.extra["bitrate_rows"] = rows
-    return res
+    header = ["b_l", "multiplier_width", "b_s", "bitrate_bits_per_s"]
+    return SweepResult(kind=plan.kind, axis_name="b_l",
+                       axis_values=list(plan.bits_sweep), options=[],
+                       metric="", tables={"bitrate.csv": (header, rows)})
 
 
 def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
@@ -288,7 +282,7 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
     The result depends only on (plan, cfg), never on the worker count:
     per-placement partials are merged in placement order.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     if plan.kind in ("noise_cdf", "noise_cov"):
         result = _run_noise_stats(plan, cfg)
     elif plan.kind == "bitrate_table":
@@ -302,21 +296,15 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
         else:
             results = [_placement_worker(a) for a in args]
         results.sort(key=lambda t: t[0])
-        cells, aborts, total = _aggregate_sweep(cfg, plan, results, metric,
-                                                axis)
+        cells, aborts, total = _aggregate_sweep(cfg, plan, results, metric)
         result = SweepResult(
             kind=plan.kind, axis_name=axis_name, axis_values=axis,
             options=[o.value for o in plan.options], metric=metric,
             cells=cells)
+        result.tables[f"{plan.kind}.csv"] = result.table()
         result.metadata["aborted_trials"] = len(aborts)
         result.metadata["total_trials"] = total
         result.metadata["aborts"] = aborts
-    result.metadata.update({
-        "config": cfg.as_dict(),
-        "plan": plan.as_dict(),
-        "seed": plan.master_seed,
-        "version": _version,
-        "backend": kernels.active_backend(),
-        "wall_time_s": round(time.time() - t0, 3),
-    })
+    # config, plan, seed, version and backend are recorded by the manifest
+    result.metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
     return result

@@ -9,7 +9,9 @@ which gives the closed form
 
 with var_i = E{|input_i|^2}. The dither stays in the forwarded signal
 (non-subtractive), so both its covariance and the quantization-noise
-covariance enter the downstream estimator.
+covariance enter the downstream estimator. `noise_covariance` is the one
+statement of that model: each is uniform over one step per real
+component, delta^2/6 per complex stream, so together diag(delta^2/3).
 """
 
 from __future__ import annotations
@@ -29,20 +31,16 @@ class InsufficientSamplesError(ValueError):
 class QuantizerBank:
     """Calibrated per-stream quantizers for one AP (2r real quantizers)."""
 
-    b: int | np.ndarray   # bits per real quantizer, () or (...,)
     gamma: np.ndarray     # (...,r) dynamic ranges
     delta: np.ndarray     # (...,r) step sizes, exactly 2*gamma/2^b
-    R_d: np.ndarray       # (...,r,r) diagonal dither covariance, delta^2/6
-    R_eta: np.ndarray     # (...,r,r) quantization-noise covariance, = R_d
-
-    @property
-    def r(self) -> int:
-        return self.gamma.shape[-1]
 
 
 @dataclass
 class StatReport:
     """Empirical quantization-noise statistics from unclipped operation."""
+
+    HEADER = ("pair", "n_unclipped", "ks_re", "ks_im", "corr_input",
+              "offdiag_ratio", "eig_vs_diag_rel")
 
     n_samples: int
     n_unclipped: np.ndarray      # (r,) per pair, min over re/im
@@ -54,17 +52,11 @@ class StatReport:
     corr_input: np.ndarray       # (r,) |corr(eta_i, pre-dither input_i)|
 
     def rows(self):
-        """Per-pair rows for CSV emission."""
+        """Per-pair CSV rows, in HEADER order."""
         for i in range(self.ks_re.size):
-            yield {
-                "pair": i,
-                "n_unclipped": int(self.n_unclipped[i]),
-                "ks_re": float(self.ks_re[i]),
-                "ks_im": float(self.ks_im[i]),
-                "corr_input": float(self.corr_input[i]),
-                "offdiag_ratio": self.offdiag_ratio,
-                "eig_vs_diag_rel": self.eig_vs_diag_rel,
-            }
+            yield [i, int(self.n_unclipped[i]), float(self.ks_re[i]),
+                   float(self.ks_im[i]), float(self.corr_input[i]),
+                   self.offdiag_ratio, self.eig_vs_diag_rel]
 
 
 def calibrate_dynamic_range(input_var, alpha: float, b) -> QuantizerBank:
@@ -85,9 +77,16 @@ def calibrate_dynamic_range(input_var, alpha: float, b) -> QuantizerBank:
     corr = 1.0 - alpha ** 2 / (3.0 * 4.0 ** b[..., None])
     gamma = np.sqrt(alpha ** 2 / corr * input_var / 2.0)
     delta = 2.0 * gamma / 2.0 ** b[..., None]
-    R_d = (delta ** 2 / 6.0)[..., None] * np.eye(delta.shape[-1])
-    return QuantizerBank(b=int(b) if b.ndim == 0 else b, gamma=gamma,
-                         delta=delta, R_d=R_d, R_eta=R_d.copy())
+    return QuantizerBank(gamma=gamma, delta=delta)
+
+
+def noise_covariance(delta) -> np.ndarray:
+    """Modelled dither-plus-quantization noise covariance, diag(delta^2/3).
+
+    delta is (..., r); the result is (..., r, r).
+    """
+    delta = np.asarray(delta, dtype=float)
+    return (delta ** 2 / 3.0)[..., None] * np.eye(delta.shape[-1])
 
 
 def draw_dither(rng: np.random.Generator, shape) -> np.ndarray:
@@ -100,23 +99,24 @@ def draw_dither(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
-                              bank: QuantizerBank,
+                              delta: np.ndarray,
                               min_samples: int = 10_000) -> StatReport:
     """Check the dither theory against realized quantization noise.
 
     eta, pre_input: (r, n) arrays of noise realizations and the matching
-    pre-dither quantizer inputs. Clipped events are identified by
-    |component of eta| > delta/2 and excluded, since the uniform law only
-    holds for in-range operation.
+    pre-dither quantizer inputs; delta: (r,) the quantizers' step sizes.
+    Clipped events are identified by |component of eta| > delta/2 and
+    excluded, since the uniform law only holds for in-range operation.
     """
     from scipy import stats
 
     eta = np.asarray(eta)
     pre = np.asarray(pre_input)
-    if eta.shape != pre.shape or eta.ndim != 2 or eta.shape[0] != bank.r:
+    r = len(delta)
+    if eta.shape != pre.shape or eta.ndim != 2 or eta.shape[0] != r:
         raise ValueError("eta and pre_input must both be (r, n)")
     n = eta.shape[1]
-    half = bank.delta[:, None] / 2.0
+    half = delta[:, None] / 2.0
     ok_re = np.abs(eta.real) <= half * (1 + 1e-12)
     ok_im = np.abs(eta.imag) <= half * (1 + 1e-12)
     n_unclipped = np.minimum(ok_re.sum(axis=1), ok_im.sum(axis=1))
@@ -125,12 +125,11 @@ def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
             f"need >= {min_samples} unclipped samples per quantizer pair, "
             f"got {n_unclipped.min()}")
 
-    r = bank.r
     ks_re = np.empty(r)
     ks_im = np.empty(r)
     corr_in = np.empty(r)
     for i in range(r):
-        u = stats.uniform(loc=-bank.delta[i] / 2.0, scale=bank.delta[i])
+        u = stats.uniform(loc=-delta[i] / 2.0, scale=delta[i])
         ks_re[i] = stats.kstest(eta[i].real[ok_re[i]], u.cdf).statistic
         ks_im[i] = stats.kstest(eta[i].imag[ok_im[i]], u.cdf).statistic
         m = ok_re[i] & ok_im[i]

@@ -2,9 +2,13 @@
 
 Config files are INI documents with [network] and [plan] sections whose
 keys mirror the NetworkConfig / ExperimentPlan field names. Unknown keys
-are hard errors (typo protection). A run manifest (JSON) is written next
-to every result; feeding that manifest back to `run` reproduces the run
-bit-exactly because it materializes every resolved value.
+are hard errors (typo protection). Files, presets and CLI overrides all
+resolve through `build_config`. `emit_results` writes the CSV tables a
+result carries, then a run manifest (JSON); feeding that manifest back to
+`run` reproduces the run bit-exactly because it materializes every
+resolved value. The manifest records the config, plan, seed, version and
+backend once, at its top level; `result_metadata` holds only what the run
+measured.
 """
 
 from __future__ import annotations
@@ -14,15 +18,16 @@ import datetime
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
+
+import numpy as np
 
 from . import __version__ as _version
 from . import kernels
-from .config import ConfigError, ExperimentPlan, NetworkConfig, Option
+from .config import ConfigError, ExperimentPlan, NetworkConfig
 
 _NETWORK_FIELDS = {f.name for f in fields(NetworkConfig) if f.init}
-_PLAN_FIELDS = {"kind", "bits_sweep", "power_sweep_db", "n_placements",
-                "n_blocks", "n_samples", "options", "master_seed"}
+_PLAN_FIELDS = {f.name for f in fields(ExperimentPlan)}
 
 _INT_KEYS = {"L", "N", "K", "tau_d", "b_c", "b_e", "seed", "n_placements",
              "n_blocks", "n_samples", "master_seed"}
@@ -74,6 +79,20 @@ def parse_overrides(overrides: list[str] | None) -> tuple[dict, dict]:
     return net_kwargs, plan_kwargs
 
 
+def build_config(net_kwargs: dict, plan_kwargs: dict,
+                 overrides: list[str] | None = None
+                 ) -> tuple[NetworkConfig, ExperimentPlan]:
+    """Build (NetworkConfig, ExperimentPlan) from keyword sets, with
+    overrides (see parse_overrides) on top; derived defaults such as b_e
+    follow the final values. master_seed defaults to the network seed.
+    """
+    net_ov, plan_ov = parse_overrides(overrides)
+    cfg = NetworkConfig(**{**net_kwargs, **net_ov})
+    plan = ExperimentPlan(**{"master_seed": cfg.seed, **plan_kwargs,
+                             **plan_ov})
+    return cfg, plan
+
+
 def parse_config(path: str | None = None, overrides: list[str] | None = None
                  ) -> tuple[NetworkConfig, ExperimentPlan]:
     """Load (NetworkConfig, ExperimentPlan) from an INI file or manifest.
@@ -93,14 +112,7 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None
             net_kwargs, plan_kwargs = _from_manifest(path)
         else:
             net_kwargs, plan_kwargs = _from_ini(path)
-
-    net_ov, plan_ov = parse_overrides(overrides)
-    net_kwargs.update(net_ov)
-    plan_kwargs.update(plan_ov)
-    cfg = NetworkConfig(**net_kwargs)
-    plan_kwargs.setdefault("master_seed", cfg.seed)
-    plan = ExperimentPlan(**plan_kwargs)
-    return cfg, plan
+    return build_config(net_kwargs, plan_kwargs, overrides)
 
 
 def _from_ini(path: str):
@@ -133,11 +145,6 @@ def _from_manifest(path: str):
     cfg_doc = dict(doc.get("config", {}))
     cfg_doc.pop("derived", None)
     plan_doc = dict(doc.get("plan", {}))
-    if "bits" in cfg_doc and isinstance(cfg_doc["bits"], list):
-        cfg_doc["bits"] = tuple(cfg_doc["bits"])
-    for k in ("bits_sweep", "power_sweep_db", "options"):
-        if k in plan_doc and isinstance(plan_doc[k], list):
-            plan_doc[k] = tuple(plan_doc[k])
     unknown = set(cfg_doc) - _NETWORK_FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys in manifest: {sorted(unknown)}")
@@ -185,17 +192,7 @@ class RunManifest:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "plan": self.plan,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "version": self.version,
-            "build_id": self.build_id,
-            "backend": self.backend,
-            "started_utc": self.started_utc,
-            "conversions": self.conversions,
-        }
+        return asdict(self)
 
 
 def _fmt(x) -> str:
@@ -205,6 +202,8 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()  # Python floats format faster than numpy's
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -212,62 +211,17 @@ def _write_csv(path, header, rows):
 
 
 def emit_results(result, manifest: RunManifest, out_dir: str) -> list[str]:
-    """Write metric CSVs plus the JSON manifest; returns written paths."""
+    """Write the result's CSV tables, then the JSON manifest with the
+    result's metadata; returns the written paths in that order."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-
-    def out(name):
-        p = os.path.join(out_dir, name)
-        written.append(p)
-        return p
-
-    if result.kind in ("nmse_vs_bits", "ber_vs_power"):
-        header, rows = result.table()
-        _write_csv(out(f"{result.kind}.csv"), header, rows)
-    elif result.kind == "noise_cdf":
-        rep = result.extra["stat_report"]
-        for i, curve in result.extra["cdf_curves"].items():
-            _write_csv(out(f"noise_cdf_pair{i}.csv"),
-                       ["value", "cdf_re", "cdf_im", "cdf_uniform"],
-                       curve.tolist())
-        _write_csv(out("noise_stats.csv"),
-                   ["pair", "n_unclipped", "ks_re", "ks_im", "corr_input",
-                    "offdiag_ratio", "eig_vs_diag_rel"],
-                   [[row["pair"], row["n_unclipped"], row["ks_re"],
-                     row["ks_im"], row["corr_input"], row["offdiag_ratio"],
-                     row["eig_vs_diag_rel"]] for row in rep.rows()])
-    elif result.kind == "noise_cov":
-        _write_csv(out("noise_cov.csv"),
-                   ["index", "diagonal", "eigenvalue"],
-                   result.extra["cov_rows"].tolist())
-    elif result.kind == "bitrate_table":
-        _write_csv(out("bitrate.csv"),
-                   ["b_l", "multiplier_width", "b_s", "bitrate_bits_per_s"],
-                   result.extra["bitrate_rows"])
-    else:  # pragma: no cover - guarded by plan validation
-        raise ValueError(f"cannot emit kind {result.kind!r}")
-
+    for name, (header, rows) in result.tables.items():
+        written.append(os.path.join(out_dir, name))
+        _write_csv(written[-1], header, rows)
     doc = manifest.as_dict()
-    doc["result_metadata"] = _jsonable(result.metadata)
-    with open(out(os.path.join("manifest.json")), "w",
-              encoding="utf-8") as fh:
+    doc["result_metadata"] = result.metadata
+    written.append(os.path.join(out_dir, "manifest.json"))
+    with open(written[-1], "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return written
-
-
-def _jsonable(obj):
-    import numpy as np
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, Option):
-        return obj.value
-    return obj

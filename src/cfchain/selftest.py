@@ -61,7 +61,7 @@ def check_noise_statistics(fast: bool = False):
     ap = 2
     _, eta, pre, _ = apply_chain_collect(
         plan, Y, plan.delta[:, :, None] * Du, collect_ap=ap)
-    rep = validate_noise_statistics(eta, pre, plan.banks[ap],
+    rep = validate_noise_statistics(eta, pre, plan.delta[ap],
                                     min_samples=10_000 if not fast else 5_000)
     ks_lim = 0.01 if not fast else 0.02
     ok = (rep.ks_re.max() < ks_lim and rep.ks_im.max() < ks_lim

@@ -79,7 +79,7 @@ def test_criterion_2_noise_cdf(report):
     t0 = time.perf_counter()
     cfg, plan = preset("fig2")
     res = run_experiment(plan, cfg)
-    rep = res.extra["stat_report"]
+    rep = res.stat_report
     ks = max(rep.ks_re.max(), rep.ks_im.max())
     n = int(rep.n_unclipped.min())
     elapsed = time.perf_counter() - t0
@@ -95,7 +95,7 @@ def test_criterion_3_noise_covariance_diagonality(report):
     t0 = time.perf_counter()
     cfg, plan = preset("fig3")
     res = run_experiment(plan, cfg)
-    rep = res.extra["stat_report"]
+    rep = res.stat_report
     elapsed = time.perf_counter() - t0
     ok = rep.offdiag_ratio < 0.05 and rep.eig_vs_diag_rel < 0.05 \
         and elapsed < 30.0

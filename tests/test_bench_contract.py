@@ -1,23 +1,30 @@
 """The benchmark's probe points into the package must keep resolving.
 
 `perfbench/tracer.py` wraps functions by (module, attribute) and unpacks
-the arguments and results of the chain kernel and the collect path; a
-rename or a changed signature would break the benchmark, not the suite.
+the arguments and results of the chain kernel and the collect path;
+`perfbench/run.py` builds plans with `presets.preset(name, seed=)`, reads
+trial counts and clip counts off the result and counts the bytes
+`emit_results` wrote. A rename or a changed signature would break the
+benchmark, not the suite.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cfchain import kernels
 from cfchain.chain import apply_chain_collect, build_chain_plan
 from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
-from cfchain.harness import Role, seed_stream
+from cfchain.harness import Role, run_experiment, seed_stream
+from cfchain.presets import PRESETS, preset
 from cfchain.quantizer import draw_dither
+from cfchain.runio import RunManifest, emit_results
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -70,3 +77,28 @@ def test_collect_call_unpacks_as_the_tracer_expects():
     assert s_hat.shape == (plan.V.shape[1], Y.shape[2])
     assert eta.shape == pre.shape == (plan.r, Y.shape[2])
     assert counters["collect_clipped"] == int(clips.sum())
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_seed_is_the_master_seed(name):
+    cfg, plan = preset(name, seed=7)
+    assert plan.master_seed == 7 and cfg.seed == 7
+
+
+def test_sweep_result_reads_as_the_benchmark_expects(tmp_path):
+    cfg, plan = preset("fig4", seed=3)
+    plan = dataclasses.replace(plan, n_placements=2, n_blocks=1, n_samples=8)
+    res = run_experiment(plan, cfg, workers=1)
+    assert type(res.metadata["total_trials"]) is int
+    assert type(res.metadata["aborted_trials"]) is int
+    assert res.metadata["total_trials"] == 2
+    assert set(res.cells) == {(o.value, i) for o in plan.options
+                              for i in range(len(plan.bits_sweep))}
+    assert all(type(c.clipped) is int for c in res.cells.values())
+    out = tmp_path / "fig4"
+    written = emit_results(res, RunManifest.create(cfg, plan, str(out)),
+                           str(out))
+    assert written == [str(out / name) for name in res.tables] + [
+        str(out / "manifest.json")]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*res.tables, "manifest.json"])

@@ -178,13 +178,14 @@ class TestProjectAndObservation:
         R = hermitize(X @ X.conj().T)
         A, vals = pca_basis(R, 4)
         bank = calibrate_dynamic_range(vals, alpha=3.0, b=24)
-        Rf = observation_covariance(A, R, bank)
+        Rf = observation_covariance(A, R, bank.delta)
         assert np.allclose(Rf, A.conj().T @ R @ A, atol=1e-10)
 
     def test_direct_substitution(self):
         bank = calibrate_dynamic_range([1.0, 1.0, 1.0, 1.0], alpha=3.0, b=3)
         Rf = observation_covariance(np.eye(4, dtype=complex),
-                                    0.5 * np.eye(4, dtype=complex), bank)
+                                    0.5 * np.eye(4, dtype=complex),
+                                    bank.delta)
         expected = 0.5 * np.eye(4) + 2 * np.diag(bank.delta ** 2 / 6)
         assert np.allclose(Rf, expected)
 
@@ -201,21 +202,23 @@ class TestProjectAndObservation:
         f = pre + D[l] + eta
         var_emp = np.mean(np.abs(f) ** 2, axis=1)
         R_G = residual_covariance(ch.H[l], cfg.p * np.eye(cfg.K), cfg.sigma2)
-        Rf = observation_covariance(plan.AH[l].conj().T, R_G, plan.banks[l])
+        Rf = observation_covariance(plan.AH[l].conj().T, R_G, plan.delta[l])
         assert np.allclose(var_emp, np.diag(Rf).real, rtol=0.03)
 
 
 class TestBatchedPlan:
     """A plan batched over the sweep axis equals one plan per axis point."""
 
-    FIELDS = ("AH", "V", "gamma", "C_final")
+    @staticmethod
+    def _fields(plan):
+        return {"AH": plan.AH, "V": plan.V, "gamma": plan.gamma,
+                "C": plan.covariances[-1]}
 
     def _check(self, batched, singles):
-        for name in self.FIELDS:
-            stacked = getattr(batched, name)
+        for name, stacked in self._fields(batched).items():
             assert stacked.shape[0] == len(singles)
             for i, single in enumerate(singles):
-                ref = getattr(single, name)
+                ref = self._fields(single)[name]
                 assert (np.linalg.norm(stacked[i] - ref)
                         <= 1e-10 * np.linalg.norm(ref)), name
 
@@ -245,9 +248,9 @@ class TestBatchedPlan:
         assert plan.AH.shape == (L, r, N)
         assert plan.V.shape == (L, K, r)
         assert plan.gamma.shape == plan.delta.shape == (L, r)
-        assert plan.C_final.shape == (K, K)
+        assert len(plan.covariances) == L
+        assert plan.covariances[-1].shape == (K, K)
         assert plan.traces.shape == (L + 1,)
-        assert plan.banks[0].gamma.shape == (r,)
 
 
 class TestRefineEstimate:
@@ -257,7 +260,7 @@ class TestRefineEstimate:
         plan = build_chain_plan(cfg, np.zeros((cfg.L, cfg.N, cfg.K), complex),
                                 option=Option.NOQUANT)
         assert not plan.V.any()
-        assert np.allclose(plan.C_final, cfg.p * np.eye(cfg.K))
+        assert np.allclose(plan.covariances[-1], cfg.p * np.eye(cfg.K))
         assert not _lossless(plan, crandn(rng, cfg.L, cfg.N, 8)).any()
 
     def test_zero_covariance_keeps_state(self):
@@ -266,7 +269,7 @@ class TestRefineEstimate:
         _, Y = _received(cfg, ch, 8)
         plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1, p=0.0)
         assert not plan.V.any()
-        assert not plan.C_final.any()
+        assert not plan.covariances[-1].any()
         sh, _ = kernels.apply_chain(plan.H, plan.AH, plan.V, plan.gamma,
                                     plan.delta, Y, _dither(plan, 8),
                                     plan.mode, True)
@@ -325,7 +328,8 @@ class TestRunChain:
         ref = V @ AH @ y[0]
         sh = _lossless(plan, y)
         assert np.max(np.abs(sh - ref)) < 1e-9 * np.max(np.abs(ref))
-        assert np.allclose(plan.C_final, C, rtol=0, atol=1e-9 * cfg.p)
+        assert np.allclose(plan.covariances[-1], C, rtol=0,
+                           atol=1e-9 * cfg.p)
 
     def test_fine_quantization_tracks_lossless(self):
         cfg, ch = _scenario(seed=2)

@@ -206,6 +206,36 @@ n_samples = 8
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["config"]["b_c"] == 9
 
+    def test_preset_override_derives_like_run(self, tmp_path):
+        # b_e is derived from b_c: the preset must derive it as run does
+        ini = _write(tmp_path, """
+[network]
+b_c = 9
+
+[plan]
+kind = bitrate_table
+bits_sweep = 1, 2, 3, 4, 5, 6, 7, 8
+n_placements = 1
+n_blocks = 1
+n_samples = 1
+options = option1
+""")
+        assert main(["run", ini, "--out", str(tmp_path / "run")]) == 0
+        assert main(["preset", "bitrate", "--out", str(tmp_path / "pre"),
+                     "--override", "b_c=9"]) == 0
+        run_csv = (tmp_path / "run" / "bitrate.csv").read_bytes()
+        assert (tmp_path / "pre" / "bitrate.csv").read_bytes() == run_csv
+        doc = json.loads((tmp_path / "pre" / "manifest.json").read_text())
+        assert doc["config"]["b_e"] == 2 * 10 * 10 * 9
+
+    def test_preset_override_of_L_resizes_bits(self, tmp_path):
+        out = tmp_path / "l3"
+        assert main(["preset", "bitrate", "--out", str(out),
+                     "--override", "L=3"]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["config"]["L"] == 3
+        assert doc["config"]["bits"] == [3, 3, 3]
+
     def test_preset_seed_override_moves_master_seed(self, tmp_path):
         out = tmp_path / "s"
         assert main(["preset", "bitrate", "--out", str(out),

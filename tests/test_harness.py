@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfchain.config import ExperimentPlan, NetworkConfig, Option
+from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig, Option
 from cfchain.harness import Role, run_experiment, seed_stream
 
 
@@ -152,13 +152,15 @@ class TestRunExperiment:
             "error": "LinAlgError: synthetic failure"}]
 
     def test_metadata_snapshot(self):
+        # only what the run measured: the manifest records config and plan
         cfg = NetworkConfig()
         res = run_experiment(_tiny_plan(), cfg)
-        assert res.metadata["config"]["L"] == cfg.L
-        assert res.metadata["plan"]["kind"] == "nmse_vs_bits"
+        assert set(res.metadata) == {"total_trials", "aborted_trials",
+                                     "aborts", "wall_time_s"}
+        assert res.metadata["total_trials"] == 12
         assert res.metadata["aborted_trials"] == 0
         assert res.metadata["aborts"] == []
-        assert res.metadata["backend"] == "numpy"
+        assert res.metadata["wall_time_s"] >= 0.0
 
 
 class TestNoiseKinds:
@@ -168,12 +170,13 @@ class TestNoiseKinds:
                               n_samples=30_000, options=(Option.OPTION1,),
                               master_seed=2)
         res = run_experiment(plan, cfg)
-        rep = res.extra["stat_report"]
-        assert rep.ks_re.shape == (cfg.r,)
-        curves = res.extra["cdf_curves"]
-        assert set(curves) == set(range(cfg.r))
-        for c in curves.values():
-            assert c.shape[1] == 4
+        assert res.stat_report.ks_re.shape == (cfg.r,)
+        assert list(res.tables) == [f"noise_cdf_pair{i}.csv"
+                                    for i in range(cfg.r)] + ["noise_stats.csv"]
+        for i in range(cfg.r):
+            header, rows = res.tables[f"noise_cdf_pair{i}.csv"]
+            c = np.asarray(rows)
+            assert len(header) == c.shape[1] == 4
             assert np.all(np.diff(c[:, 0]) >= 0)   # values sorted
             assert c[0, 1] == 0.0 and c[-1, 1] == 1.0
 
@@ -183,9 +186,28 @@ class TestNoiseKinds:
                               n_samples=30_000, options=(Option.OPTION1,),
                               master_seed=2)
         res = run_experiment(plan, cfg)
-        rows = res.extra["cov_rows"]
+        rows = np.asarray(res.tables["noise_cov.csv"][1])
         assert rows.shape == (cfg.r, 3)
         assert np.all(np.diff(rows[:, 1]) <= 0)  # descending diagonal
+
+    def test_noise_kind_runs_the_plan_option(self):
+        cfg = NetworkConfig()
+        tables = {}
+        for opt in (Option.OPTION1, Option.OPTION3):
+            plan = ExperimentPlan(kind="noise_cov", n_placements=1,
+                                  n_blocks=1, n_samples=12_000,
+                                  options=(opt,), master_seed=2)
+            res = run_experiment(plan, cfg)
+            assert res.options == [opt.value]
+            tables[opt] = res.tables["noise_cov.csv"][1]
+        assert not np.array_equal(tables[Option.OPTION1],
+                                  tables[Option.OPTION3])
+
+    @pytest.mark.parametrize("options", [
+        (Option.NOQUANT,), (Option.OPTION1, Option.OPTION3)])
+    def test_noise_kind_takes_one_quantized_option(self, options):
+        with pytest.raises(ConfigError, match="one quantized option"):
+            ExperimentPlan(kind="noise_cdf", options=options)
 
 
 class TestBitrateKind:
@@ -196,7 +218,7 @@ class TestBitrateKind:
                               n_placements=1, n_blocks=1, n_samples=1,
                               options=(Option.OPTION1,), master_seed=1)
         res = run_experiment(plan, cfg)
-        for row in res.extra["bitrate_rows"]:
+        for row in res.tables["bitrate.csv"][1]:
             b = int(row[0])
             rate, b_s = fronthaul_bitrate(cfg, b_l=b)
             width, _ = multiplier_width(cfg.b_c, b, cfg.r)

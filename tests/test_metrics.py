@@ -125,12 +125,14 @@ class TestBitAccounting:
     def test_monotone_in_every_argument(self):
         base = NetworkConfig()
         r0, _ = fronthaul_bitrate(base, b_l=3)
-        assert fronthaul_bitrate(base.with_(b_e=base.b_e + 1), 3)[0] > r0
-        assert fronthaul_bitrate(base.with_(tau_d=191), 3)[0] > r0
-        assert fronthaul_bitrate(base.with_(K=11), 3)[0] > r0
-        assert fronthaul_bitrate(base.with_(b_c=9), 3)[0] > r0
+        assert fronthaul_bitrate(NetworkConfig(b_e=base.b_e + 1), 3)[0] > r0
+        assert fronthaul_bitrate(NetworkConfig(tau_d=191), 3)[0] > r0
+        assert fronthaul_bitrate(NetworkConfig(K=11), 3)[0] > r0
+        # b_c moves the derived b_e too; hold b_e to isolate the multiplier
+        assert fronthaul_bitrate(NetworkConfig(b_c=9, b_e=base.b_e),
+                                 3)[0] > r0
         assert fronthaul_bitrate(base, 4)[0] > r0
-        assert fronthaul_bitrate(base.with_(N=5), 3)[0] > r0  # r grows
+        assert fronthaul_bitrate(NetworkConfig(N=5), 3)[0] > r0  # r grows
 
     def test_tau_d_over_budget(self):
         cfg = NetworkConfig()

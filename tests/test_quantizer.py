@@ -8,7 +8,7 @@ from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
 from cfchain.quantizer import (InsufficientSamplesError,
                                calibrate_dynamic_range, draw_dither,
-                               validate_noise_statistics)
+                               noise_covariance, validate_noise_statistics)
 
 GAMMA_GOLDEN = 3.0728851183895034  # sqrt(9 / (1 - 9/192)), hand-derived
 
@@ -23,9 +23,10 @@ class TestCalibration:
         assert np.array_equal(bank.delta, 2.0 * bank.gamma / 2.0 ** 5)
 
     def test_noise_covariances(self):
+        # dither and quantization noise, delta^2/6 per complex stream each
         bank = calibrate_dynamic_range([1.0, 4.0], alpha=2.0, b=4)
-        assert np.allclose(bank.R_d, np.diag(bank.delta ** 2 / 6.0))
-        assert np.array_equal(bank.R_d, bank.R_eta)
+        assert np.allclose(noise_covariance(bank.delta),
+                           2 * np.diag(bank.delta ** 2 / 6.0))
 
     def test_zero_variance_degenerates(self):
         bank = calibrate_dynamic_range([0.0], alpha=3.0, b=3)
@@ -51,7 +52,7 @@ class TestCalibration:
         for i, b in enumerate(bits):
             one = calibrate_dynamic_range(var[i], alpha=1.5, b=b)
             assert np.array_equal(bank.gamma[i], one.gamma)
-            assert np.array_equal(bank.R_d[i], one.R_d)
+            assert np.array_equal(bank.delta[i], one.delta)
         with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
             calibrate_dynamic_range(var, alpha=4.0, b=bits)
 
@@ -62,7 +63,7 @@ class TestCalibration:
 
 def _scaled_dither(bank, rng, n):
     """(r, n) dither of the bank, scaled as the harness scales it."""
-    return bank.delta[:, None] * draw_dither(rng, (bank.r, n))
+    return bank.delta[:, None] * draw_dither(rng, (bank.delta.size, n))
 
 
 class TestDither:
@@ -165,24 +166,24 @@ def _collect_noise(n=100_000, seed=1):
     ap = 1
     _, eta, pre, _ = apply_chain_collect(
         plan, Y, plan.delta[:, :, None] * Du, collect_ap=ap)
-    return eta, pre, plan.banks[ap]
+    return eta, pre, plan.delta[ap]
 
 
 class TestNoiseStatistics:
     def test_report_thresholds(self):
-        eta, pre, bank = _collect_noise()
-        rep = validate_noise_statistics(eta, pre, bank)
+        eta, pre, delta = _collect_noise()
+        rep = validate_noise_statistics(eta, pre, delta)
         assert rep.ks_re.max() < 0.01
         assert rep.ks_im.max() < 0.01
         assert rep.offdiag_ratio < 0.05
         assert rep.corr_input.max() < 0.02
 
     def test_insufficient_samples(self):
-        eta, pre, bank = _collect_noise(n=2000)
+        eta, pre, delta = _collect_noise(n=2000)
         with pytest.raises(InsufficientSamplesError):
-            validate_noise_statistics(eta, pre, bank, min_samples=10_000)
+            validate_noise_statistics(eta, pre, delta, min_samples=10_000)
 
     def test_shape_mismatch(self):
-        eta, pre, bank = _collect_noise(n=2000)
+        eta, pre, delta = _collect_noise(n=2000)
         with pytest.raises(ValueError):
-            validate_noise_statistics(eta[:2], pre, bank, min_samples=10)
+            validate_noise_statistics(eta[:2], pre, delta, min_samples=10)
