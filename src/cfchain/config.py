@@ -217,7 +217,8 @@ class ExperimentPlan:
         need(len(set(self.options)) == len(self.options), "options unique")
         if self.kind in ("noise_cdf", "noise_cov"):
             need(len(self.options) == 1 and self.options[0].quantized,
-                 f"{self.kind} takes exactly one quantized option")
+                 f"{self.kind} takes exactly one quantized option; set "
+                 f"[plan] options = option1 (or option2, option3)")
         if self.kind in ("nmse_vs_bits", "bitrate_table"):
             need(len(self.bits_sweep) >= 1, "bits_sweep non-empty")
             need(all(b >= 1 for b in self.bits_sweep), "bits_sweep values >= 1")

@@ -35,11 +35,11 @@ PRESETS = {
 
 def preset(name: str, seed: int | None = None
            ) -> tuple[NetworkConfig, ExperimentPlan]:
-    """(config, plan) of a preset; seed sets both the network seed and the
-    master seed."""
+    """(config, plan) of a preset; seed is applied as the override
+    `seed=N`, which also sets the master seed (see parse_overrides)."""
     name = name.strip().lower()
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: "
                        f"{sorted(PRESETS)}")
-    net = {} if seed is None else {"seed": int(seed)}
-    return build_config(net, PRESETS[name])
+    return build_config({}, PRESETS[name],
+                        [] if seed is None else [f"seed={int(seed)}"])

@@ -166,6 +166,7 @@ n_samples = 8
         assert doc["conversions"]["noise_dbm_to_watt"][0] == -85.0
         assert doc["plan"]["kind"] == "nmse_vs_bits"
         assert doc["build_id"].startswith("cfchain-")
+        assert doc["backend"] == "numpy"
         # no silent defaults: every config field and plan field materialized
         from dataclasses import fields
         from cfchain.config import NetworkConfig
