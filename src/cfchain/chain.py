@@ -151,7 +151,7 @@ class ChainPlan:
 
 
 def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
-                     option: Option | None = None,
+                     option: Option = Option.OPTION1,
                      bits: np.ndarray | None = None,
                      p: float | np.ndarray | None = None) -> ChainPlan:
     """Run the covariance recursion for one block's channels.
@@ -161,7 +161,6 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
     transmit power (used by power sweeps): a scalar, or (B,) for a batch.
     With neither batched the plan's arrays have no batch axis.
     """
-    option = cfg.option if option is None else option
     bits = np.asarray(cfg.b_l if bits is None else bits, dtype=np.int64)
     p = np.asarray(cfg.p if p is None else p, dtype=float)
     L, N, K = H.shape

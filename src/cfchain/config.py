@@ -87,17 +87,13 @@ class NetworkConfig:
     b_e: int | None = None          # covariance-report bits per block
     corr_model: str = "uncorrelated"  # "uncorrelated" | "exponential"
     rho: float = 0.5                # exponential antenna-correlation factor
-    option: Option = Option.OPTION1
     seed: int = 1
-    carrier_freq_hz: float = 2e9    # metadata only, not used numerically
     d_min: float = 1.0              # AP-user distance floor, meters
 
     p: float = field(init=False)
     sigma2: float = field(init=False)
 
     def __post_init__(self):
-        if isinstance(self.option, str):
-            self.option = Option.parse(self.option)
         if np.isscalar(self.bits):
             self.bits = (int(self.bits),) * self.L
         self.bits = tuple(int(b) for b in self.bits)
@@ -146,8 +142,6 @@ class NetworkConfig:
              f"corr_model must be 'uncorrelated' or 'exponential', "
              f"got {self.corr_model!r}")
         need(0.0 <= self.rho < 1.0, "rho in [0, 1)")
-        if self.option.quantized:
-            _check_alpha_bits(self.alpha, min(self.bits))
         if self.K <= self.N:
             warnings.warn(
                 f"K={self.K} <= N={self.N}: outside the intended K > N regime; "
@@ -155,28 +149,17 @@ class NetworkConfig:
                 UserWarning, stacklevel=2)
 
     def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if not f.init:
-                continue
-            v = getattr(self, f.name)
-            if isinstance(v, Option):
-                v = v.value
-            elif isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
-        out["derived"] = {
+        return {**_settable_values(self), "derived": {
             "p_watt": self.p,
             "sigma2_watt": self.sigma2,
             "r": self.r,
             "tau_c": self.tau_c,
             "b_e": self.b_e,
-        }
-        return out
+        }}
 
 
-VALID_KINDS = ("noise_cdf", "noise_cov", "nmse_vs_bits", "ber_vs_power",
-               "bitrate_table")
+NOISE_KINDS = ("noise_cdf", "noise_cov")
+VALID_KINDS = NOISE_KINDS + ("nmse_vs_bits", "ber_vs_power", "bitrate_table")
 
 
 @dataclass
@@ -215,7 +198,7 @@ class ExperimentPlan:
         need(self.n_samples >= 1, "n_samples >= 1")
         need(len(self.options) >= 1, "options non-empty")
         need(len(set(self.options)) == len(self.options), "options unique")
-        if self.kind in ("noise_cdf", "noise_cov"):
+        if self.kind in NOISE_KINDS:
             need(len(self.options) == 1 and self.options[0].quantized,
                  f"{self.kind} takes exactly one quantized option; set "
                  f"[plan] options = option1 (or option2, option3)")
@@ -230,20 +213,25 @@ class ExperimentPlan:
                  "power_sweep_db sorted")
 
     def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "bits_sweep": list(self.bits_sweep),
-            "power_sweep_db": list(self.power_sweep_db),
-            "n_placements": self.n_placements,
-            "n_blocks": self.n_blocks,
-            "n_samples": self.n_samples,
-            "options": [o.value for o in self.options],
-            "master_seed": self.master_seed,
-        }
+        return _settable_values(self)
+
+
+def _settable_values(obj) -> dict:
+    """A config dataclass's init fields by name, as JSON values: tuples
+    become lists and options their names."""
+    return {f.name: _plain(getattr(obj, f.name))
+            for f in fields(obj) if f.init}
+
+
+def _plain(v):
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    return v.value if isinstance(v, Option) else v
 
 
 def _check_alpha_bits(alpha: float, b: int):
-    """Shared guard for the dynamic-range closed form."""
+    """The dynamic-range closed form needs alpha^2 < 3*4^b; checked where
+    a config meets its plan (runio.build_config) and by the calibration."""
     if alpha ** 2 >= 3.0 * 4.0 ** b:
         raise ConfigError(
             f"alpha^2 < 3*4^b violated (alpha={alpha}, b={b}): the dynamic "

@@ -44,6 +44,9 @@ class ChannelRealization:
 def pathloss_db(d) -> np.ndarray | float:
     """Urban-microcell path loss: -30.5 - 36.7*log10(d / 1 m).
 
+    The constants assume a 2 GHz carrier; the carrier frequency enters no
+    other formula, so it is not a config key.
+
     Raises ConfigError for non-positive distances.
     """
     d = np.asarray(d, dtype=float)

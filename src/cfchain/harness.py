@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .chain import ChainNumericsError, apply_chain_collect, build_chain_plan
-from .config import ExperimentPlan, NetworkConfig, Option
+from .config import NOISE_KINDS, ExperimentPlan, NetworkConfig, Option
 from .geometry import crandn, draw_channel, generate_placement
 from .metrics import (Cell, ber_sums, fronthaul_bitrate, multiplier_width,
                       nmse_sums)
@@ -283,7 +283,7 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
     per-placement partials are merged in placement order.
     """
     t0 = time.perf_counter()
-    if plan.kind in ("noise_cdf", "noise_cov"):
+    if plan.kind in NOISE_KINDS:
         result = _run_noise_stats(plan, cfg)
     elif plan.kind == "bitrate_table":
         result = _run_bitrate_table(plan, cfg)

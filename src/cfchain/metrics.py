@@ -87,8 +87,7 @@ def multiplier_width(b_c: int, b_l: int, r: int) -> tuple[int, int]:
     return width, 2 * width
 
 
-def fronthaul_bitrate(cfg: NetworkConfig, b_l: int | None = None
-                      ) -> tuple[float, int]:
+def fronthaul_bitrate(cfg: NetworkConfig, b_l: int) -> tuple[float, int]:
     """Per-link fronthaul rate in bits/second, plus the estimate width b_s.
 
     Every coherence block ships the covariance report (b_e bits) and
@@ -97,8 +96,6 @@ def fronthaul_bitrate(cfg: NetworkConfig, b_l: int | None = None
     """
     if cfg.tau_d > cfg.tau_c:
         raise ConfigError("tau_d <= T_c*B_c required")
-    if b_l is None:
-        b_l = int(cfg.bits[0])
     width, b_s = multiplier_width(cfg.b_c, b_l, cfg.r)
     n_cb = cfg.bandwidth_hz / cfg.coherence_bw_hz
     rate = n_cb * (cfg.b_e + 2.0 * cfg.tau_d * cfg.K * width) \

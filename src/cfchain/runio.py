@@ -2,13 +2,14 @@
 
 Config files are INI documents with [network] and [plan] sections whose
 keys mirror the NetworkConfig / ExperimentPlan field names. Unknown keys
-are hard errors (typo protection). Files, presets and CLI overrides all
-resolve through `build_config`. `emit_results` writes the CSV tables a
-result carries, then a run manifest (JSON); feeding that manifest back to
-`run` reproduces the run bit-exactly because it materializes every
-resolved value. The manifest records the config, plan, seed, version and
-backend once, at its top level; `result_metadata` holds only what the run
-measured.
+are hard errors (typo protection); RETIRED_KEYS are read and dropped.
+Files, presets and CLI overrides all resolve through `build_config`,
+which also checks config and plan together. `emit_results` writes the
+CSV tables a result carries, then a run manifest (JSON); feeding that
+manifest back to `run` reproduces the run bit-exactly because it
+materializes every resolved value. The manifest records the config, plan,
+seed, version and backend once, at its top level; `result_metadata` holds
+only what the run measured.
 """
 
 from __future__ import annotations
@@ -24,16 +25,20 @@ import numpy as np
 
 from . import __version__ as _version
 from . import kernels
-from .config import ConfigError, ExperimentPlan, NetworkConfig
+from .config import (NOISE_KINDS, ConfigError, ExperimentPlan, NetworkConfig,
+                     _check_alpha_bits)
 
-_NETWORK_FIELDS = {f.name for f in fields(NetworkConfig) if f.init}
+# [network] keys earlier versions wrote, which no run reads: accepted from
+# files, manifests and overrides so that these keep replaying, then dropped
+RETIRED_KEYS = ("option", "carrier_freq_hz")
+_NETWORK_FIELDS = {f.name for f in fields(NetworkConfig) if f.init} | set(
+    RETIRED_KEYS)
 _PLAN_FIELDS = {f.name for f in fields(ExperimentPlan)}
 
 _INT_KEYS = {"L", "N", "K", "tau_d", "b_c", "b_e", "seed", "n_placements",
              "n_blocks", "n_samples", "master_seed"}
 _FLOAT_KEYS = {"p_db", "noise_dbm", "alpha", "area_side", "bandwidth_hz",
-               "coherence_bw_hz", "coherence_time_s", "rho",
-               "carrier_freq_hz", "d_min"}
+               "coherence_bw_hz", "coherence_time_s", "rho", "d_min"}
 _LIST_KEYS = {"bits", "bits_sweep", "power_sweep_db", "options"}
 
 
@@ -85,11 +90,26 @@ def build_config(net_kwargs: dict, plan_kwargs: dict,
     """Build (NetworkConfig, ExperimentPlan) from keyword sets, with
     overrides (see parse_overrides) on top; derived defaults such as b_e
     follow the final values. master_seed defaults to the network seed.
+
+    RETIRED_KEYS are dropped. A retired `option` still names the option of
+    a noise kind whose options list has more than one entry: that is the
+    one option such a file or manifest ran before [plan] options chose it.
+    Config and plan are checked together: every bit width the plan
+    quantizes with must satisfy alpha^2 < 3*4^b.
     """
     net_ov, plan_ov = parse_overrides(overrides)
-    cfg = NetworkConfig(**{**net_kwargs, **net_ov})
-    plan = ExperimentPlan(**{"master_seed": cfg.seed, **plan_kwargs,
-                             **plan_ov})
+    net = {**net_kwargs, **net_ov}
+    retired = {key: net.pop(key) for key in RETIRED_KEYS if key in net}
+    cfg = NetworkConfig(**net)
+    plan_kw = {"master_seed": cfg.seed, **plan_kwargs, **plan_ov}
+    kind = str(plan_kw.get("kind", ExperimentPlan.kind)).strip().lower()
+    if ("option" in retired and kind in NOISE_KINDS
+            and len(plan_kw.get("options", ExperimentPlan.options)) > 1):
+        plan_kw["options"] = (retired["option"],)
+    plan = ExperimentPlan(**plan_kw)
+    if any(o.quantized for o in plan.options):
+        bits = plan.bits_sweep if plan.kind == "nmse_vs_bits" else cfg.bits
+        _check_alpha_bits(cfg.alpha, min(bits))
     return cfg, plan
 
 

@@ -2,7 +2,8 @@
 
 `perfbench/tracer.py` wraps functions by (module, attribute) and unpacks
 the arguments and results of the chain kernel and the collect path;
-`perfbench/run.py` builds plans with `presets.preset(name, seed=)`, reads
+`perfbench/run.py` builds plans with `presets.preset(name, seed=)` and
+`build_chain_plan(cfg, H)` (its setup probe passes no option), reads
 trial counts and clip counts off the result and counts the bytes
 `emit_results` wrote. A rename or a changed signature would break the
 benchmark, not the suite.
@@ -36,11 +37,15 @@ def _tracer():
     return mod
 
 
-def _block(S=32):
-    cfg = NetworkConfig()
+def _channel(cfg):
     placement = generate_placement(cfg, seed_stream(1, 0, 0, 0,
                                                     Role.PLACEMENT))
-    ch = draw_channel(cfg, placement, seed_stream(1, 0, 0, 0, Role.CHANNEL))
+    return draw_channel(cfg, placement, seed_stream(1, 0, 0, 0, Role.CHANNEL))
+
+
+def _block(S=32):
+    cfg = NetworkConfig()
+    ch = _channel(cfg)
     plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
     Y = ch.H @ (np.sqrt(cfg.p) * crandn(np.random.default_rng(0), cfg.K, S))
     D = plan.delta[:, :, None] * draw_dither(np.random.default_rng(1),
@@ -52,6 +57,18 @@ def test_every_target_resolves():
     for mod_name, attr, _span in _tracer().TARGETS:
         mod = importlib.import_module(f"cfchain.{mod_name}")
         assert callable(getattr(mod, attr)), (mod_name, attr)
+
+
+def test_plan_option_defaults_to_option1():
+    cfg = NetworkConfig()
+    H = _channel(cfg).H
+    default = build_chain_plan(cfg, H)
+    explicit = build_chain_plan(cfg, H, option=Option.OPTION1)
+    assert default.option is explicit.option is Option.OPTION1
+    for name in ("AH", "V", "gamma", "delta", "traces"):
+        np.testing.assert_array_equal(getattr(default, name),
+                                      getattr(explicit, name))
+    np.testing.assert_array_equal(default.covariances, explicit.covariances)
 
 
 def test_kernel_call_unpacks_as_the_tracer_expects():

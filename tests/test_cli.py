@@ -1,11 +1,17 @@
 import json
 import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from cfchain.cli import main
-from cfchain.config import ConfigError
-from cfchain.runio import parse_config
+from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig, Option
+from cfchain.runio import RETIRED_KEYS, build_config, parse_config
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _write(tmp_path, text, name="scenario.ini"):
@@ -19,7 +25,6 @@ class TestParseConfig:
         cfg, plan = parse_config(_write(tmp_path, ""))
         assert (cfg.L, cfg.N, cfg.K) == (5, 4, 10)
         assert cfg.bandwidth_hz == 100e6
-        assert cfg.carrier_freq_hz == 2e9
         assert cfg.noise_dbm == -85.0
         assert cfg.p_db == -10.0
         assert cfg.alpha == 3.0
@@ -71,6 +76,32 @@ options = option1, noquant
         with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
             parse_config(path)
 
+    def test_alpha_checked_only_against_quantized_bit_widths(self):
+        # nmse_vs_bits quantizes with bits_sweep, not bits
+        build_config(dict(alpha=4.0, bits=1), dict(bits_sweep=(2, 3)))
+        with pytest.raises(ConfigError, match=r"alpha=4.0, b=1"):
+            build_config(dict(alpha=4.0, bits=2), dict(bits_sweep=(1, 2)))
+        # a lossless-only plan quantizes nothing
+        build_config(dict(alpha=200.0, bits=1),
+                     dict(kind="ber_vs_power", options=("noquant",)))
+
+    def test_retired_keys_are_dropped(self, tmp_path):
+        path = _write(tmp_path,
+                      "[network]\noption = noquant\ncarrier_freq_hz = 28e9\n")
+        cfg, plan = parse_config(path, overrides=["option=option2"])
+        assert (cfg, plan) == parse_config(None)
+        assert not set(RETIRED_KEYS) & set(cfg.as_dict())
+
+    def test_retired_option_names_a_noise_kinds_one_option(self):
+        _, plan = build_config(dict(option="option3"), dict(kind="noise_cdf"))
+        assert plan.options == (Option.OPTION3,)
+        # an options list of one entry wins; sweeps keep their list
+        _, plan = build_config(dict(option="option3"),
+                               dict(kind="noise_cov", options=("option1",)))
+        assert plan.options == (Option.OPTION1,)
+        _, plan = build_config(dict(option="option3"), {})
+        assert plan.options == ExperimentPlan.options
+
     def test_overrides(self, tmp_path):
         cfg, plan = parse_config(_write(tmp_path, ""),
                                  overrides=["K=12", "n_samples=5"])
@@ -103,6 +134,16 @@ class TestCliCommands:
         assert main(["validate", path]) == 0
         assert set(os.listdir(tmp_path)) == before
         assert "config ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [
+        "[network]\nalpha = 4\n\n[plan]\nbits_sweep = 1, 2\n",
+        "[network]\noption = noquant\nalpha = 200\nbits = 1\n\n"
+        "[plan]\nkind = ber_vs_power\noptions = option1\n",
+    ], ids=["bits_sweep", "retired_option"])
+    def test_validate_checks_alpha_against_the_plan(self, tmp_path, capsys,
+                                                     text):
+        assert main(["validate", _write(tmp_path, text)]) == 3
+        assert "alpha^2 < 3*4^b violated" in capsys.readouterr().err
 
     def test_validate_bad_config_exit_code(self, tmp_path, capsys):
         path = _write(tmp_path, "[network]\nbits = 0\n")
@@ -168,14 +209,50 @@ n_samples = 8
         assert doc["build_id"].startswith("cfchain-")
         assert doc["backend"] == "numpy"
         # no silent defaults: every config field and plan field materialized
-        from dataclasses import fields
-        from cfchain.config import NetworkConfig
         for f in fields(NetworkConfig):
             if f.init:
                 assert f.name in doc["config"], f.name
-        for key in ("bits_sweep", "power_sweep_db", "n_placements",
-                    "n_blocks", "n_samples", "options", "master_seed"):
-            assert key in doc["plan"], key
+        for f in fields(ExperimentPlan):
+            assert f.name in doc["plan"], f.name
+        assert not set(RETIRED_KEYS) & set(doc["config"])
+
+    def test_manifest_with_retired_keys_replays_identically(self, tmp_path):
+        # manifests written before the retired keys were deleted carry them
+        out = tmp_path / "r"
+        assert main(["run", _write(tmp_path, SMALL_RUN), "--out",
+                     str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        doc["config"].update(option="option1", carrier_freq_hz=2e9)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        assert main(["run", str(old), "--out", str(tmp_path / "re")]) == 0
+        assert (tmp_path / "re" / "nmse_vs_bits.csv").read_bytes() == (
+            out / "nmse_vs_bits.csv").read_bytes()
+
+    def test_noise_manifest_replays_its_retired_option(self, tmp_path):
+        # before [plan] options chose it, a noise kind ran [network] option,
+        # and its manifest listed all four options
+        ini = _write(tmp_path, """
+[plan]
+kind = noise_cov
+n_placements = 1
+n_blocks = 1
+n_samples = 12000
+options = option3
+""")
+        out = tmp_path / "direct"
+        assert main(["run", ini, "--out", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        doc["config"]["option"] = "option3"
+        doc["plan"]["options"] = ["option1", "option2", "option3", "noquant"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        assert main(["run", str(old), "--out", str(tmp_path / "re")]) == 0
+        assert main(["run", str(old), "--out", str(tmp_path / "ov"),
+                     "--override", "options=option3"]) == 0
+        want = (out / "noise_cov.csv").read_bytes()
+        assert (tmp_path / "re" / "noise_cov.csv").read_bytes() == want
+        assert (tmp_path / "ov" / "noise_cov.csv").read_bytes() == want
 
     def test_seed_flag_overrides(self, tmp_path):
         path = _write(tmp_path, SMALL_RUN)
@@ -188,7 +265,6 @@ n_samples = 8
         assert a != b
 
     def test_bitrate_preset_matches_module(self, tmp_path):
-        from cfchain.config import NetworkConfig
         from cfchain.metrics import fronthaul_bitrate
         out = tmp_path / "br"
         assert main(["preset", "bitrate", "--out", str(out)]) == 0
@@ -254,6 +330,22 @@ options = option1
         assert main(["selftest", "--fast"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 4
+
+    def test_runs_without_scipy(self, tmp_path):
+        # the noise statistics and the selftest need numpy only
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from cfchain.cli import main\n"
+            f"rc = main(['preset', 'fig2', '--out', {str(tmp_path)!r}, "
+            "'--override', 'n_samples=20000'])\n"
+            "sys.exit(rc or main(['selftest', '--fast']))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert (tmp_path / "noise_stats.csv").exists()
 
     def test_usage_error_exit_code(self):
         assert main([]) == 2

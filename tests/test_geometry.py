@@ -7,6 +7,7 @@ from cfchain.geometry import (ap_grid, build_spatial_covariance, crandn,
                               draw_channel, generate_placement, pathloss_db)
 from cfchain.harness import Role, seed_stream
 from cfchain.quantizer import calibrate_dynamic_range
+from cfchain.runio import build_config
 
 
 class TestPathloss:
@@ -193,7 +194,7 @@ class TestConfigValidation:
 
     def test_alpha_domain(self):
         with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
-            NetworkConfig(alpha=200.0, bits=1)
+            build_config(dict(alpha=200.0, bits=1), dict(kind="ber_vs_power"))
 
     def test_tau_d_budget(self):
         with pytest.raises(ConfigError, match="tau_d"):

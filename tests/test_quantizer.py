@@ -8,7 +8,8 @@ from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
 from cfchain.quantizer import (InsufficientSamplesError,
                                calibrate_dynamic_range, draw_dither,
-                               noise_covariance, validate_noise_statistics)
+                               ks_uniform, noise_covariance,
+                               validate_noise_statistics)
 
 GAMMA_GOLDEN = 3.0728851183895034  # sqrt(9 / (1 - 9/192)), hand-derived
 
@@ -150,6 +151,38 @@ class TestQuantize:
             z, bank.gamma[0] * np.ones(n), bank.delta[0] * np.ones(n))
         eta = (v - z)[~clipped]
         assert np.var(eta) == pytest.approx(bank.delta[0] ** 2 / 12, rel=0.02)
+
+
+def _sup_distance(x, delta):
+    """sup_x |F_n(x) - F(x)| against the uniform law on [-delta/2, delta/2],
+    by counting: the sup is reached at a sample point or just below one."""
+    x = np.asarray(x)
+    F = np.clip((x + delta / 2) / delta, 0.0, 1.0)
+    at = (x[None, :] <= x[:, None]).mean(axis=1)     # F_n(x_j)
+    below = (x[None, :] < x[:, None]).mean(axis=1)   # F_n(x_j-)
+    return max(np.abs(at - F).max(), np.abs(below - F).max())
+
+
+class TestKsUniform:
+    @pytest.mark.parametrize("kind", ["uniform", "narrow", "shifted", "ties"])
+    def test_matches_direct_sup(self, rng, kind):
+        delta = 0.3
+        x = {"uniform": rng.uniform(-delta / 2, delta / 2, 400),
+             "narrow": 0.5 * rng.uniform(-delta / 2, delta / 2, 400),
+             "shifted": rng.normal(0.05, 0.1, 400),  # partly off support
+             "ties": np.round(rng.uniform(-delta / 2, delta / 2, 400), 2),
+             }[kind]
+        assert ks_uniform(x, delta) == pytest.approx(_sup_distance(x, delta),
+                                                     rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 1000])
+    def test_uniform_quantiles_give_half_step(self, rng, n):
+        # points at the (i - 1/2)/n quantiles: D = 1/(2n), in any order
+        delta = 0.7
+        x = rng.permutation(-delta / 2 + delta * (np.arange(1, n + 1) - 0.5)
+                            / n)
+        assert ks_uniform(x, delta) == pytest.approx(1 / (2 * n), rel=1e-9)
+        assert _sup_distance(x, delta) == pytest.approx(1 / (2 * n), rel=1e-9)
 
 
 def _collect_noise(n=100_000, seed=1):
