@@ -7,8 +7,11 @@ forwards the updated state. The error covariance is conditioned on the
 local channels, so `build_chain_plan` runs the covariance recursion once
 per coherence block and stores every combining matrix in a `ChainPlan`,
 with the per-AP error covariances; the last one is the final error
-covariance. The quantizers enter only through their step sizes, whose
-noise model is `quantizer.noise_covariance`.
+covariance. The recursion's matrices are small (N x N and K x K), so one
+call stacks it over many blocks' channels and a whole sweep axis, and
+`ChainPlan.block` hands each block its own slice. The quantizers enter
+only through their step sizes, whose noise model is
+`quantizer.noise_covariance`.
 The per-sample work is one loop over the APs, `kernels.evaluate_chain`:
 `kernels.apply_chain` runs it for the sweeps and `apply_chain_collect`
 runs it keeping one AP's quantizer internals for the noise statistics.
@@ -44,10 +47,11 @@ def residual_covariance(H_l: np.ndarray, C_prev: np.ndarray,
                         sigma2: float) -> np.ndarray:
     """Covariance of the de-correlated received vector, H C H^H + sigma2 I.
 
-    C_prev may be a (..., K, K) stack; the result is then (..., N, N).
+    H_l (..., N, K) and C_prev (..., K, K) broadcast; the result is
+    (..., N, N).
     """
-    N = H_l.shape[0]
-    return hermitize(H_l @ C_prev @ H_l.conj().T + sigma2 * np.eye(N))
+    N = H_l.shape[-2]
+    return hermitize(H_l @ C_prev @ _ct(H_l) + sigma2 * np.eye(N))
 
 
 def pca_basis(R: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,40 +135,54 @@ class ChainPlan:
     """Per-coherence-block combining data for one option and bit vector.
 
     Everything here is fixed across the samples of the block; the kernels
-    consume the stacked arrays. A plan built for a sweep carries a leading
-    batch axis (B) on every array, one entry per axis point.
+    consume the stacked arrays. A plan carries a leading batch shape (...)
+    on every array but H: one entry per block of a stacked plan, per axis
+    point of a sweep, or both, blocks first.
     """
 
     option: Option
     r: int
-    H: np.ndarray        # (L, N, K) the block's channels, shared by the batch
-    AH: np.ndarray       # ([B,] L, r, N) projection rows A^H
-    V: np.ndarray        # ([B,] L, K, r) combining matrices
-    gamma: np.ndarray    # ([B,] L, r) dynamic ranges (zeros for NOQUANT)
-    delta: np.ndarray    # ([B,] L, r) step sizes (zeros for NOQUANT)
-    traces: np.ndarray   # ([B,] L+1) trace of C before/after each AP
-    covariances: list    # L x ([B,] K, K): C after each AP, the last final
+    H: np.ndarray        # (..., L, N, K) the channels as given to the plan
+    AH: np.ndarray       # (..., L, r, N) projection rows A^H
+    V: np.ndarray        # (..., L, K, r) combining matrices
+    gamma: np.ndarray    # (..., L, r) dynamic ranges (zeros for NOQUANT)
+    delta: np.ndarray    # (..., L, r) step sizes (zeros for NOQUANT)
+    traces: np.ndarray   # (..., L+1) trace of C before/after each AP
+    covariances: list    # L x (..., K, K): C after each AP, the last final
 
     @property
     def mode(self) -> int:
         return self.option.mode
+
+    def block(self, j: int) -> "ChainPlan":
+        """The plan of entry j of the leading axis, e.g. one block of a
+        plan stacked over blocks. H is indexed too, so it keeps whatever
+        unit axes it was given with."""
+        return ChainPlan(option=self.option, r=self.r, H=self.H[j],
+                         AH=self.AH[j], V=self.V[j], gamma=self.gamma[j],
+                         delta=self.delta[j], traces=self.traces[j],
+                         covariances=[C[j] for C in self.covariances])
 
 
 def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
                      option: Option = Option.OPTION1,
                      bits: np.ndarray | None = None,
                      p: float | np.ndarray | None = None) -> ChainPlan:
-    """Run the covariance recursion for one block's channels.
+    """Run the covariance recursion for one or many blocks' channels.
 
-    H is (L, N, K). bits overrides cfg.bits, one value per AP: (L,) for one
-    plan or (B, L) for a batch of B plans. p overrides the configured
-    transmit power (used by power sweeps): a scalar, or (B,) for a batch.
-    With neither batched the plan's arrays have no batch axis.
+    H is (..., L, N, K): one block's channels, or a stack of them. bits
+    overrides cfg.bits, one value per AP: (L,) for one plan or (B, L) for
+    a batch of B plans. p overrides the configured transmit power (used
+    by power sweeps): a scalar, or (B,) for a batch. The plan's batch
+    shape is broadcast(H.shape[:-3], bits.shape[:-1], p.shape); pass
+    H[:, None] to stack T blocks against a B-point sweep, giving (T, B).
+    Each entry of the batch is bit-identical to the plan built from its
+    own channels and parameters alone.
     """
     bits = np.asarray(cfg.b_l if bits is None else bits, dtype=np.int64)
     p = np.asarray(cfg.p if p is None else p, dtype=float)
-    L, N, K = H.shape
-    batch = np.broadcast_shapes(bits.shape[:-1], p.shape)
+    L, N, K = H.shape[-3:]
+    batch = np.broadcast_shapes(H.shape[:-3], bits.shape[:-1], p.shape)
     bits = np.broadcast_to(bits, batch + (L,))
     p = np.broadcast_to(p, batch)
     r = N if option is Option.OPTION3 else min(N, K)
@@ -180,16 +198,16 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
     covs = []
 
     for l in range(L):
-        H_l = H[l]
+        H_l = H[..., l, :, :]
         R_G = residual_covariance(H_l, C, cfg.sigma2)
         if option in (Option.OPTION1, Option.NOQUANT):
             A, input_var = pca_basis(R_G, r)
         elif option is Option.OPTION2:
-            R_y = hermitize(p[..., None, None] * (H_l @ H_l.conj().T)
+            R_y = hermitize(p[..., None, None] * (H_l @ _ct(H_l))
                             + cfg.sigma2 * np.eye(N))
             A, input_var = pca_basis(R_y, r)
         else:  # OPTION3: quantize the raw vector, no rotation
-            R_y = (p[..., None, None] * (H_l @ H_l.conj().T)
+            R_y = (p[..., None, None] * (H_l @ _ct(H_l))
                    + cfg.sigma2 * np.eye(N))
             A = np.eye(N, dtype=complex)
             input_var = np.diagonal(R_y, axis1=-2, axis2=-1).real

@@ -30,6 +30,10 @@ class RunFailedError(RuntimeError):
 
 
 ABORT_BUDGET = 1e-3  # fraction of (placement, block) trials allowed to fail
+# Plans per stacked build_chain_plan call (blocks x axis points). Past a
+# few dozen, the recursion's per-plan time levels off; the cap bounds the
+# memory that one chunk's plans hold.
+PLAN_CAP = 64
 
 
 class Role(IntEnum):
@@ -107,10 +111,17 @@ def _axis_and_metric(plan: ExperimentPlan):
 def _placement_worker(args):
     """Everything one placement contributes to a sweep; fully seeded.
 
-    One plan and one kernel call per (block, option) cover the whole axis.
-    Each block is all-or-nothing: its options fill a local table that joins
-    the placement's cells only once every option of the block succeeded,
-    so an aborted block leaves all options paired on the same draws.
+    The placement's blocks are walked in chunks of max(1, PLAN_CAP // axis
+    length), one chunk at a time. For each chunk, every block's channel is
+    drawn from its own stream and one stacked plan call per option covers
+    the chunk's blocks and the whole axis (`_plan_chunk`). Then each block
+    draws its noise, signal and dither from its own streams and makes one
+    kernel call per option on its slice of the plan. Chunk boundaries
+    depend on the plan alone, so they cannot change a result.
+
+    Each block is all-or-nothing: a block whose plan fails for any option
+    is dropped for every option, so all options stay paired on the same
+    draws, and it is recorded once, with the first option that failed.
     """
     cfg, plan, p_idx = args
     ms = plan.master_seed
@@ -118,37 +129,49 @@ def _placement_worker(args):
     rng_p = seed_stream(ms, p_idx, 0, 0, Role.PLACEMENT)
     placement = generate_placement(cfg, rng_p)
     L, N, K, S = cfg.L, cfg.N, cfg.K, plan.n_samples
+    if metric == "nmse":
+        sweep = {"bits": np.repeat(np.asarray(axis)[:, None], L, 1)}
+        score = nmse_sums
+    else:  # ber_vs_power
+        p_lin = 10.0 ** (np.asarray(axis, dtype=float) / 10.0)
+        sweep = {"p": p_lin}
+        score = ber_sums
+    # a lossless chain ignores the bit axis: one plan serves every bit width
+    flat = {opt: metric == "nmse" and not opt.quantized
+            for opt in plan.options}
+    per_chunk = max(1, PLAN_CAP // len(axis))
 
     cells = {}
     aborts = []
-    for blk in range(plan.n_blocks):
-        table = {}  # (option, axis index) -> this block's Cell
-        opt = None
-        try:
-            ch = draw_channel(cfg, placement,
-                              seed_stream(ms, p_idx, blk, 0, Role.CHANNEL))
+    for first in range(0, plan.n_blocks, per_chunk):
+        blocks = range(first, min(first + per_chunk, plan.n_blocks))
+        Hs = [draw_channel(cfg, placement,
+                           seed_stream(ms, p_idx, blk, 0, Role.CHANNEL)).H
+              for blk in blocks]
+        failed = {}  # block -> its abort record
+        plans = {}
+        for opt in plan.options:
+            plans[opt] = _plan_chunk(cfg, opt, Hs,
+                                     {} if flat[opt] else sweep, p_idx,
+                                     blocks, failed)
+        for j, blk in enumerate(blocks):
+            if blk in failed:
+                aborts.append(failed[blk])
+                continue
+            H = Hs[j]
             noise = np.sqrt(cfg.sigma2) * crandn(
                 seed_stream(ms, p_idx, blk, 0, Role.NOISE), L, N, S)
             sig_rng = seed_stream(ms, p_idx, blk, 0, Role.SIGNAL)
             if metric == "nmse":
                 truth = np.sqrt(cfg.p) * crandn(sig_rng, K, S)
-                Y = ch.H @ truth + noise
-                sweep = {"bits": np.repeat(np.asarray(axis)[:, None], L, 1)}
-                score = nmse_sums
-            else:  # ber_vs_power
+                Y = H @ truth + noise
+            else:
                 truth = sig_rng.integers(0, 2, size=(K, S))
                 s_unit = (2.0 * truth - 1.0).astype(complex)
-                p_lin = 10.0 ** (np.asarray(axis, dtype=float) / 10.0)
-                Y = (np.sqrt(p_lin)[:, None, None, None] * (ch.H @ s_unit)
+                Y = (np.sqrt(p_lin)[:, None, None, None] * (H @ s_unit)
                      + noise)
-                sweep = {"p": p_lin}
-                score = ber_sums
             for opt in plan.options:
-                # a lossless chain ignores the bit axis: one plan serves
-                # every bit width
-                flat = metric == "nmse" and not opt.quantized
-                cplan = build_chain_plan(cfg, ch.H, option=opt,
-                                         **({} if flat else sweep))
+                cplan = plans[opt][j]
                 if opt.quantized:
                     D = cplan.delta[..., None] * draw_dither(
                         seed_stream(ms, p_idx, blk, 0, Role.DITHER,
@@ -156,24 +179,49 @@ def _placement_worker(args):
                 else:
                     D = np.zeros(cplan.delta.shape + (S,), complex)
                 sh, clips = kernels.apply_chain(
-                    cplan.H, cplan.AH, cplan.V, cplan.gamma, cplan.delta, Y,
-                    D, cplan.mode, opt.quantized)
+                    H, cplan.AH, cplan.V, cplan.gamma, cplan.delta, Y, D,
+                    cplan.mode, opt.quantized)
                 a, b = score(truth, sh)
-                if flat:
+                if flat[opt]:
                     a, clips = [a] * len(axis), [clips] * len(axis)
                 for i in range(len(axis)):
-                    table[(opt.value, i)] = Cell(a[i], b, S,
-                                                 int(clips[i].sum()))
-        except (ChainNumericsError, np.linalg.LinAlgError) as e:
-            aborts.append({"placement": p_idx, "block": blk,
-                           "option": None if opt is None else opt.value,
-                           "error": f"{type(e).__name__}: {e}"})
-            continue
-        for key, part in table.items():
-            if key not in cells:
-                cells[key] = Cell.zeros(K)
-            cells[key].merge(part)
+                    key = (opt.value, i)
+                    if key not in cells:
+                        cells[key] = Cell.zeros(K)
+                    cells[key].merge(Cell(a[i], b, S, int(clips[i].sum())))
     return p_idx, cells, aborts
+
+
+def _plan_chunk(cfg, opt, Hs, sweep, p_idx, blocks, failed):
+    """One option's plans for a chunk of blocks with channels Hs: a list
+    of each block's plan, None where a block has no plan.
+
+    One build_chain_plan call stacks the chunk's channels against the
+    sweep (bits or p, or nothing); its block slices carry no covariances,
+    the largest arrays of the chunk, which no kernel reads. If the call
+    fails, the blocks not yet in `failed` are planned one at a time, and
+    each one that fails is recorded there as its abort.
+    """
+    H = np.stack(Hs)
+    try:
+        stacked = build_chain_plan(cfg, H[:, None] if sweep else H,
+                                   option=opt, **sweep)
+        stacked.covariances = []
+        return [stacked.block(j) for j in range(len(Hs))]
+    except (ChainNumericsError, np.linalg.LinAlgError):
+        pass
+    plans = []
+    for H_blk, blk in zip(Hs, blocks):
+        cplan = None
+        if blk not in failed:
+            try:
+                cplan = build_chain_plan(cfg, H_blk, option=opt, **sweep)
+            except (ChainNumericsError, np.linalg.LinAlgError) as e:
+                failed[blk] = {"placement": p_idx, "block": blk,
+                               "option": opt.value,
+                               "error": f"{type(e).__name__}: {e}"}
+        plans.append(cplan)
+    return plans
 
 
 def _aggregate_sweep(cfg, plan, results, metric):
@@ -213,9 +261,9 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
     r = cplan.r
     total = plan.n_samples * plan.n_blocks * plan.n_placements
     chunk = 20_000
-    etas, pres = [], []
-    done = 0
-    while done < total:
+    eta = np.empty((r, total), dtype=complex)
+    pre = np.empty((r, total), dtype=complex)
+    for done in range(0, total, chunk):
         S = min(chunk, total - done)
         noise = np.sqrt(cfg.sigma2) * crandn(
             seed_stream(ms, 0, 0, done, Role.NOISE), L, N, S)
@@ -223,14 +271,11 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
             seed_stream(ms, 0, 0, done, Role.SIGNAL), K, S)
         Du = draw_dither(seed_stream(ms, 0, 0, done, Role.DITHER,
                                      option_tag=option.mode), (L, r, S))
-        _, eta, pre, _ = apply_chain_collect(
+        _, eta_part, pre_part, _ = apply_chain_collect(
             cplan, ch.H @ s + noise, cplan.delta[:, :, None] * Du,
             collect_ap=ap)
-        etas.append(eta)
-        pres.append(pre)
-        done += S
-    eta = np.concatenate(etas, axis=1)
-    pre = np.concatenate(pres, axis=1)
+        eta[:, done:done + S] = eta_part
+        pre[:, done:done + S] = pre_part
     delta = cplan.delta[ap]
     report = validate_noise_statistics(eta, pre, delta)
 

@@ -67,10 +67,12 @@ def quantize_complex(z: np.ndarray, gamma: np.ndarray,
 #
 # mode: 0 = lossless, 1/2/3 = the three processing sequences.
 # Shapes, with an optional leading batch shape (...) shared by the plan
-# arrays: H (L,N,K), AH (...,L,r,N) = A^H, V (...,L,K,r), gamma/delta
-# (...,L,r), Y (L,N,S) shared by the batch or (...,L,N,S), D (...,L,r,S)
-# dither (unused, and may be None, when do_quant is false), all
-# complex128/float64.
+# arrays: H (L,N,K), one block's channels, AH (...,L,r,N) = A^H,
+# V (...,L,K,r), gamma/delta (...,L,r), Y (L,N,S) shared by the batch or
+# (...,L,N,S), D (...,L,r,S) dither (unused, and may be None, when
+# do_quant is false), all complex128/float64. A call covers one block:
+# the sweeps pass one block's slice of a plan stacked over blocks
+# (`ChainPlan.block`), whose batch is the sweep axis.
 # ---------------------------------------------------------------------------
 
 def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,

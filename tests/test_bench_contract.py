@@ -119,3 +119,31 @@ def test_sweep_result_reads_as_the_benchmark_expects(tmp_path):
         str(out / "manifest.json")]
     assert sorted(p.name for p in out.iterdir()) == sorted(
         [*res.tables, "manifest.json"])
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig5"])
+def test_sweep_kernel_calls_unpack_as_the_tracer_expects(name, monkeypatch):
+    # every kernel call a sweep makes goes through the tracer's count hook,
+    # and the clips it counts are the ones the run's cells accumulated
+    tracer = _tracer()
+    counters = Counter()
+    calls = []
+    real = kernels.apply_chain
+
+    def counted(*args):
+        out = real(*args)
+        tracer._kernel_counts(counters, args, out)
+        calls.append(args[0].shape)
+        return out
+
+    monkeypatch.setattr(kernels, "apply_chain", counted)
+    cfg, plan = preset(name, seed=2)
+    # 6 blocks: more than one plan chunk on the power axis
+    plan = dataclasses.replace(plan, n_placements=2, n_blocks=6,
+                               n_samples=20)
+    res = run_experiment(plan, cfg, workers=1)
+    assert calls == [(cfg.L, cfg.N, cfg.K)] * (
+        plan.n_placements * plan.n_blocks * len(plan.options))
+    assert counters["kernel_clipped"] == sum(
+        cell.clipped for cell in res.cells.values())
+    assert counters["kernel_clipped"] > 0

@@ -241,6 +241,33 @@ class TestBatchedPlan:
         self._check(batched, [build_chain_plan(cfg, ch.H, option=opt, p=p)
                               for p in p_lin])
 
+    @pytest.mark.parametrize("sweep", ["bits", "power", "flat"])
+    @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
+                                     Option.OPTION3, Option.NOQUANT])
+    def test_stacked_blocks_equal_single_blocks(self, opt, sweep):
+        # the harness stacks a chunk of blocks' channels in one call: each
+        # block's slice must be bit-identical to that block's own plan
+        cfg, _ = _scenario(seed=7)
+        placement = generate_placement(
+            cfg, seed_stream(7, 0, 0, 0, Role.PLACEMENT))
+        Hs = np.stack([draw_channel(cfg, placement, seed_stream(
+            7, 0, blk, 0, Role.CHANNEL)).H for blk in range(4)])
+        kw = {"bits": {"bits": np.repeat(np.arange(1, 9)[:, None], cfg.L,
+                                         axis=1)},
+              "power": {"p": 10.0 ** (np.arange(-20, 1, 2) / 10.0)},
+              "flat": {}}[sweep]
+        stacked = build_chain_plan(cfg, Hs if sweep == "flat" else
+                                   Hs[:, None], option=opt, **kw)
+        for j, H in enumerate(Hs):
+            single = build_chain_plan(cfg, H, option=opt, **kw)
+            part = stacked.block(j)
+            for name in ("AH", "V", "gamma", "delta", "traces"):
+                assert np.array_equal(getattr(part, name),
+                                      getattr(single, name)), name
+            assert len(part.covariances) == len(single.covariances)
+            for C, C_single in zip(part.covariances, single.covariances):
+                assert np.array_equal(C, C_single)
+
     def test_unbatched_shapes(self):
         cfg, ch = _scenario()
         L, N, K, r = cfg.L, cfg.N, cfg.K, cfg.r

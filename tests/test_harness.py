@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig, Option
+from cfchain.geometry import draw_channel, generate_placement
 from cfchain.harness import Role, run_experiment, seed_stream
 
 
@@ -38,6 +39,35 @@ class TestSeedStream:
         a = seed_stream(7, 0, 0, 0, Role.CHANNEL).standard_normal(n)
         b = seed_stream(7, 0, 1, 0, Role.CHANNEL).standard_normal(n)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
+
+
+def _poison(monkeypatch, cfg, plan, targets):
+    """Make the harness's build_chain_plan fail for each (placement,
+    block, option) in targets: whenever it plans that option on H that
+    holds that block's channel, whether stacked with other blocks or
+    alone. Returns each placement's block channels, {placement: [H]}."""
+    import cfchain.harness as hmod
+    ms = plan.master_seed
+    channels = {}
+    for p_idx in sorted({t[0] for t in targets}):
+        where = generate_placement(
+            cfg, seed_stream(ms, p_idx, 0, 0, Role.PLACEMENT))
+        channels[p_idx] = [draw_channel(
+            cfg, where, seed_stream(ms, p_idx, blk, 0, Role.CHANNEL)).H
+            for blk in range(plan.n_blocks)]
+    poisoned = [(channels[p_idx][blk], opt) for p_idx, blk, opt in targets]
+    real = hmod.build_chain_plan
+
+    def failing(cfg_, H, option=Option.OPTION1, **kwargs):
+        stack = H.reshape(-1, *H.shape[-3:])
+        for H_bad, opt in poisoned:
+            if option is opt and any(np.array_equal(h, H_bad)
+                                     for h in stack):
+                raise np.linalg.LinAlgError("synthetic failure")
+        return real(cfg_, H, option=option, **kwargs)
+
+    monkeypatch.setattr(hmod, "build_chain_plan", failing)
+    return channels
 
 
 def _tiny_plan(**kw):
@@ -110,46 +140,60 @@ class TestRunExperiment:
         assert ratio == pytest.approx(np.sqrt(2.0), rel=0.20)
 
     def test_numerical_failures_exceed_budget(self, monkeypatch):
-        import cfchain.harness as hmod
-        real = hmod.build_chain_plan
-        calls = {"n": 0}
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] % 5 == 0:
-                raise np.linalg.LinAlgError("synthetic failure")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(hmod, "build_chain_plan", flaky)
+        plan = _tiny_plan()
+        cfg = NetworkConfig()
+        _poison(monkeypatch, cfg, plan,
+                [(p, 1, Option.OPTION2) for p in range(plan.n_placements)])
         from cfchain.harness import RunFailedError
         with pytest.raises(RunFailedError, match="aborted"):
-            run_experiment(_tiny_plan(), NetworkConfig())
+            run_experiment(plan, cfg)
 
     def test_aborted_block_keeps_options_paired(self, monkeypatch):
         # one factorization fails on the second option of the first block:
         # the whole block is dropped, so every cell keeps the same count
-        import cfchain.harness as hmod
-        real = hmod.build_chain_plan
-        calls = {"n": 0}
-
-        def fails_once(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise np.linalg.LinAlgError("synthetic failure")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(hmod, "build_chain_plan", fails_once)
         # 1000 trials: one abort stays within ABORT_BUDGET
         plan = _tiny_plan(n_placements=1, n_blocks=1000, n_samples=2,
                           bits_sweep=(2, 4),
                           options=(Option.OPTION1, Option.OPTION2))
-        res = run_experiment(plan, NetworkConfig(L=2))
+        cfg = NetworkConfig(L=2)
+        _poison(monkeypatch, cfg, plan, [(0, 0, plan.options[1])])
+        res = run_experiment(plan, cfg)
         expected = (plan.n_placements * plan.n_blocks - 1) * plan.n_samples
         assert {cell.count for cell in res.cells.values()} == {expected}
         assert res.metadata["aborted_trials"] == 1
         assert res.metadata["aborts"] == [{
             "placement": 0, "block": 0, "option": plan.options[1].value,
             "error": "LinAlgError: synthetic failure"}]
+
+    def test_block_failing_mid_chunk_is_dropped_alone(self, monkeypatch):
+        # block 2 of 5 sits inside one stacked plan call; only it is
+        # dropped, for every option, and no kernel call sees it
+        import cfchain.harness as hmod
+        from cfchain import kernels
+        plan = _tiny_plan(n_placements=1, n_blocks=5, n_samples=8,
+                          options=(Option.OPTION1, Option.OPTION2,
+                                   Option.NOQUANT))
+        assert hmod.PLAN_CAP // len(plan.bits_sweep) >= plan.n_blocks
+        cfg = NetworkConfig()
+        channels = _poison(monkeypatch, cfg, plan, [(0, 2, Option.OPTION2)])
+        real_apply = kernels.apply_chain
+        seen = []
+
+        def recording(H, *args):
+            blk, = [b for b, h in enumerate(channels[0])
+                    if np.array_equal(h, H)]
+            seen.append((args[6], blk))  # (mode, block)
+            return real_apply(H, *args)
+
+        monkeypatch.setattr(kernels, "apply_chain", recording)
+        _, cells, aborts = hmod._placement_worker((cfg, plan, 0))
+        assert aborts == [{"placement": 0, "block": 2, "option": "option2",
+                           "error": "LinAlgError: synthetic failure"}]
+        assert sorted(seen) == sorted((o.mode, b) for o in plan.options
+                                      for b in (0, 1, 3, 4))
+        assert {cell.count for cell in cells.values()} == {4 * 8}
+        assert set(cells) == {(o.value, i) for o in plan.options
+                              for i in range(len(plan.bits_sweep))}
 
     def test_metadata_snapshot(self):
         # only what the run measured: the manifest records config and plan
