@@ -228,7 +228,8 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
 
 def apply_chain_collect(plan: ChainPlan, Y: np.ndarray, D: np.ndarray,
                         collect_ap: int):
-    """Evaluate the plan's chain and keep one AP's quantizer internals.
+    """Evaluate the plan's chain on the unit dither D (L,r,S) and keep
+    one AP's quantizer internals.
 
     Returns (s_hat (K,S), eta (r,S), pre (r,S), clips (L,)) where eta is
     the realized quantization noise at collect_ap and pre the pre-dither

@@ -115,9 +115,10 @@ def _placement_worker(args):
     length), one chunk at a time. For each chunk, every block's channel is
     drawn from its own stream and one stacked plan call per option covers
     the chunk's blocks and the whole axis (`_plan_chunk`). Then each block
-    draws its noise, signal and dither from its own streams and makes one
-    kernel call per option on its slice of the plan. Chunk boundaries
-    depend on the plan alone, so they cannot change a result.
+    draws its noise, signal and unit dither (one per quantized option, for
+    the whole axis) from its own streams and makes one kernel call per
+    option on its slice of the plan. Chunk boundaries depend on the plan
+    alone, so they cannot change a result.
 
     Each block is all-or-nothing: a block whose plan fails for any option
     is dropped for every option, so all options stay paired on the same
@@ -172,12 +173,9 @@ def _placement_worker(args):
                      + noise)
             for opt in plan.options:
                 cplan = plans[opt][j]
-                if opt.quantized:
-                    D = cplan.delta[..., None] * draw_dither(
-                        seed_stream(ms, p_idx, blk, 0, Role.DITHER,
-                                    option_tag=opt.mode), (L, cplan.r, S))
-                else:
-                    D = np.zeros(cplan.delta.shape + (S,), complex)
+                D = draw_dither(seed_stream(ms, p_idx, blk, 0, Role.DITHER,
+                                            option_tag=opt.mode),
+                                (L, cplan.r, S)) if opt.quantized else None
                 sh, clips = kernels.apply_chain(
                     H, cplan.AH, cplan.V, cplan.gamma, cplan.delta, Y, D,
                     cplan.mode, opt.quantized)
@@ -257,8 +255,7 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
     ch = draw_channel(cfg, placement, seed_stream(ms, 0, 0, 0, Role.CHANNEL))
     cplan = build_chain_plan(cfg, ch.H, option=option)
     ap = int(seed_stream(ms, 0, 0, 0, Role.MISC).integers(cfg.L))
-    L, N, K = cfg.L, cfg.N, cfg.K
-    r = cplan.r
+    L, N, K, r = cfg.L, cfg.N, cfg.K, cplan.r
     total = plan.n_samples * plan.n_blocks * plan.n_placements
     chunk = 20_000
     eta = np.empty((r, total), dtype=complex)
@@ -269,40 +266,24 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
             seed_stream(ms, 0, 0, done, Role.NOISE), L, N, S)
         s = np.sqrt(cfg.p) * crandn(
             seed_stream(ms, 0, 0, done, Role.SIGNAL), K, S)
-        Du = draw_dither(seed_stream(ms, 0, 0, done, Role.DITHER,
-                                     option_tag=option.mode), (L, r, S))
+        D = draw_dither(seed_stream(ms, 0, 0, done, Role.DITHER,
+                                    option_tag=option.mode), (L, r, S))
         _, eta_part, pre_part, _ = apply_chain_collect(
-            cplan, ch.H @ s + noise, cplan.delta[:, :, None] * Du,
-            collect_ap=ap)
+            cplan, ch.H @ s + noise, D, collect_ap=ap)
         eta[:, done:done + S] = eta_part
         pre[:, done:done + S] = pre_part
-    delta = cplan.delta[ap]
-    report = validate_noise_statistics(eta, pre, delta)
-
-    tables = {}
-    if plan.kind == "noise_cdf":
-        grid = np.linspace(0.0, 1.0, 2001)
-        for i in range(r):
-            half = delta[i] / 2.0
-            ok_re = np.abs(eta[i].real) <= half * (1 + 1e-12)
-            ok_im = np.abs(eta[i].imag) <= half * (1 + 1e-12)
-            x = np.quantile(eta[i].real[ok_re], grid)
-            cdf_re = grid
-            cdf_im_interp = np.searchsorted(
-                np.sort(eta[i].imag[ok_im]), x, side="right") \
-                / ok_im.sum()
-            uni = np.clip((x + half) / (2 * half), 0, 1) if half > 0 \
-                else np.zeros_like(x)
-            tables[f"noise_cdf_pair{i}.csv"] = (
-                ["value", "cdf_re", "cdf_im", "cdf_uniform"],
-                np.column_stack([x, cdf_re, cdf_im_interp, uni]))
+    cdf = plan.kind == "noise_cdf"
+    report = validate_noise_statistics(
+        eta, pre, cplan.delta[ap],
+        cdf_grid=np.linspace(0.0, 1.0, 2001) if cdf else None)
+    if cdf:
+        tables = {f"noise_cdf_pair{i}.csv": (StatReport.CDF_HEADER, table)
+                  for i, table in enumerate(report.cdfs)}
         tables["noise_stats.csv"] = (StatReport.HEADER, list(report.rows()))
     else:
-        diag = np.sort(np.diag(report.cov).real)[::-1]
-        eig = np.sort(np.linalg.eigvalsh(report.cov))[::-1]
-        tables["noise_cov.csv"] = (
+        tables = {"noise_cov.csv": (
             ["index", "diagonal", "eigenvalue"],
-            np.column_stack([np.arange(1, r + 1), diag, eig]))
+            np.column_stack([np.arange(1, r + 1), report.diag, report.eig]))}
     return SweepResult(kind=plan.kind, axis_name="pair",
                        axis_values=list(range(r)), options=[option.value],
                        metric="", tables=tables, stat_report=report)

@@ -69,10 +69,11 @@ def quantize_complex(z: np.ndarray, gamma: np.ndarray,
 # Shapes, with an optional leading batch shape (...) shared by the plan
 # arrays: H (L,N,K), one block's channels, AH (...,L,r,N) = A^H,
 # V (...,L,K,r), gamma/delta (...,L,r), Y (L,N,S) shared by the batch or
-# (...,L,N,S), D (...,L,r,S) dither (unused, and may be None, when
-# do_quant is false), all complex128/float64. A call covers one block:
-# the sweeps pass one block's slice of a plan stacked over blocks
-# (`ChainPlan.block`), whose batch is the sweep axis.
+# (...,L,N,S), D (L,r,S) or (...,L,r,S) the unit dither of
+# `quantizer.draw_dither`, which the kernel scales by delta (unused, and
+# may be None, when do_quant is false), all complex128/float64. A call
+# covers one block: the sweeps pass one block's slice of a plan stacked
+# over blocks (`ChainPlan.block`), whose batch is the sweep axis.
 # ---------------------------------------------------------------------------
 
 def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
@@ -104,9 +105,9 @@ def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
             qin = Y_l
             predp = pred
         if do_quant:
-            f, clipped = quantize_complex(qin + D[..., l, :, :],
-                                          gamma[..., l, :, None],
-                                          delta[..., l, :, None])
+            step = delta[..., l, :, None]
+            f, clipped = quantize_complex(qin + step * D[..., l, :, :],
+                                          gamma[..., l, :, None], step)
             clips[..., l] = np.count_nonzero(clipped, axis=(-3, -2, -1))
         else:
             f = qin
@@ -115,7 +116,7 @@ def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
             # more (...,r,S) array across APs raised the power sweep's
             # page faults and wall time. qin may be a view of Y; the copy
             # does not keep Y alive.
-            z = qin + D[..., l, :, :] if do_quant else qin
+            z = qin + step * D[..., l, :, :] if do_quant else qin
             eta, pre = f - z, qin.copy()
         if mode >= 2:
             f = f - predp

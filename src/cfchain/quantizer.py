@@ -11,7 +11,10 @@ with var_i = E{|input_i|^2}. The dither stays in the forwarded signal
 (non-subtractive), so both its covariance and the quantization-noise
 covariance enter the downstream estimator. `noise_covariance` is the one
 statement of that model: each is uniform over one step per real
-component, delta^2/6 per complex stream, so together diag(delta^2/3).
+component, delta^2/6 per complex stream, so together diag(delta^2/3);
+`uniform_cdf` is the one statement of the uniform law. The dither is
+drawn once per (block, option) at unit scale (`draw_dither`) and scaled
+by each chain's steps in `kernels.evaluate_chain`.
 """
 
 from __future__ import annotations
@@ -41,15 +44,18 @@ class StatReport:
 
     HEADER = ("pair", "n_unclipped", "ks_re", "ks_im", "corr_input",
               "offdiag_ratio", "eig_vs_diag_rel")
+    CDF_HEADER = ("value", "cdf_re", "cdf_im", "cdf_uniform")
 
     n_samples: int
     n_unclipped: np.ndarray      # (r,) per pair, min over re/im
     ks_re: np.ndarray            # (r,) KS distance of Re(eta_i) vs uniform
     ks_im: np.ndarray            # (r,)
-    cov: np.ndarray              # (r,r) sample covariance of eta
+    diag: np.ndarray             # (r,) covariance diagonal, descending
+    eig: np.ndarray              # (r,) covariance eigenvalues, descending
     offdiag_ratio: float         # max |off-diagonal| / mean diagonal
     eig_vs_diag_rel: float       # sorted eigenvalues vs sorted diagonal
     corr_input: np.ndarray       # (r,) |corr(eta_i, pre-dither input_i)|
+    cdfs: list | None = None     # per pair, CDF_HEADER columns on a grid
 
     def rows(self):
         """Per-pair CSV rows, in HEADER order."""
@@ -92,58 +98,71 @@ def noise_covariance(delta) -> np.ndarray:
 def draw_dither(rng: np.random.Generator, shape) -> np.ndarray:
     """Unit-step dither: i.i.d. uniform on [-1/2, 1/2] per real component.
 
-    The real parts are drawn before the imaginary parts. Scale by the step
-    size delta for a quantizer's dither.
+    The real parts are drawn before the imaginary parts. The chain kernel
+    scales it by each quantizer's step size delta where it adds it.
     """
     return rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
 
 
+def uniform_cdf(x: np.ndarray, delta: float) -> np.ndarray:
+    """CDF at x of the uniform law on [-delta/2, delta/2]; 0 if delta = 0."""
+    if delta <= 0:
+        return np.zeros_like(x)
+    return np.clip((x + delta / 2.0) / delta, 0.0, 1.0)
+
+
 def ks_uniform(x: np.ndarray, delta: float) -> float:
-    """Kolmogorov-Smirnov distance of a sample from the uniform law on
-    [-delta/2, delta/2], in closed form over the sorted sample x_(i):
+    """Kolmogorov-Smirnov distance of an ascending sample x_(i) from the
+    uniform law, in closed form with F the `uniform_cdf`:
 
         D = max_i max(i/n - F(x_(i)), F(x_(i)) - (i-1)/n)
-
-    with F(x) = clip((x + delta/2) / delta, 0, 1).
     """
-    x = np.sort(x)
     n = x.size
-    F = np.clip((x + delta / 2.0) / delta, 0.0, 1.0)
+    F = uniform_cdf(x, delta)
     return float(max((np.arange(1.0, n + 1) / n - F).max(),
                      (F - np.arange(0.0, n) / n).max()))
 
 
 def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
-                              delta: np.ndarray,
-                              min_samples: int = 10_000) -> StatReport:
+                              delta: np.ndarray, min_samples: int = 10_000,
+                              cdf_grid: np.ndarray | None = None
+                              ) -> StatReport:
     """Check the dither theory against realized quantization noise.
 
     eta, pre_input: (r, n) arrays of noise realizations and the matching
     pre-dither quantizer inputs; delta: (r,) the quantizers' step sizes.
     Clipped events are identified by |component of eta| > delta/2 and
     excluded, since the uniform law only holds for in-range operation.
+    Each pair's unclipped parts are sorted once, for the KS distances and,
+    given probabilities cdf_grid, for `cdfs`: the real part's quantiles
+    and, at those values, the imaginary part's and the uniform CDF.
     """
-    eta = np.asarray(eta)
-    pre = np.asarray(pre_input)
+    eta, pre = np.asarray(eta), np.asarray(pre_input)
     r = len(delta)
     if eta.shape != pre.shape or eta.ndim != 2 or eta.shape[0] != r:
         raise ValueError("eta and pre_input must both be (r, n)")
     n = eta.shape[1]
-    half = delta[:, None] / 2.0
-    ok_re = np.abs(eta.real) <= half * (1 + 1e-12)
-    ok_im = np.abs(eta.imag) <= half * (1 + 1e-12)
+    half = delta[:, None] / 2.0 * (1 + 1e-12)
+    ok_re = np.abs(eta.real) <= half
+    ok_im = np.abs(eta.imag) <= half
     n_unclipped = np.minimum(ok_re.sum(axis=1), ok_im.sum(axis=1))
     if np.any(n_unclipped < min_samples):
         raise InsufficientSamplesError(
             f"need >= {min_samples} unclipped samples per quantizer pair, "
             f"got {n_unclipped.min()}")
 
-    ks_re = np.empty(r)
-    ks_im = np.empty(r)
-    corr_in = np.empty(r)
+    ks_re, ks_im, corr_in = np.empty((3, r))
+    cdfs = None if cdf_grid is None else []
     for i in range(r):
-        ks_re[i] = ks_uniform(eta[i].real[ok_re[i]], delta[i])
-        ks_im[i] = ks_uniform(eta[i].imag[ok_im[i]], delta[i])
+        re = np.sort(eta[i].real[ok_re[i]])
+        im = np.sort(eta[i].imag[ok_im[i]])
+        ks_re[i] = ks_uniform(re, delta[i])
+        ks_im[i] = ks_uniform(im, delta[i])
+        if cdfs is not None:
+            x = np.quantile(re, cdf_grid)
+            cdfs.append(np.column_stack([
+                x, cdf_grid, np.searchsorted(im, x, side="right") / im.size,
+                uniform_cdf(x, delta[i])]))
         m = ok_re[i] & ok_im[i]
         cr = np.corrcoef(eta[i].real[m], pre[i].real[m])[0, 1]
         ci = np.corrcoef(eta[i].imag[m], pre[i].imag[m])[0, 1]
@@ -159,5 +178,7 @@ def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
     dg = np.sort(diag)[::-1]
     eig_vs_diag = float(np.max(np.abs(eig - dg) / dg))
     return StatReport(n_samples=n, n_unclipped=n_unclipped, ks_re=ks_re,
-                      ks_im=ks_im, cov=cov, offdiag_ratio=offdiag_ratio,
-                      eig_vs_diag_rel=eig_vs_diag, corr_input=corr_in)
+                      ks_im=ks_im, diag=dg, eig=eig,
+                      offdiag_ratio=offdiag_ratio,
+                      eig_vs_diag_rel=eig_vs_diag, corr_input=corr_in,
+                      cdfs=cdfs)

@@ -42,20 +42,31 @@ _FLOAT_KEYS = {"p_db", "noise_dbm", "alpha", "area_side", "bandwidth_hz",
 _LIST_KEYS = {"bits", "bits_sweep", "power_sweep_db", "options"}
 
 
+def _number(key: str, text: str, kind):
+    """text as a kind, int or float; an int may be written "1e3"."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = None
+    if x is None or (kind is int and not x.is_integer()):
+        raise ConfigError(f"{key} = {text!r} is not "
+                          + ("an integer" if kind is int else "a number"))
+    return kind(x)
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key in _LIST_KEYS:
         items = [x.strip() for x in raw.split(",") if x.strip()]
         if key == "options":
             return tuple(items)
-        if key == "power_sweep_db":
-            return tuple(float(x) for x in items)
-        vals = tuple(int(float(x)) for x in items)
+        kind = float if key == "power_sweep_db" else int
+        vals = tuple(_number(key, x, kind) for x in items)
         return vals[0] if key == "bits" and len(vals) == 1 else vals
     if key in _INT_KEYS:
-        return int(float(raw))
+        return _number(key, raw, int)
     if key in _FLOAT_KEYS:
-        return float(raw)
+        return _number(key, raw, float)
     return raw
 
 
@@ -186,7 +197,6 @@ class RunManifest:
     build_id: str
     backend: str
     started_utc: str
-    conversions: dict
 
     @classmethod
     def create(cls, cfg: NetworkConfig, plan: ExperimentPlan,
@@ -205,10 +215,6 @@ class RunManifest:
             backend=kernels.active_backend(),
             started_utc=datetime.datetime.now(
                 datetime.timezone.utc).isoformat(timespec="seconds"),
-            conversions={
-                "p_db_to_watt": [cfg.p_db, cfg.p],
-                "noise_dbm_to_watt": [cfg.noise_dbm, cfg.sigma2],
-            },
         )
 
     def as_dict(self) -> dict:

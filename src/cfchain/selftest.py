@@ -7,17 +7,18 @@ sample size are relaxed accordingly.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import kernels
-from .chain import (apply_chain_collect, build_chain_plan,
-                    centralized_mmse_oracle)
+from .chain import build_chain_plan, centralized_mmse_oracle
 from .config import NetworkConfig, Option
 from .geometry import crandn, draw_channel, generate_placement
-from .harness import Role, seed_stream
+from .harness import Role, run_experiment, seed_stream
 from .metrics import fronthaul_bitrate, multiplier_width
-from .quantizer import (calibrate_dynamic_range, draw_dither,
-                        validate_noise_statistics)
+from .presets import preset
+from .quantizer import calibrate_dynamic_range
 
 
 def check_oracle_equivalence(fast: bool = False):
@@ -36,7 +37,7 @@ def check_oracle_equivalence(fast: bool = False):
         plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
         sh, _ = kernels.apply_chain(
             ch.H, plan.AH, plan.V, plan.gamma, plan.delta, y[:, :, None],
-            np.zeros((cfg.L, plan.r, 1), complex), 0, False)
+            None, 0, False)
         ref = centralized_mmse_oracle(ch.H, y, cfg.p, cfg.sigma2)
         worst = max(worst, float(np.max(np.abs(sh[:, 0] - ref))))
     ok = worst < 1e-9
@@ -45,24 +46,11 @@ def check_oracle_equivalence(fast: bool = False):
 
 
 def check_noise_statistics(fast: bool = False):
-    """Quantization noise: uniform CDF, diagonal covariance, input-free."""
-    cfg = NetworkConfig()
-    n = 20_000 if fast else 100_000
-    placement = generate_placement(
-        cfg, seed_stream(cfg.seed, 0, 0, 0, Role.PLACEMENT))
-    ch = draw_channel(cfg, placement,
-                      seed_stream(cfg.seed, 0, 0, 0, Role.CHANNEL))
-    plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
-    rng = seed_stream(cfg.seed, 0, 0, 0, Role.NOISE)
-    s = np.sqrt(cfg.p) * crandn(rng, cfg.K, n)
-    Y = ch.H @ s + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)
-    Du = draw_dither(seed_stream(cfg.seed, 0, 0, 0, Role.DITHER, option_tag=1),
-                     (cfg.L, plan.r, n))
-    ap = 2
-    _, eta, pre, _ = apply_chain_collect(
-        plan, Y, plan.delta[:, :, None] * Du, collect_ap=ap)
-    rep = validate_noise_statistics(eta, pre, plan.delta[ap],
-                                    min_samples=10_000 if not fast else 5_000)
+    """Quantization noise of the fig2 preset run (20 000 samples in fast
+    mode): uniform CDF, diagonal covariance, input-free."""
+    cfg, plan = preset("fig2")
+    rep = run_experiment(replace(plan, n_samples=20_000) if fast else plan,
+                         cfg).stat_report
     ks_lim = 0.01 if not fast else 0.02
     ok = (rep.ks_re.max() < ks_lim and rep.ks_im.max() < ks_lim
           and rep.offdiag_ratio < 0.05 and rep.corr_input.max() < 0.02)
@@ -70,7 +58,7 @@ def check_noise_statistics(fast: bool = False):
             ok,
             f"KS<= {max(rep.ks_re.max(), rep.ks_im.max()):.4f}, "
             f"offdiag {rep.offdiag_ratio:.4f}, "
-            f"corr {rep.corr_input.max():.4f} at n={n}")
+            f"corr {rep.corr_input.max():.4f} at n={rep.n_samples}")
 
 
 def check_covariance_monotonicity(fast: bool = False):

@@ -12,13 +12,15 @@ benchmark, not the suite.
 import dataclasses
 import importlib
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cfchain import kernels
+from cfchain import kernels, presets
 from cfchain.chain import apply_chain_collect, build_chain_plan
 from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
@@ -27,14 +29,20 @@ from cfchain.presets import PRESETS, preset
 from cfchain.quantizer import draw_dither
 from cfchain.runio import RunManifest, emit_results
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up there
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return _perfbench("tracer")
 
 
 def _channel(cfg):
@@ -48,8 +56,7 @@ def _block(S=32):
     ch = _channel(cfg)
     plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
     Y = ch.H @ (np.sqrt(cfg.p) * crandn(np.random.default_rng(0), cfg.K, S))
-    D = plan.delta[:, :, None] * draw_dither(np.random.default_rng(1),
-                                             (cfg.L, plan.r, S))
+    D = draw_dither(np.random.default_rng(1), (cfg.L, plan.r, S))
     return plan, Y, D
 
 
@@ -147,3 +154,27 @@ def test_sweep_kernel_calls_unpack_as_the_tracer_expects(name, monkeypatch):
     assert counters["kernel_clipped"] == sum(
         cell.clipped for cell in res.cells.values())
     assert counters["kernel_clipped"] > 0
+
+
+def test_workloads_match_the_reference_tables(tmp_path, monkeypatch):
+    # every benchmark workload at the default seed and the benchmark's
+    # sizes, serially: a refactor that moves a CSV value fails here, not
+    # only in the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports checks
+    run = _perfbench("run")
+    checks = run.checks
+    failures = []
+    for name, workload in run.WORKLOADS.items():
+        for preset_name, cfg, plan in run.make_plans(
+                SimpleNamespace(presets=presets), workload,
+                run.DEFAULT_SEED, smoke=False):
+            out = tmp_path / name / preset_name
+            emit_results(run_experiment(plan, cfg, workers=1),
+                         RunManifest.create(cfg, plan, str(out)), str(out))
+        tables = checks.read_tables(tmp_path / name)
+        refs = checks.read_tables(PERFBENCH / "reference" / name)
+        assert tables.keys() == refs.keys(), name
+        for table, data in tables.items():
+            failures += checks.range_failures(table, data)
+            failures += checks.reference_failures(table, data, refs[table])
+    assert not failures, failures

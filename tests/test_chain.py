@@ -29,9 +29,9 @@ def _received(cfg, ch, S, seed=0):
 
 
 def _dither(plan, S, seed=0):
-    """The plan's scaled dither, (L, r, S), drawn as the harness does."""
+    """The plan's unit dither, (L, r, S), drawn as the harness does."""
     du = seed_stream(seed, 0, 0, 0, Role.DITHER, option_tag=plan.mode)
-    return plan.delta[:, :, None] * draw_dither(du, plan.delta.shape + (S,))
+    return draw_dither(du, plan.delta.shape + (S,))
 
 
 def _lossless(plan, Y):
@@ -199,7 +199,7 @@ class TestProjectAndObservation:
         # AP 0: f = quantized projection of y (no prior to subtract)
         l = 0
         _, eta, pre, _ = apply_chain_collect(plan, Y, D, l)
-        f = pre + D[l] + eta
+        f = pre + plan.delta[l][:, None] * D[l] + eta
         var_emp = np.mean(np.abs(f) ** 2, axis=1)
         R_G = residual_covariance(ch.H[l], cfg.p * np.eye(cfg.K), cfg.sigma2)
         Rf = observation_covariance(plan.AH[l].conj().T, R_G, plan.delta[l])
@@ -394,7 +394,7 @@ class TestRunChain:
         D = _dither(plan, n, seed=6)
         # reproduce f_1 and s_hat_1, then the AP-2 innovation
         _, eta, pre, _ = apply_chain_collect(plan, Y, D, 0)
-        f1 = pre + D[0] + eta
+        f1 = pre + plan.delta[0][:, None] * D[0] + eta
         s_hat1 = plan.V[0] @ f1
         G2 = Y[1] - ch.H[1] @ s_hat1
         f1c = f1 - f1.mean(axis=1, keepdims=True)
@@ -442,7 +442,8 @@ class TestRunChain:
             assert np.max(np.abs(sh_a - sh_b)) < 1e-12
             assert eta.shape == (plan.r, n)
             half = np.broadcast_to(plan.delta[2][:, None] / 2, eta.shape)
-            unclipped = np.abs(pre.real + D[2].real) <= plan.gamma[2][:, None]
+            z = pre + plan.delta[2][:, None] * D[2]
+            unclipped = np.abs(z.real) <= plan.gamma[2][:, None]
             assert np.all(np.abs(eta.real)[unclipped]
                           <= half[unclipped] + 1e-15)
 

@@ -47,6 +47,7 @@ p_db = -12.5
 kind = nmse_vs_bits
 bits_sweep = 1, 2, 3
 n_placements = 7
+n_samples = 1e3
 options = option1, noquant
 """)
         cfg, plan = parse_config(path)
@@ -54,6 +55,7 @@ options = option1, noquant
         assert cfg.bits == (2, 3, 4)
         assert cfg.p_db == -12.5
         assert plan.n_placements == 7
+        assert plan.n_samples == 1000 and type(plan.n_samples) is int
         assert [o.value for o in plan.options] == ["option1", "noquant"]
 
     def test_unknown_key_is_fatal(self, tmp_path):
@@ -150,6 +152,26 @@ class TestCliCommands:
         assert main(["validate", path]) == 3
         assert "b_l >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("[network]\nalpha = x\n", "alpha = 'x' is not a number"),
+        ("[network]\nL = 2.5\n", "L = '2.5' is not an integer"),
+        ("[plan]\nbits_sweep = 2, 3.5\n", "bits_sweep = '3.5' is not an"),
+    ], ids=["float_key", "int_key", "int_list"])
+    def test_validate_malformed_number_in_file(self, tmp_path, capsys, text,
+                                               message):
+        assert main(["validate", _write(tmp_path, text)]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,message", [
+        ("L=abc", "L = 'abc' is not an integer"),
+        ("L=2.5", "L = '2.5' is not an integer"),
+        ("power_sweep_db=-2,y", "power_sweep_db = 'y' is not a number"),
+    ], ids=["not_a_number", "int_key", "float_list"])
+    def test_validate_malformed_number_override(self, capsys, override,
+                                                message):
+        assert main(["validate", os.devnull, "--override", override]) == 3
+        assert message in capsys.readouterr().err
+
     def test_run_produces_csv_schema(self, tmp_path, capsys):
         path = _write(tmp_path, SMALL_RUN)
         out = tmp_path / "res"
@@ -204,7 +226,9 @@ n_samples = 8
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["config"]["L"] == 5
         assert doc["config"]["derived"]["p_watt"] == pytest.approx(0.1)
-        assert doc["conversions"]["noise_dbm_to_watt"][0] == -85.0
+        assert doc["config"]["derived"]["sigma2_watt"] == pytest.approx(
+            10.0 ** ((-85.0 - 30.0) / 10.0))
+        assert "conversions" not in doc
         assert doc["plan"]["kind"] == "nmse_vs_bits"
         assert doc["build_id"].startswith("cfchain-")
         assert doc["backend"] == "numpy"
@@ -217,12 +241,15 @@ n_samples = 8
         assert not set(RETIRED_KEYS) & set(doc["config"])
 
     def test_manifest_with_retired_keys_replays_identically(self, tmp_path):
-        # manifests written before the retired keys were deleted carry them
+        # manifests written before the retired keys were deleted carry them,
+        # and the unit conversions the config's derived values now hold
         out = tmp_path / "r"
         assert main(["run", _write(tmp_path, SMALL_RUN), "--out",
                      str(out)]) == 0
         doc = json.loads((out / "manifest.json").read_text())
         doc["config"].update(option="option1", carrier_freq_hz=2e9)
+        doc["conversions"] = {"p_db_to_watt": [-10.0, 0.1],
+                              "noise_dbm_to_watt": [-85.0, 3.16e-12]}
         old = tmp_path / "old.json"
         old.write_text(json.dumps(doc))
         assert main(["run", str(old), "--out", str(tmp_path / "re")]) == 0

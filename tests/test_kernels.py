@@ -33,9 +33,9 @@ def _dither_u(cfg, opt, S):
 
 
 def _run(ch, plan, Y, U):
-    D = plan.delta[..., None] * U
+    """The kernel on a unit dither U, which it scales by the plan's steps."""
     return kernels.apply_chain(ch.H, plan.AH, plan.V, plan.gamma, plan.delta,
-                               Y, D, plan.mode, plan.option.quantized)
+                               Y, U, plan.mode, plan.option.quantized)
 
 
 class TestQuantizeKernelParity:
@@ -91,3 +91,30 @@ class TestChainKernelBatch:
         singles = [_run(ch, build_chain_plan(cfg, ch.H, option=opt, p=p),
                         Y[i], U) for i, p in enumerate(p_lin)]
         self._check(batched, singles)
+
+
+class TestUnitDitherContract:
+    """The kernel takes the unit dither and scales it by the plan's steps."""
+
+    def test_lossless_needs_no_dither(self):
+        cfg, ch, Y = _workload()
+        bits = np.repeat(BITS[:, None], cfg.L, axis=1)
+        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT, bits=bits)
+        zeros = np.zeros(plan.delta.shape + (Y.shape[2],), complex)
+        sh_none, clips_none = _run(ch, plan, Y, None)
+        sh_zero, clips_zero = _run(ch, plan, Y, zeros)
+        assert np.array_equal(sh_none, sh_zero)
+        assert np.array_equal(clips_none, clips_zero)
+
+    @pytest.mark.parametrize("opt", OPTIONS[:3])
+    def test_shared_dither_equals_its_broadcast(self, opt):
+        cfg, ch, Y = _workload()
+        bits = np.repeat(BITS[:, None], cfg.L, axis=1)
+        plan = build_chain_plan(cfg, ch.H, option=opt, bits=bits)
+        U = _dither_u(cfg, opt, Y.shape[2])
+        sh, clips = _run(ch, plan, Y, U)
+        sh_b, clips_b = _run(ch, plan, Y,
+                             np.broadcast_to(U, (len(BITS),) + U.shape))
+        assert np.array_equal(sh, sh_b)
+        assert np.array_equal(clips, clips_b)
+        assert clips.sum() > 0  # one bit clips: the counts are compared
