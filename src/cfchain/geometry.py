@@ -132,6 +132,14 @@ def draw_channel(cfg: NetworkConfig, placement: Placement,
 
 
 def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
-    """Unit-variance circularly symmetric complex Gaussian draws."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
-        / np.sqrt(2.0)
+    """Unit-variance circularly symmetric complex Gaussian draws.
+
+    The real parts are drawn before the imaginary parts, each straight into
+    one complex array, which is then scaled by 1/sqrt(2) in place: the
+    values are those of (a + 1j*b) / sqrt(2), bit for bit.
+    """
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
+    z.view(float)[...] *= 1.0 / np.sqrt(2.0)
+    return z

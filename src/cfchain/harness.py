@@ -247,14 +247,24 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
     One placement, one coherence block (one fixed calibration) of the
     plan's one quantized option, sample chunks streamed through the
     collect path of the chain.
+
+    Only AP `ap` is reported, so the chain is planned and run on APs
+    0..ap alone: the recursion and the kernel are causal, so its noise,
+    inputs and steps are those of the full chain, bit for bit. Draws are
+    made in the order placement, channel, `ap` (MISC), then per chunk the
+    noise, signal and dither, each of them for all L APs, so that no
+    stream depends on `ap`. A chunk's received samples are formed in the
+    array of its noise draw.
     """
     ms = plan.master_seed
     option, = plan.options
     placement = generate_placement(
         cfg, seed_stream(ms, 0, 0, 0, Role.PLACEMENT))
     ch = draw_channel(cfg, placement, seed_stream(ms, 0, 0, 0, Role.CHANNEL))
-    cplan = build_chain_plan(cfg, ch.H, option=option)
     ap = int(seed_stream(ms, 0, 0, 0, Role.MISC).integers(cfg.L))
+    n = ap + 1
+    cplan = build_chain_plan(cfg, ch.H[:n], option=option,
+                             bits=cfg.b_l[:n])
     L, N, K, r = cfg.L, cfg.N, cfg.K, cplan.r
     total = plan.n_samples * plan.n_blocks * plan.n_placements
     chunk = 20_000
@@ -262,16 +272,16 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
     pre = np.empty((r, total), dtype=complex)
     for done in range(0, total, chunk):
         S = min(chunk, total - done)
-        noise = np.sqrt(cfg.sigma2) * crandn(
-            seed_stream(ms, 0, 0, done, Role.NOISE), L, N, S)
-        s = np.sqrt(cfg.p) * crandn(
-            seed_stream(ms, 0, 0, done, Role.SIGNAL), K, S)
+        Y = crandn(seed_stream(ms, 0, 0, done, Role.NOISE), L, N, S)[:n]
+        Y *= np.sqrt(cfg.sigma2)
+        s = crandn(seed_stream(ms, 0, 0, done, Role.SIGNAL), K, S)
+        s *= np.sqrt(cfg.p)
         D = draw_dither(seed_stream(ms, 0, 0, done, Role.DITHER,
                                     option_tag=option.mode), (L, r, S))
-        _, eta_part, pre_part, _ = apply_chain_collect(
-            cplan, ch.H @ s + noise, D, collect_ap=ap)
-        eta[:, done:done + S] = eta_part
-        pre[:, done:done + S] = pre_part
+        Y += cplan.H @ s
+        _, eta[:, done:done + S], pre[:, done:done + S], _ = \
+            apply_chain_collect(cplan, Y, D[:n], collect_ap=ap)
+    del Y, s, D  # the last chunk's draws: free them for the validation
     cdf = plan.kind == "noise_cdf"
     report = validate_noise_statistics(
         eta, pre, cplan.delta[ap],
@@ -306,7 +316,8 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
     """Execute a plan and aggregate results deterministically.
 
     The result depends only on (plan, cfg), never on the worker count:
-    per-placement partials are merged in placement order.
+    per-placement partials are merged in placement order. The pool has
+    min(workers, placements) processes.
     """
     t0 = time.perf_counter()
     if plan.kind in NOISE_KINDS:
@@ -316,7 +327,9 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
     else:
         axis_name, axis, metric = _axis_and_metric(plan)
         args = [(cfg, plan, i) for i in range(plan.n_placements)]
-        if workers > 1 and plan.n_placements > 1:
+        workers = min(workers, plan.n_placements)
+        if workers > 1:
+            # a fork pool starts all its workers at the first submit
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_placement_worker, args))
         else:

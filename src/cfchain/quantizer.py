@@ -98,10 +98,15 @@ def noise_covariance(delta) -> np.ndarray:
 def draw_dither(rng: np.random.Generator, shape) -> np.ndarray:
     """Unit-step dither: i.i.d. uniform on [-1/2, 1/2] per real component.
 
-    The real parts are drawn before the imaginary parts. The chain kernel
-    scales it by each quantizer's step size delta where it adds it.
+    The real parts are drawn before the imaginary parts, each straight into
+    one complex array: the values are those of u + 1j*v, bit for bit. The
+    chain kernel scales it by each quantizer's step size delta where it
+    adds it.
     """
-    return rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+    D = np.empty(shape, dtype=complex)
+    D.real = rng.uniform(-0.5, 0.5, shape)
+    D.imag = rng.uniform(-0.5, 0.5, shape)
+    return D
 
 
 def uniform_cdf(x: np.ndarray, delta: float) -> np.ndarray:

@@ -43,7 +43,13 @@ _LIST_KEYS = {"bits", "bits_sweep", "power_sweep_db", "options"}
 
 
 def _number(key: str, text: str, kind):
-    """text as a kind, int or float; an int may be written "1e3"."""
+    """text as a kind, int or float. An int is read exactly; it may also
+    be written in a float form such as "1e3"."""
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         x = float(text)
     except ValueError:

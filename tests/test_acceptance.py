@@ -157,6 +157,7 @@ def _raw_quantization_reference(cfg, b, n_placements=100, n_samples=4000):
     return {name: np.array(v) for name, v in nmse.items()}
 
 
+@pytest.mark.slow
 def test_criterion_4_nmse_vs_bits_ordering(report):
     t0 = time.perf_counter()
     cfg, plan = preset("fig4")
@@ -225,6 +226,7 @@ def test_criterion_4_nmse_vs_bits_ordering(report):
     assert not violations, "; ".join(violations)
 
 
+@pytest.mark.slow
 def test_criterion_5_ber_vs_power(report):
     t0 = time.perf_counter()
     cfg, plan = preset("fig5")
@@ -258,6 +260,7 @@ def test_criterion_5_ber_vs_power(report):
     assert not problems, "; ".join(problems)
 
 
+@pytest.mark.slow
 def test_criterion_6_covariance_recursion(report):
     cfg = NetworkConfig()
     opts = [Option.OPTION1, Option.OPTION2, Option.OPTION3, Option.NOQUANT]

@@ -448,6 +448,32 @@ class TestRunChain:
                           <= half[unclipped] + 1e-15)
 
 
+    @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
+                                     Option.OPTION3])
+    def test_prefix_plan_equals_full_plan(self, opt):
+        # the noise statistics plan and run APs 0..ap alone: the recursion
+        # and the kernel are causal, so a prefix is bit-identical
+        cfg, ch = _scenario(seed=4)
+        S = 128
+        _, Y = _received(cfg, ch, S, seed=4)
+        full = build_chain_plan(cfg, ch.H, option=opt)
+        D = _dither(full, S, seed=4)
+        for n in range(1, cfg.L + 1):
+            part = build_chain_plan(cfg, ch.H[:n], option=opt,
+                                    bits=cfg.b_l[:n])
+            for name in ("AH", "V", "gamma", "delta"):
+                assert np.array_equal(getattr(part, name),
+                                      getattr(full, name)[:n]), name
+            assert np.array_equal(part.traces, full.traces[..., :n + 1])
+            assert len(part.covariances) == n
+            for C, C_full in zip(part.covariances, full.covariances):
+                assert np.array_equal(C, C_full)
+            _, eta, pre, _ = apply_chain_collect(part, Y[:n], D[:n], n - 1)
+            _, eta_full, pre_full, _ = apply_chain_collect(full, Y, D, n - 1)
+            assert np.array_equal(eta, eta_full)
+            assert np.array_equal(pre, pre_full)
+
+
 class TestCentralizedOracle:
     def test_zero_channel(self):
         out = centralized_mmse_oracle(np.zeros((3, 2, 4), complex),

@@ -110,6 +110,15 @@ options = option1, noquant
         assert cfg.K == 12
         assert plan.n_samples == 5
 
+    def test_integers_are_read_exactly(self):
+        # 2**53 + 1 has no float64: a float round trip would give 2**53
+        cfg, plan = parse_config(None, ["seed=9007199254740993"])
+        assert cfg.seed == plan.master_seed == 9007199254740993
+        _, plan = parse_config(None, ["n_samples=1e3"])
+        assert plan.n_samples == 1000
+        with pytest.raises(ConfigError, match="not an integer"):
+            parse_config(None, ["L=2.5"])
+
     def test_unknown_override(self, tmp_path):
         with pytest.raises(ConfigError, match="zeta"):
             parse_config(_write(tmp_path, ""), overrides=["zeta=1"])

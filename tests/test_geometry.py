@@ -162,6 +162,22 @@ class TestDrawChannel:
         assert not np.array_equal(a.H, b.H)
 
 
+class TestCrandn:
+    @pytest.mark.parametrize("shape", ["LNS", "KS", "LNK"])
+    def test_draws_are_the_stream_contract(self, cfg, shape):
+        # real parts, then imaginary parts, scaled by 1/sqrt(2): the values
+        # every seeded run depends on, bit for bit
+        dims = tuple({"L": cfg.L, "N": cfg.N, "K": cfg.K, "S": 1000}[c]
+                     for c in shape)
+        for seed in range(3):
+            z = crandn(seed_stream(seed, 0, 0, 0, Role.NOISE), *dims)
+            rng = seed_stream(seed, 0, 0, 0, Role.NOISE)
+            a, b = rng.standard_normal(dims), rng.standard_normal(dims)
+            ref = (a + 1j * b) / np.sqrt(2.0)
+            assert z.shape == dims and z.dtype == complex
+            assert np.array_equal(z.view(np.uint64), ref.view(np.uint64))
+
+
 class TestReceiveSignal:
     def test_empirical_covariance(self):
         # option3 calibrates each antenna on E|y_n|^2 = p |h_n|^2 + sigma2;

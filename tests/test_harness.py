@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cfchain import harness
 from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig, Option
 from cfchain.geometry import draw_channel, generate_placement
 from cfchain.harness import Role, run_experiment, seed_stream
@@ -108,6 +109,33 @@ class TestRunExperiment:
                 assert seq.halfwidth(o, i) == par.halfwidth(o, i)
                 assert np.array_equal(seq.placement_values(o, i),
                                       par.placement_values(o, i))
+
+    @pytest.mark.parametrize("placements,workers,pools", [
+        (2, 8, [2]), (3, 2, [2]), (1, 8, []), (4, 1, [])])
+    def test_pool_is_sized_by_the_placements(self, monkeypatch, placements,
+                                             workers, pools):
+        sizes = []
+
+        class InlinePool:  # records its size, maps in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        cfg = NetworkConfig()
+        plan = _tiny_plan(n_placements=placements, n_blocks=1)
+        res = run_experiment(plan, cfg, workers=workers)
+        assert sizes == pools
+        ref = run_experiment(plan, cfg)
+        assert res.tables == ref.tables
 
     def test_cells_carry_counts(self):
         cfg = NetworkConfig()
@@ -246,6 +274,26 @@ class TestNoiseKinds:
             tables[opt] = res.tables["noise_cov.csv"][1]
         assert not np.array_equal(tables[Option.OPTION1],
                                   tables[Option.OPTION3])
+
+    def test_noise_kind_runs_the_chain_up_to_the_collected_ap(
+            self, monkeypatch):
+        calls = []
+        collect = harness.apply_chain_collect
+
+        def spy(cplan, Y, D, collect_ap):
+            calls.append((cplan.AH.shape[0], Y.shape[0], D.shape[0],
+                          collect_ap))
+            return collect(cplan, Y, D, collect_ap)
+
+        monkeypatch.setattr(harness, "apply_chain_collect", spy)
+        cfg = NetworkConfig()
+        plan = ExperimentPlan(kind="noise_cdf", n_placements=1, n_blocks=1,
+                              n_samples=12_000, options=(Option.OPTION1,),
+                              master_seed=1)
+        run_experiment(plan, cfg)
+        ap = int(seed_stream(1, 0, 0, 0, Role.MISC).integers(cfg.L))
+        assert ap + 1 < cfg.L  # this seed leaves APs after ap to skip
+        assert calls == [(ap + 1, ap + 1, ap + 1, ap)]
 
     @pytest.mark.parametrize("options", [
         (Option.NOQUANT,), (Option.OPTION1, Option.OPTION3)])

@@ -82,6 +82,17 @@ class TestDither:
         assert np.var(d.imag) == pytest.approx(delta ** 2 / 12, rel=0.01)
         assert abs(d.real.mean()) < 3 * delta / np.sqrt(12 * n)
 
+    def test_draws_are_the_stream_contract(self, cfg):
+        # real parts, then imaginary parts, bit for bit
+        shape = (cfg.L, cfg.r, 1000)
+        for seed in range(3):
+            D = draw_dither(seed_stream(seed, 0, 0, 0, Role.DITHER), shape)
+            rng = seed_stream(seed, 0, 0, 0, Role.DITHER)
+            u, v = rng.uniform(-0.5, 0.5, shape), rng.uniform(-0.5, 0.5, shape)
+            ref = u + 1j * v
+            assert D.shape == shape and D.dtype == complex
+            assert np.array_equal(D.view(np.uint64), ref.view(np.uint64))
+
     def test_bounded_support(self, rng):
         bank = calibrate_dynamic_range([1.0, 3.0], alpha=3.0, b=2)
         d = _scaled_dither(bank, rng, 10_000)
