@@ -178,13 +178,18 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
     H[:, None] to stack T blocks against a B-point sweep, giving (T, B).
     Each entry of the batch is bit-identical to the plan built from its
     own channels and parameters alone.
+
+    bits is broadcast to the batch, p is not: a matrix that depends on H
+    and p alone keeps their batch, so the starting covariance, AP 0's
+    residual covariance and option2's R_y are formed and factored once
+    per (block, p), not once per bit width, and broadcast where they are
+    written into the batch's arrays.
     """
     bits = np.asarray(cfg.b_l if bits is None else bits, dtype=np.int64)
     p = np.asarray(cfg.p if p is None else p, dtype=float)
     L, N, K = H.shape[-3:]
     batch = np.broadcast_shapes(H.shape[:-3], bits.shape[:-1], p.shape)
     bits = np.broadcast_to(bits, batch + (L,))
-    p = np.broadcast_to(p, batch)
     r = N if option is Option.OPTION3 else min(N, K)
     quantized = option.quantized
 

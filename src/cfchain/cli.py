@@ -20,6 +20,7 @@ from . import __version__
 from .config import ConfigError
 from .harness import RunFailedError, run_experiment
 from .presets import PRESETS
+from .quantizer import InsufficientSamplesError
 from .runio import RunManifest, build_config, emit_results, parse_config
 
 EXIT_OK = 0
@@ -29,13 +30,21 @@ EXIT_CONFIG = 3
 EXIT_IO = 4
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_run_flags(p):
     p.add_argument("--out", default="results", metavar="DIR",
                    help="output directory (default: ./results)")
     p.add_argument("--seed", type=int, default=None,
                    help="override the master seed")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel placement workers (default 1)")
+    p.add_argument("--workers", type=positive_int, default=1,
+                   help="worker processes, not placements: each runs "
+                        "tasks of whole placements (default 1)")
     p.add_argument("--override", action="append", default=[],
                    metavar="KEY=VALUE", help="override a config/plan key")
 
@@ -79,7 +88,7 @@ def _execute(cfg, plan, args) -> int:
     manifest = RunManifest.create(cfg, plan, args.out)
     try:
         result = run_experiment(plan, cfg, workers=args.workers)
-    except RunFailedError as e:
+    except (RunFailedError, InsufficientSamplesError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         return EXIT_FAIL
     try:

@@ -159,6 +159,9 @@ class NetworkConfig:
 
 
 NOISE_KINDS = ("noise_cdf", "noise_cov")
+# Fewest unclipped samples per quantizer pair from which the noise
+# statistics certify the uniform law (quantizer.validate_noise_statistics).
+MIN_NOISE_SAMPLES = 10_000
 VALID_KINDS = NOISE_KINDS + ("nmse_vs_bits", "ber_vs_power", "bitrate_table")
 
 
@@ -202,6 +205,10 @@ class ExperimentPlan:
             need(len(self.options) == 1 and self.options[0].quantized,
                  f"{self.kind} takes exactly one quantized option; set "
                  f"[plan] options = option1 (or option2, option3)")
+            total = self.n_samples * self.n_blocks * self.n_placements
+            need(total >= MIN_NOISE_SAMPLES,
+                 f"{self.kind} needs n_samples * n_blocks * n_placements "
+                 f">= {MIN_NOISE_SAMPLES}, got {total}")
         if self.kind in ("nmse_vs_bits", "bitrate_table"):
             need(len(self.bits_sweep) >= 1, "bits_sweep non-empty")
             need(all(b >= 1 for b in self.bits_sweep), "bits_sweep values >= 1")

@@ -108,27 +108,40 @@ def _axis_and_metric(plan: ExperimentPlan):
     return "p_db", list(plan.power_sweep_db), "ber"
 
 
+def _pairs_per_chunk(plan: ExperimentPlan) -> int:
+    """(placement, block) pairs per stacked plan call: as many as fit in
+    PLAN_CAP plans against the whole axis, at least one."""
+    return max(1, PLAN_CAP // len(_axis_and_metric(plan)[1]))
+
+
 def _placement_worker(args):
-    """Everything one placement contributes to a sweep; fully seeded.
+    """Everything a run of whole placements contributes to a sweep; fully
+    seeded.
 
-    The placement's blocks are walked in chunks of max(1, PLAN_CAP // axis
-    length), one chunk at a time. For each chunk, every block's channel is
-    drawn from its own stream and one stacked plan call per option covers
-    the chunk's blocks and the whole axis (`_plan_chunk`). Then each block
-    draws its noise, signal and unit dither (one per quantized option, for
-    the whole axis) from its own streams and makes one kernel call per
-    option on its slice of the plan. Chunk boundaries depend on the plan
-    alone, so they cannot change a result.
+    args is (cfg, plan, placements), placements a range. The task's
+    (placement, block) pairs, placement-major, are walked in chunks of
+    `_pairs_per_chunk`, one chunk at a time; a chunk may span placements.
+    For each chunk, every pair's channel is drawn from its own stream and
+    one stacked plan call per option covers the chunk's pairs and the whole
+    axis (`_plan_chunk`). Then each pair draws its noise, signal and unit
+    dither (one per quantized option, for the whole axis) from its own
+    streams and makes one kernel call per option on its slice of the plan.
+    Chunk and task boundaries depend on the plan and the worker count
+    alone, and each placement's cells accumulate its own blocks in block
+    order, so neither boundary can change a result.
 
-    Each block is all-or-nothing: a block whose plan fails for any option
-    is dropped for every option, so all options stay paired on the same
-    draws, and it is recorded once, with the first option that failed.
+    Each (placement, block) pair is all-or-nothing: a pair whose plan
+    fails for any option is dropped for every option, so all options stay
+    paired on the same draws, and it is recorded once, with the first
+    option that failed. Returns one (placement, cells, aborts) per
+    placement, in placement order.
     """
-    cfg, plan, p_idx = args
+    cfg, plan, placements = args
     ms = plan.master_seed
     _, axis, metric = _axis_and_metric(plan)
-    rng_p = seed_stream(ms, p_idx, 0, 0, Role.PLACEMENT)
-    placement = generate_placement(cfg, rng_p)
+    where = {p_idx: generate_placement(
+        cfg, seed_stream(ms, p_idx, 0, 0, Role.PLACEMENT))
+        for p_idx in placements}
     L, N, K, S = cfg.L, cfg.N, cfg.K, plan.n_samples
     if metric == "nmse":
         sweep = {"bits": np.repeat(np.asarray(axis)[:, None], L, 1)}
@@ -140,24 +153,26 @@ def _placement_worker(args):
     # a lossless chain ignores the bit axis: one plan serves every bit width
     flat = {opt: metric == "nmse" and not opt.quantized
             for opt in plan.options}
-    per_chunk = max(1, PLAN_CAP // len(axis))
+    pairs = [(p_idx, blk) for p_idx in placements
+             for blk in range(plan.n_blocks)]
+    per_chunk = _pairs_per_chunk(plan)
 
-    cells = {}
-    aborts = []
-    for first in range(0, plan.n_blocks, per_chunk):
-        blocks = range(first, min(first + per_chunk, plan.n_blocks))
-        Hs = [draw_channel(cfg, placement,
+    cells = {p_idx: {} for p_idx in placements}
+    aborts = {p_idx: [] for p_idx in placements}
+    for first in range(0, len(pairs), per_chunk):
+        chunk = pairs[first:first + per_chunk]
+        Hs = [draw_channel(cfg, where[p_idx],
                            seed_stream(ms, p_idx, blk, 0, Role.CHANNEL)).H
-              for blk in blocks]
-        failed = {}  # block -> its abort record
+              for p_idx, blk in chunk]
+        failed = {}  # (placement, block) -> its abort record
         plans = {}
         for opt in plan.options:
             plans[opt] = _plan_chunk(cfg, opt, Hs,
-                                     {} if flat[opt] else sweep, p_idx,
-                                     blocks, failed)
-        for j, blk in enumerate(blocks):
-            if blk in failed:
-                aborts.append(failed[blk])
+                                     {} if flat[opt] else sweep, chunk,
+                                     failed)
+        for j, (p_idx, blk) in enumerate(chunk):
+            if (p_idx, blk) in failed:
+                aborts[p_idx].append(failed[p_idx, blk])
                 continue
             H = Hs[j]
             noise = np.sqrt(cfg.sigma2) * crandn(
@@ -171,6 +186,7 @@ def _placement_worker(args):
                 s_unit = (2.0 * truth - 1.0).astype(complex)
                 Y = (np.sqrt(p_lin)[:, None, None, None] * (H @ s_unit)
                      + noise)
+            p_cells = cells[p_idx]
             for opt in plan.options:
                 cplan = plans[opt][j]
                 D = draw_dither(seed_stream(ms, p_idx, blk, 0, Role.DITHER,
@@ -184,21 +200,22 @@ def _placement_worker(args):
                     a, clips = [a] * len(axis), [clips] * len(axis)
                 for i in range(len(axis)):
                     key = (opt.value, i)
-                    if key not in cells:
-                        cells[key] = Cell.zeros(K)
-                    cells[key].merge(Cell(a[i], b, S, int(clips[i].sum())))
-    return p_idx, cells, aborts
+                    if key not in p_cells:
+                        p_cells[key] = Cell.zeros(K)
+                    p_cells[key].merge(Cell(a[i], b, S, int(clips[i].sum())))
+    return [(p_idx, cells[p_idx], aborts[p_idx]) for p_idx in placements]
 
 
-def _plan_chunk(cfg, opt, Hs, sweep, p_idx, blocks, failed):
-    """One option's plans for a chunk of blocks with channels Hs: a list
-    of each block's plan, None where a block has no plan.
+def _plan_chunk(cfg, opt, Hs, sweep, pairs, failed):
+    """One option's plans for a chunk of (placement, block) pairs with
+    channels Hs: a list of each pair's plan, None where a pair has no plan.
 
     One build_chain_plan call stacks the chunk's channels against the
-    sweep (bits or p, or nothing); its block slices carry no covariances,
+    sweep (bits or p, or nothing); its pair slices carry no covariances,
     the largest arrays of the chunk, which no kernel reads. If the call
-    fails, the blocks not yet in `failed` are planned one at a time, and
-    each one that fails is recorded there as its abort.
+    fails, the pairs not yet in `failed` are planned one at a time, and
+    each one that fails is recorded there, keyed by (placement, block),
+    as its abort.
     """
     H = np.stack(Hs)
     try:
@@ -209,15 +226,15 @@ def _plan_chunk(cfg, opt, Hs, sweep, p_idx, blocks, failed):
     except (ChainNumericsError, np.linalg.LinAlgError):
         pass
     plans = []
-    for H_blk, blk in zip(Hs, blocks):
+    for H_blk, (p_idx, blk) in zip(Hs, pairs):
         cplan = None
-        if blk not in failed:
+        if (p_idx, blk) not in failed:
             try:
                 cplan = build_chain_plan(cfg, H_blk, option=opt, **sweep)
             except (ChainNumericsError, np.linalg.LinAlgError) as e:
-                failed[blk] = {"placement": p_idx, "block": blk,
-                               "option": opt.value,
-                               "error": f"{type(e).__name__}: {e}"}
+                failed[p_idx, blk] = {"placement": p_idx, "block": blk,
+                                      "option": opt.value,
+                                      "error": f"{type(e).__name__}: {e}"}
         plans.append(cplan)
     return plans
 
@@ -316,9 +333,19 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
     """Execute a plan and aggregate results deterministically.
 
     The result depends only on (plan, cfg), never on the worker count:
-    per-placement partials are merged in placement order. The pool has
-    min(workers, placements) processes.
+    per-placement partials are merged in placement order. A sweep's
+    placements are split into tasks (`_placement_worker`) of
+
+        per_task = max(1, min(per_chunk // n_blocks,
+                              ceil(n_placements / workers)))
+
+    consecutive placements, per_chunk = `_pairs_per_chunk`: as many whole
+    placements as fill one stacked plan call, but no more than an even
+    share of the placements per worker. The pool has min(workers, tasks)
+    processes.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     t0 = time.perf_counter()
     if plan.kind in NOISE_KINDS:
         result = _run_noise_stats(plan, cfg)
@@ -326,15 +353,19 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
         result = _run_bitrate_table(plan, cfg)
     else:
         axis_name, axis, metric = _axis_and_metric(plan)
-        args = [(cfg, plan, i) for i in range(plan.n_placements)]
-        workers = min(workers, plan.n_placements)
+        n_p = plan.n_placements
+        per_task = max(1, min(_pairs_per_chunk(plan) // plan.n_blocks,
+                              -(-n_p // workers)))
+        args = [(cfg, plan, range(n_p)[first:first + per_task])
+                for first in range(0, n_p, per_task)]
+        workers = min(workers, len(args))
         if workers > 1:
             # a fork pool starts all its workers at the first submit
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_placement_worker, args))
+                tasks = list(pool.map(_placement_worker, args))
         else:
-            results = [_placement_worker(a) for a in args]
-        results.sort(key=lambda t: t[0])
+            tasks = [_placement_worker(a) for a in args]
+        results = [part for task in tasks for part in task]
         cells, aborts, total = _aggregate_sweep(cfg, plan, results, metric)
         result = SweepResult(
             kind=plan.kind, axis_name=axis_name, axis_values=axis,

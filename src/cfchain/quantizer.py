@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, _check_alpha_bits
+from .config import MIN_NOISE_SAMPLES, ConfigError, _check_alpha_bits
 
 
 class InsufficientSamplesError(ValueError):
@@ -129,7 +129,8 @@ def ks_uniform(x: np.ndarray, delta: float) -> float:
 
 
 def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
-                              delta: np.ndarray, min_samples: int = 10_000,
+                              delta: np.ndarray,
+                              min_samples: int = MIN_NOISE_SAMPLES,
                               cdf_grid: np.ndarray | None = None
                               ) -> StatReport:
     """Check the dither theory against realized quantization noise.

@@ -268,6 +268,31 @@ class TestBatchedPlan:
             for C, C_single in zip(part.covariances, single.covariances):
                 assert np.array_equal(C, C_single)
 
+    def test_bit_axis_factors_bit_independent_bases_once(self, monkeypatch):
+        # on the bit axis, option2's R_y and option1's AP-0 residual
+        # covariance do not depend on the bit width: each is factored once
+        # per block, as a (T, 1) stack, not once per (block, bit width)
+        import cfchain.chain as chain_mod
+        cfg, _ = _scenario(seed=7)
+        placement = generate_placement(
+            cfg, seed_stream(7, 0, 0, 0, Role.PLACEMENT))
+        Hs = np.stack([draw_channel(cfg, placement, seed_stream(
+            7, 0, blk, 0, Role.CHANNEL)).H for blk in range(3)])
+        bits = np.repeat(np.arange(1, 9)[:, None], cfg.L, axis=1)
+        batches = []
+        real = chain_mod.pca_basis
+
+        def spy(R, r):
+            batches.append(R.shape[:-2])
+            return real(R, r)
+
+        monkeypatch.setattr(chain_mod, "pca_basis", spy)
+        build_chain_plan(cfg, Hs[:, None], option=Option.OPTION2, bits=bits)
+        assert batches == [(3, 1)] * cfg.L
+        batches.clear()
+        build_chain_plan(cfg, Hs[:, None], option=Option.OPTION1, bits=bits)
+        assert batches == [(3, 1)] + [(3, 8)] * (cfg.L - 1)
+
     def test_unbatched_shapes(self):
         cfg, ch = _scenario()
         L, N, K, r = cfg.L, cfg.N, cfg.K, cfg.r

@@ -181,6 +181,43 @@ class TestCliCommands:
         assert main(["validate", os.devnull, "--override", override]) == 3
         assert message in capsys.readouterr().err
 
+    def test_validate_rejects_too_few_noise_samples(self, tmp_path, capsys):
+        path = _write(tmp_path, "[plan]\nkind = noise_cdf\noptions = option1"
+                      "\nn_samples = 2000\nn_placements = 1\nn_blocks = 1\n")
+        assert main(["validate", path]) == 3
+        assert ("noise_cdf needs n_samples * n_blocks * n_placements >= "
+                "10000, got 2000") in capsys.readouterr().err
+
+    def test_preset_rejects_too_few_noise_samples(self, tmp_path, capsys):
+        out = tmp_path / "fig2"
+        assert main(["preset", "fig2", "--override", "n_samples=2000",
+                     "--out", str(out)]) == 3
+        assert "got 2000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_few_unclipped_noise_samples_fail_the_run(self, tmp_path,
+                                                          capsys):
+        # exactly the minimum passes validation, but at this seed the
+        # clipped samples leave a quantizer pair short of it
+        assert main(["preset", "fig2", "--seed", "1", "--override",
+                     "n_samples=10000", "--out", str(tmp_path / "f")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "run failed: need >= 10000 unclipped samples per quantizer pair")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["run", "preset"])
+    def test_workers_below_one_are_usage_errors(self, tmp_path, capsys,
+                                                command, workers):
+        target = (_write(tmp_path, SMALL_RUN) if command == "run"
+                  else "bitrate")
+        out = tmp_path / "out"
+        assert main([command, target, "--workers", workers,
+                     "--out", str(out)]) == 2
+        assert "--workers: must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_produces_csv_schema(self, tmp_path, capsys):
         path = _write(tmp_path, SMALL_RUN)
         out = tmp_path / "res"

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from cfchain import harness
+from cfchain import harness, presets
 from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig, Option
 from cfchain.geometry import draw_channel, generate_placement
 from cfchain.harness import Role, run_experiment, seed_stream
@@ -71,6 +73,29 @@ def _poison(monkeypatch, cfg, plan, targets):
     return channels
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Put an in-process pool in place of the harness's process pool;
+    returns the list of the sizes it is made with."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 def _tiny_plan(**kw):
     kw.setdefault("kind", "nmse_vs_bits")
     kw.setdefault("bits_sweep", (2, 4))
@@ -136,6 +161,97 @@ class TestRunExperiment:
         assert sizes == pools
         ref = run_experiment(plan, cfg)
         assert res.tables == ref.tables
+
+    @pytest.mark.parametrize("workers,pools", [(1, []), (3, [3])])
+    def test_tasks_spanning_placements_change_no_result(
+            self, monkeypatch, pool_sizes, workers, pools):
+        # 8 bit widths: 8 pairs per plan chunk, so tasks of 2 placements x
+        # 3 blocks, the last one short; the reference runs one placement
+        # per task and one pair per chunk
+        cfg = NetworkConfig()
+        plan = _tiny_plan(n_placements=7, n_blocks=3, n_samples=8,
+                          bits_sweep=tuple(range(1, 9)))
+        tasks = []
+        worker = harness._placement_worker
+
+        def spy(args):
+            tasks.append(args[2])
+            return worker(args)
+
+        monkeypatch.setattr(harness, "_placement_worker", spy)
+        res = run_experiment(plan, cfg, workers=workers)
+        assert tasks == [range(0, 2), range(2, 4), range(4, 6), range(6, 7)]
+        assert pool_sizes == pools
+        tasks.clear()
+        monkeypatch.setattr(harness, "PLAN_CAP", len(plan.bits_sweep))
+        ref = run_experiment(plan, cfg)
+        assert tasks == [range(i, i + 1) for i in range(7)]
+        assert res.tables == ref.tables
+        for o in plan.options:
+            for i in range(len(plan.bits_sweep)):
+                assert np.array_equal(res.placement_values(o, i),
+                                      ref.placement_values(o, i))
+
+    def test_workers_below_one_are_refused(self):
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_experiment(_tiny_plan(), NetworkConfig(), workers=0)
+
+    def test_pair_failing_in_a_chunk_of_placements_is_dropped_alone(
+            self, monkeypatch):
+        # 4 placements x 2 blocks fill one stacked plan call; block 1 of
+        # placement 2 fails on option2 and is dropped alone, for every
+        # option
+        plan = _tiny_plan(n_placements=4, n_blocks=2, n_samples=8,
+                          options=(Option.OPTION1, Option.OPTION2,
+                                   Option.NOQUANT))
+        assert harness.PLAN_CAP // len(plan.bits_sweep) >= 8
+        cfg = NetworkConfig()
+        _poison(monkeypatch, cfg, plan, [(2, 1, Option.OPTION2)])
+        stacked = []
+        failing = harness.build_chain_plan
+
+        def spy(cfg_, H, **kwargs):
+            stacked.append(H.reshape(-1, *H.shape[-3:]).shape[0])
+            return failing(cfg_, H, **kwargs)
+
+        monkeypatch.setattr(harness, "build_chain_plan", spy)
+        parts = harness._placement_worker((cfg, plan, range(4)))
+        assert max(stacked) == 8  # one call spans all four placements
+        assert [p_idx for p_idx, _, _ in parts] == [0, 1, 2, 3]
+        keys = {(o.value, i) for o in plan.options
+                for i in range(len(plan.bits_sweep))}
+        for p_idx, cells, aborts in parts:
+            assert set(cells) == keys
+            blocks = 1 if p_idx == 2 else 2
+            assert {c.count for c in cells.values()} == {blocks * 8}
+            assert aborts == ([] if p_idx != 2 else [{
+                "placement": 2, "block": 1, "option": "option2",
+                "error": "LinAlgError: synthetic failure"}])
+
+    @pytest.mark.parametrize("workload,calls", [("fig4-bits", 8),
+                                                ("fig5-power", 16)])
+    def test_workload_plan_calls(self, monkeypatch, workload, calls):
+        # the benchmark's workloads as perfbench/run.py builds them, run
+        # serially: fig4-bits fills each 64-plan chunk with 4 placements x
+        # 2 blocks (2 chunks x 4 options), fig5-power keeps one placement
+        # per task and 5 of its 10 blocks per chunk (4 chunks x 4 options)
+        from test_bench_contract import PERFBENCH, _perfbench
+        monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports checks
+        run = _perfbench("run")
+        n = 0
+        real = harness.build_chain_plan
+
+        def counting(*args, **kwargs):
+            nonlocal n
+            n += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_chain_plan", counting)
+        for _, cfg, plan in run.make_plans(
+                SimpleNamespace(presets=presets), run.WORKLOADS[workload],
+                run.DEFAULT_SEED, smoke=False):
+            run_experiment(plan, cfg, workers=1)
+        assert n == calls
 
     def test_cells_carry_counts(self):
         cfg = NetworkConfig()
@@ -214,7 +330,7 @@ class TestRunExperiment:
             return real_apply(H, *args)
 
         monkeypatch.setattr(kernels, "apply_chain", recording)
-        _, cells, aborts = hmod._placement_worker((cfg, plan, 0))
+        (_, cells, aborts), = hmod._placement_worker((cfg, plan, range(1)))
         assert aborts == [{"placement": 0, "block": 2, "option": "option2",
                            "error": "LinAlgError: synthetic failure"}]
         assert sorted(seen) == sorted((o.mode, b) for o in plan.options
