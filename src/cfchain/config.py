@@ -3,10 +3,16 @@
 All user-facing powers are specified on log scales (transmit power in dB
 relative to 1 W, noise in dBm) and converted to a single linear unit
 system (watts) when the config object is built.
+
+This module owns every key's type: `__post_init__` types each settable
+field by the kind its annotation names in `_KINDS`, from `Text` (INI
+files, overrides) or a Python/JSON value (manifests, presets, direct
+construction, `dataclasses.replace`) alike.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -44,23 +50,85 @@ class Option(Enum):
     def quantized(self) -> bool:
         return self is not Option.NOQUANT
 
-    @classmethod
-    def parse(cls, text: str) -> "Option":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ConfigError(
-                f"unknown option {text!r}; expected one of "
-                f"{[o.value for o in cls]}"
-            ) from None
+
+class Text(str):
+    """A value as written in an INI file or an override, which its key's
+    kind parses; a plain str is a Python/JSON value, only ever a name."""
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def _number(key: str, raw, kind=int):
+    """raw as a kind, int or float. An int is read exactly; an int key
+    also takes an integral float, or float form such as "1e3"."""
+    x = raw
+    if isinstance(raw, Text):
+        for parse in (int, float):
+            try:
+                x = parse(raw)
+                break
+            except ValueError:
+                x = None
+    if (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and (kind is float or isinstance(x, numbers.Integral)
+                 or float(x).is_integer())):
+        return kind(x)
+    raise ConfigError(f"{key} = {raw!r} is not "
+                      + ("an integer" if kind is int else "a number"))
 
 
-def dbm_to_watt(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) * 1e-3
+def _name(key: str, raw) -> str:
+    if not isinstance(raw, str):
+        raise ConfigError(f"{key} = {raw!r} is not a string")
+    return raw.strip().lower()
+
+
+def _option(key: str, raw) -> Option:
+    try:  # a ConfigError of _name is a ValueError too
+        return raw if isinstance(raw, Option) else Option(_name(key, raw))
+    except ValueError:
+        raise ConfigError(f"{key} = {raw!r} is not one of "
+                          f"{[o.value for o in Option]}") from None
+
+
+def _tuple_of(one):
+    """A tuple of `one`'s: of comma-separated Text, a sequence, or one."""
+    def kind(key: str, raw) -> tuple:
+        if isinstance(raw, Text):
+            raw = [Text(x.strip()) for x in raw.split(",") if x.strip()]
+        elif not isinstance(raw, (tuple, list, range, np.ndarray)):
+            raw = (raw,)
+        return tuple(one(key, x) for x in raw)
+    return kind
+
+
+# Each settable field's kind, keyed by its annotation (a string under
+# `from __future__ import annotations`): how a raw value becomes its value.
+_KINDS = {
+    "int": _number,
+    "float": lambda key, raw: _number(key, raw, float),
+    "str": _name,
+    "int | None": lambda key, raw: None if raw is None else _number(key, raw),
+    "tuple[int, ...]": _tuple_of(_number),
+    "tuple[float, ...]": _tuple_of(lambda key, raw: _number(key, raw, float)),
+    "tuple[Option, ...]": _tuple_of(_option),
+}
+
+
+def coerce(cls, key: str, raw):
+    """raw, Text or a Python/JSON value, as field `key` of config class
+    cls; a ConfigError names the key and the raw value it rejects."""
+    return _KINDS[cls.__annotations__[key]](key, raw)
+
+
+def _coerce_fields(obj):
+    """Type each of obj's settable fields in place."""
+    for f in fields(obj):
+        if f.init:
+            setattr(obj, f.name, _KINDS[f.type](f.name, getattr(obj, f.name)))
+
+
+def _need(cond, msg: str):
+    if not cond:
+        raise ConfigError(msg)
 
 
 @dataclass
@@ -76,7 +144,7 @@ class NetworkConfig:
     K: int = 10                     # users
     p_db: float = -10.0             # per-user transmit power, dB re 1 W
     noise_dbm: float = -85.0        # receiver noise power
-    bits: tuple | int = 3           # quantizer bits per AP, scalar or length L
+    bits: tuple[int, ...] = (3,)    # quantizer bits: one for every AP, or L
     alpha: float = 3.0              # dynamic range = alpha * input std
     area_side: float = 500.0        # square simulation area side, meters
     bandwidth_hz: float = 100e6     # signal bandwidth B
@@ -94,14 +162,14 @@ class NetworkConfig:
     sigma2: float = field(init=False)
 
     def __post_init__(self):
-        if np.isscalar(self.bits):
-            self.bits = (int(self.bits),) * self.L
-        self.bits = tuple(int(b) for b in self.bits)
+        _coerce_fields(self)
+        if len(self.bits) == 1:
+            self.bits *= self.L
         if self.b_e is None:
             # full complex covariance report at combiner precision
             self.b_e = 2 * self.K * self.K * self.b_c
-        self.p = db_to_linear(self.p_db)
-        self.sigma2 = dbm_to_watt(self.noise_dbm)
+        self.p = 10.0 ** (self.p_db / 10.0)
+        self.sigma2 = 10.0 ** (self.noise_dbm / 10.0) * 1e-3
         self.validate()
 
     @property
@@ -119,29 +187,25 @@ class NetworkConfig:
         return np.asarray(self.bits, dtype=np.int64)
 
     def validate(self):
-        def need(cond, msg):
-            if not cond:
-                raise ConfigError(msg)
-
-        need(self.L >= 1, "L >= 1")
-        need(self.N >= 1, "N >= 1")
-        need(self.K >= 1, "K >= 1")
-        need(self.p > 0, "p > 0")
-        need(self.sigma2 > 0, "sigma2 > 0")
-        need(self.alpha > 0, "alpha > 0")
-        need(len(self.bits) == self.L, f"bits must have length L={self.L}")
-        need(all(b >= 1 for b in self.bits), "b_l >= 1")
-        need(self.area_side > 0, "area_side > 0")
-        need(self.d_min > 0, "d_min > 0")
-        need(self.tau_d >= 0, "tau_d >= 0")
-        need(self.tau_d <= self.tau_c + 1e-9,
-             f"tau_d <= T_c*B_c (tau_d={self.tau_d}, tau_c={self.tau_c:g})")
-        need(self.b_c >= 1, "b_c >= 1")
-        need(self.b_e >= 0, "b_e >= 0")
-        need(self.corr_model in ("uncorrelated", "exponential"),
-             f"corr_model must be 'uncorrelated' or 'exponential', "
-             f"got {self.corr_model!r}")
-        need(0.0 <= self.rho < 1.0, "rho in [0, 1)")
+        _need(self.L >= 1, "L >= 1")
+        _need(self.N >= 1, "N >= 1")
+        _need(self.K >= 1, "K >= 1")
+        _need(self.p > 0, "p > 0")
+        _need(self.sigma2 > 0, "sigma2 > 0")
+        _need(self.alpha > 0, "alpha > 0")
+        _need(len(self.bits) == self.L, f"bits must have length L={self.L}")
+        _need(all(b >= 1 for b in self.bits), "b_l >= 1")
+        _need(self.area_side > 0, "area_side > 0")
+        _need(self.d_min > 0, "d_min > 0")
+        _need(self.tau_d >= 0, "tau_d >= 0")
+        _need(self.tau_d <= self.tau_c + 1e-9,
+              f"tau_d <= T_c*B_c (tau_d={self.tau_d}, tau_c={self.tau_c:g})")
+        _need(self.b_c >= 1, "b_c >= 1")
+        _need(self.b_e >= 0, "b_e >= 0")
+        _need(self.corr_model in ("uncorrelated", "exponential"),
+              f"corr_model must be 'uncorrelated' or 'exponential', "
+              f"got {self.corr_model!r}")
+        _need(0.0 <= self.rho < 1.0, "rho in [0, 1)")
         if self.K <= self.N:
             warnings.warn(
                 f"K={self.K} <= N={self.N}: outside the intended K > N regime; "
@@ -170,54 +234,45 @@ class ExperimentPlan:
     """What to sweep, how many trials, and which options to compare."""
 
     kind: str = "nmse_vs_bits"
-    bits_sweep: tuple = tuple(range(1, 9))
-    power_sweep_db: tuple = tuple(range(-20, 1, 2))
+    bits_sweep: tuple[int, ...] = tuple(range(1, 9))
+    power_sweep_db: tuple[float, ...] = tuple(range(-20, 1, 2))
     n_placements: int = 100
     n_blocks: int = 10
     n_samples: int = 100
-    options: tuple = (Option.OPTION1, Option.OPTION2, Option.OPTION3,
-                      Option.NOQUANT)
+    options: tuple[Option, ...] = (Option.OPTION1, Option.OPTION2,
+                                   Option.OPTION3, Option.NOQUANT)
     master_seed: int = 1
 
     def __post_init__(self):
-        if isinstance(self.kind, str):
-            self.kind = self.kind.strip().lower()
-        if self.kind not in VALID_KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}; "
-                              f"expected one of {VALID_KINDS}")
-        self.options = tuple(
-            Option.parse(o) if isinstance(o, str) else o for o in self.options)
-        self.bits_sweep = tuple(int(b) for b in self.bits_sweep)
-        self.power_sweep_db = tuple(float(v) for v in self.power_sweep_db)
+        _coerce_fields(self)
         self.validate()
 
     def validate(self):
-        def need(cond, msg):
-            if not cond:
-                raise ConfigError(msg)
-
-        need(self.n_placements >= 1, "n_placements >= 1")
-        need(self.n_blocks >= 1, "n_blocks >= 1")
-        need(self.n_samples >= 1, "n_samples >= 1")
-        need(len(self.options) >= 1, "options non-empty")
-        need(len(set(self.options)) == len(self.options), "options unique")
+        _need(self.kind in VALID_KINDS, f"unknown experiment kind "
+              f"{self.kind!r}; expected one of {VALID_KINDS}")
+        _need(self.n_placements >= 1, "n_placements >= 1")
+        _need(self.n_blocks >= 1, "n_blocks >= 1")
+        _need(self.n_samples >= 1, "n_samples >= 1")
+        _need(len(self.options) >= 1, "options non-empty")
+        _need(len(set(self.options)) == len(self.options), "options unique")
         if self.kind in NOISE_KINDS:
-            need(len(self.options) == 1 and self.options[0].quantized,
-                 f"{self.kind} takes exactly one quantized option; set "
-                 f"[plan] options = option1 (or option2, option3)")
+            _need(len(self.options) == 1 and self.options[0].quantized,
+                  f"{self.kind} takes exactly one quantized option; set "
+                  f"[plan] options = option1 (or option2, option3)")
             total = self.n_samples * self.n_blocks * self.n_placements
-            need(total >= MIN_NOISE_SAMPLES,
-                 f"{self.kind} needs n_samples * n_blocks * n_placements "
-                 f">= {MIN_NOISE_SAMPLES}, got {total}")
+            _need(total >= MIN_NOISE_SAMPLES,
+                  f"{self.kind} needs n_samples * n_blocks * n_placements "
+                  f">= {MIN_NOISE_SAMPLES}, got {total}")
         if self.kind in ("nmse_vs_bits", "bitrate_table"):
-            need(len(self.bits_sweep) >= 1, "bits_sweep non-empty")
-            need(all(b >= 1 for b in self.bits_sweep), "bits_sweep values >= 1")
-            need(list(self.bits_sweep) == sorted(self.bits_sweep),
-                 "bits_sweep sorted")
+            _need(len(self.bits_sweep) >= 1, "bits_sweep non-empty")
+            _need(all(b >= 1 for b in self.bits_sweep),
+                  "bits_sweep values >= 1")
+            _need(list(self.bits_sweep) == sorted(self.bits_sweep),
+                  "bits_sweep sorted")
         if self.kind == "ber_vs_power":
-            need(len(self.power_sweep_db) >= 1, "power_sweep_db non-empty")
-            need(list(self.power_sweep_db) == sorted(self.power_sweep_db),
-                 "power_sweep_db sorted")
+            _need(len(self.power_sweep_db) >= 1, "power_sweep_db non-empty")
+            _need(list(self.power_sweep_db) == sorted(self.power_sweep_db),
+                  "power_sweep_db sorted")
 
     def as_dict(self) -> dict:
         return _settable_values(self)

@@ -98,8 +98,6 @@ def build_spatial_covariance(cfg: NetworkConfig, beta_kl: float) -> np.ndarray:
         raise ConfigError("beta_kl > 0 required")
     if cfg.corr_model == "uncorrelated":
         return beta_kl * np.eye(cfg.N, dtype=complex)
-    if not (0.0 <= cfg.rho < 1.0):
-        raise ConfigError("rho in [0, 1)")
     idx = np.arange(cfg.N)
     T = cfg.rho ** np.abs(np.subtract.outer(idx, idx))
     return beta_kl * T.astype(complex)

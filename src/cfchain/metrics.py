@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, NetworkConfig
+from .config import NetworkConfig
 
 
 def nmse_sums(s: np.ndarray, s_hat: np.ndarray):
@@ -94,8 +94,6 @@ def fronthaul_bitrate(cfg: NetworkConfig, b_l: int) -> tuple[float, int]:
     tau_d refined estimates of K users at b_s bits each; N_CB = B/B_c
     blocks fit in one coherence time.
     """
-    if cfg.tau_d > cfg.tau_c:
-        raise ConfigError("tau_d <= T_c*B_c required")
     width, b_s = multiplier_width(cfg.b_c, b_l, cfg.r)
     n_cb = cfg.bandwidth_hz / cfg.coherence_bw_hz
     rate = n_cb * (cfg.b_e + 2.0 * cfg.tau_d * cfg.K * width) \

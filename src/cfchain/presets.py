@@ -42,4 +42,4 @@ def preset(name: str, seed: int | None = None
         raise KeyError(f"unknown preset {name!r}; available: "
                        f"{sorted(PRESETS)}")
     return build_config({}, PRESETS[name],
-                        [] if seed is None else [f"seed={int(seed)}"])
+                        [] if seed is None else [f"seed={seed}"])

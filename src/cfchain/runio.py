@@ -3,13 +3,15 @@
 Config files are INI documents with [network] and [plan] sections whose
 keys mirror the NetworkConfig / ExperimentPlan field names. Unknown keys
 are hard errors (typo protection); RETIRED_KEYS are read and dropped.
-Files, presets and CLI overrides all resolve through `build_config`,
-which also checks config and plan together. `emit_results` writes the
-CSV tables a result carries, then a run manifest (JSON); feeding that
-manifest back to `run` reproduces the run bit-exactly because it
-materializes every resolved value. The manifest records the config, plan,
-seed, version and backend once, at its top level; `result_metadata` holds
-only what the run measured.
+This module owns file formats only, and `config` owns every key's type:
+INI and override values are handed over as `config.Text`, manifest
+values as the JSON gives them. Files, presets and CLI overrides all
+resolve through `build_config`, which also checks config and plan
+together. `emit_results` writes the CSV tables a result carries, then a
+run manifest (JSON); feeding that manifest back to `run` reproduces the
+run bit-exactly because it materializes every resolved value. The
+manifest records the config, plan, seed, version and backend once, at its
+top level; `result_metadata` holds only what the run measured.
 """
 
 from __future__ import annotations
@@ -26,54 +28,15 @@ import numpy as np
 from . import __version__ as _version
 from . import kernels
 from .config import (NOISE_KINDS, ConfigError, ExperimentPlan, NetworkConfig,
-                     _check_alpha_bits)
+                     Text, _check_alpha_bits, coerce)
 
 # [network] keys earlier versions wrote, which no run reads: accepted from
 # files, manifests and overrides so that these keep replaying, then dropped
 RETIRED_KEYS = ("option", "carrier_freq_hz")
-_NETWORK_FIELDS = {f.name for f in fields(NetworkConfig) if f.init} | set(
-    RETIRED_KEYS)
-_PLAN_FIELDS = {f.name for f in fields(ExperimentPlan)}
-
-_INT_KEYS = {"L", "N", "K", "tau_d", "b_c", "b_e", "seed", "n_placements",
-             "n_blocks", "n_samples", "master_seed"}
-_FLOAT_KEYS = {"p_db", "noise_dbm", "alpha", "area_side", "bandwidth_hz",
-               "coherence_bw_hz", "coherence_time_s", "rho", "d_min"}
-_LIST_KEYS = {"bits", "bits_sweep", "power_sweep_db", "options"}
-
-
-def _number(key: str, text: str, kind):
-    """text as a kind, int or float. An int is read exactly; it may also
-    be written in a float form such as "1e3"."""
-    if kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    try:
-        x = float(text)
-    except ValueError:
-        x = None
-    if x is None or (kind is int and not x.is_integer()):
-        raise ConfigError(f"{key} = {text!r} is not "
-                          + ("an integer" if kind is int else "a number"))
-    return kind(x)
-
-
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key in _LIST_KEYS:
-        items = [x.strip() for x in raw.split(",") if x.strip()]
-        if key == "options":
-            return tuple(items)
-        kind = float if key == "power_sweep_db" else int
-        vals = tuple(_number(key, x, kind) for x in items)
-        return vals[0] if key == "bits" and len(vals) == 1 else vals
-    if key in _INT_KEYS:
-        return _number(key, raw, int)
-    if key in _FLOAT_KEYS:
-        return _number(key, raw, float)
-    return raw
+_SECTION_KEYS = {
+    "network": {f.name for f in fields(NetworkConfig) if f.init} | set(
+        RETIRED_KEYS),
+    "plan": {f.name for f in fields(ExperimentPlan)}}
 
 
 def parse_overrides(overrides: list[str] | None) -> tuple[dict, dict]:
@@ -90,10 +53,10 @@ def parse_overrides(overrides: list[str] | None) -> tuple[dict, dict]:
             raise ConfigError(f"override must be key=value, got {ov!r}")
         key, raw = ov.split("=", 1)
         key = key.strip()
-        if key in _NETWORK_FIELDS:
-            net_kwargs[key] = _parse_value(key, raw)
-        elif key in _PLAN_FIELDS:
-            plan_kwargs[key] = _parse_value(key, raw)
+        if key in _SECTION_KEYS["network"]:
+            net_kwargs[key] = Text(raw.strip())
+        elif key in _SECTION_KEYS["plan"]:
+            plan_kwargs[key] = Text(raw.strip())
         else:
             raise ConfigError(f"unknown override key {key!r}")
     if "seed" in net_kwargs:
@@ -118,9 +81,10 @@ def build_config(net_kwargs: dict, plan_kwargs: dict,
     net = {**net_kwargs, **net_ov}
     retired = {key: net.pop(key) for key in RETIRED_KEYS if key in net}
     cfg = NetworkConfig(**net)
-    plan_kw = {"master_seed": cfg.seed, **plan_kwargs, **plan_ov}
-    kind = str(plan_kw.get("kind", ExperimentPlan.kind)).strip().lower()
-    if ("option" in retired and kind in NOISE_KINDS
+    plan_kw = {key: coerce(ExperimentPlan, key, raw) for key, raw in
+               {"master_seed": cfg.seed, **plan_kwargs, **plan_ov}.items()}
+    if ("option" in retired
+            and plan_kw.get("kind", ExperimentPlan.kind) in NOISE_KINDS
             and len(plan_kw.get("options", ExperimentPlan.options)) > 1):
         plan_kw["options"] = (retired["option"],)
     plan = ExperimentPlan(**plan_kw)
@@ -137,58 +101,42 @@ def parse_config(path: str | None = None, overrides: list[str] | None = None
     path=None or an empty file yields the full default scenario. overrides
     (see parse_overrides) are applied after the file.
     """
-    net_kwargs: dict = {}
-    plan_kwargs: dict = {}
-
-    if path is not None:
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            head = fh.read(1)
-        if head == "{":
-            net_kwargs, plan_kwargs = _from_manifest(path)
-        else:
-            net_kwargs, plan_kwargs = _from_ini(path)
-    return build_config(net_kwargs, plan_kwargs, overrides)
+    sections = {} if path is None else _read_sections(path)
+    return build_config(sections.get("network", {}), sections.get("plan", {}),
+                        overrides)
 
 
-def _from_ini(path: str):
+def _read_sections(path: str) -> dict:
+    """The network and plan keys of an INI file's [network] and [plan]
+    sections, as Text, or of a manifest's config and plan, as JSON values.
+    """
+    if not os.path.exists(path):
+        raise ConfigError(f"config file not found: {path}")
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (L vs l)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
-    except configparser.Error as e:
+        if text.startswith("{"):
+            doc = json.loads(text)
+            sections = {"network": dict(doc.get("config", {})),
+                        "plan": doc.get("plan", {})}
+            sections["network"].pop("derived", None)
+        else:
+            parser.read_string(text, source=path)
+            sections = {name: {key: Text(raw) for key, raw in
+                               parser.items(name)}
+                        for name in parser.sections()}
+    except (json.JSONDecodeError, configparser.Error) as e:
         raise ConfigError(f"config parse error: {e}") from e
-    net_kwargs: dict = {}
-    plan_kwargs: dict = {}
-    for section in parser.sections():
-        if section not in ("network", "plan"):
-            raise ConfigError(f"unknown section [{section}] in {path}; "
+    for name, values in sections.items():
+        if name not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}] in {path}; "
                               "expected [network] and/or [plan]")
-        allowed = _NETWORK_FIELDS if section == "network" else _PLAN_FIELDS
-        target = net_kwargs if section == "network" else plan_kwargs
-        for key, raw in parser.items(section):
-            if key not in allowed:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}] of {path}")
-            target[key] = _parse_value(key, raw)
-    return net_kwargs, plan_kwargs
-
-
-def _from_manifest(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    cfg_doc = dict(doc.get("config", {}))
-    cfg_doc.pop("derived", None)
-    plan_doc = dict(doc.get("plan", {}))
-    unknown = set(cfg_doc) - _NETWORK_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config keys in manifest: {sorted(unknown)}")
-    unknown = set(plan_doc) - _PLAN_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown plan keys in manifest: {sorted(unknown)}")
-    return cfg_doc, plan_doc
+        unknown = sorted(set(values) - _SECTION_KEYS[name])
+        if unknown:
+            raise ConfigError(f"unknown {name} keys {unknown} in {path}")
+    return sections
 
 
 @dataclass

@@ -349,6 +349,23 @@ options = option3
             assert int(b_s) == ref_bs
             assert float(rate) == pytest.approx(ref_rate, rel=1e-9)
 
+    def test_bitrate_runs_every_validated_tau_d(self, tmp_path, capsys):
+        # tau_c = 0.3e-3 * 300e3 rounds to 89.99999999999999, and validate
+        # allows tau_d = 90 within its slack: run must agree
+        ini = _write(tmp_path, """
+[network]
+coherence_time_s = 0.3e-3
+coherence_bw_hz = 300e3
+tau_d = 90
+
+[plan]
+kind = bitrate_table
+options = option1
+""")
+        assert main(["validate", ini]) == 0
+        assert main(["run", ini, "--out", str(tmp_path / "br")]) == 0
+        assert (tmp_path / "br" / "bitrate.csv").exists()
+
     def test_preset_override(self, tmp_path):
         out = tmp_path / "o"
         assert main(["preset", "bitrate", "--out", str(out),

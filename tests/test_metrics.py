@@ -3,7 +3,7 @@ import pytest
 
 from cfchain import kernels
 from cfchain.chain import build_chain_plan
-from cfchain.config import ConfigError, NetworkConfig, Option
+from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
 from cfchain.metrics import (Cell, ber_sums, fronthaul_bitrate,
@@ -134,8 +134,11 @@ class TestBitAccounting:
         assert fronthaul_bitrate(base, 4)[0] > r0
         assert fronthaul_bitrate(NetworkConfig(N=5), 3)[0] > r0  # r grows
 
-    def test_tau_d_over_budget(self):
-        cfg = NetworkConfig()
-        object.__setattr__(cfg, "tau_d", 10_000)  # bypass config validation
-        with pytest.raises(ConfigError):
-            fronthaul_bitrate(cfg, b_l=3)
+    def test_rate_of_every_validated_tau_d(self):
+        # tau_c = 0.3e-3 * 300e3 rounds to 89.99999999999999; validate
+        # allows tau_d = 90 within its slack, and owns the constraint
+        cfg = NetworkConfig(coherence_time_s=0.3e-3, coherence_bw_hz=300e3,
+                            tau_d=90)
+        assert cfg.tau_d > cfg.tau_c
+        rate, _ = fronthaul_bitrate(cfg, b_l=3)
+        assert rate > 0
