@@ -171,7 +171,7 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
     """Run the covariance recursion for one or many blocks' channels.
 
     H is (..., L, N, K): one block's channels, or a stack of them. bits
-    overrides cfg.bits, one value per AP: (L,) for one plan or (B, L) for
+    overrides cfg.b_l, one value per AP: (L,) for one plan or (B, L) for
     a batch of B plans. p overrides the configured transmit power (used
     by power sweeps): a scalar, or (B,) for a batch. The plan's batch
     shape is broadcast(H.shape[:-3], bits.shape[:-1], p.shape); pass

@@ -41,7 +41,7 @@ def _add_run_flags(p):
     p.add_argument("--out", default="results", metavar="DIR",
                    help="output directory (default: ./results)")
     p.add_argument("--seed", default=None,
-                   help="override the seed, and with it the master seed")
+                   help="the run's seed: same as --override seed=N")
     p.add_argument("--workers", type=positive_int, default=1,
                    help="worker processes, not placements: each runs "
                         "tasks of whole placements (default 1)")
@@ -79,9 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _overrides(args) -> list[str]:
     """--override values, then --seed as a seed override."""
-    if args.seed is None:
-        return args.override
-    return args.override + [f"seed={args.seed}"]
+    return args.override + ([] if args.seed is None else [f"seed={args.seed}"])
 
 
 def _execute(cfg, plan, args) -> int:

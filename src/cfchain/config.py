@@ -1,11 +1,11 @@
 """Scenario configuration and experiment plans.
 
 All user-facing powers are specified on log scales (transmit power in dB
-relative to 1 W, noise in dBm) and converted to a single linear unit
-system (watts) when the config object is built.
+relative to 1 W, noise in dBm) and read in a single linear unit system
+(watts) through derived properties, which no field stores.
 
-This module owns every key's type: `__post_init__` types each settable
-field by the kind its annotation names in `_KINDS`, from `Text` (INI
+This module owns every key's type: `__post_init__` types each field by
+the kind its annotation names in `_KINDS`, from `Text` (INI
 files, overrides) or a Python/JSON value (manifests, presets, direct
 construction, `dataclasses.replace`) alike.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -113,17 +113,17 @@ _KINDS = {
 }
 
 
-def coerce(cls, key: str, raw):
+def coerce(cls, key: str, raw, field: str | None = None):
     """raw, Text or a Python/JSON value, as field `key` of config class
-    cls; a ConfigError names the key and the raw value it rejects."""
-    return _KINDS[cls.__annotations__[key]](key, raw)
+    cls, or as `field` with key an alias of it; a ConfigError names the
+    key and the raw value it rejects."""
+    return _KINDS[cls.__annotations__[field or key]](key, raw)
 
 
 def _coerce_fields(obj):
-    """Type each of obj's settable fields in place."""
+    """Type each of obj's fields in place."""
     for f in fields(obj):
-        if f.init:
-            setattr(obj, f.name, _KINDS[f.type](f.name, getattr(obj, f.name)))
+        setattr(obj, f.name, _KINDS[f.type](f.name, getattr(obj, f.name)))
 
 
 def _need(cond, msg: str):
@@ -135,8 +135,8 @@ def _need(cond, msg: str):
 class NetworkConfig:
     """Full scenario description for one simulated network.
 
-    Power fields `p` and `sigma2` (linear watts) are derived in
-    ``__post_init__`` from `p_db` (dB re 1 W) and `noise_dbm`.
+    Fields hold the values as set. Derived values (`p`, `sigma2` in watts,
+    per-AP `b_l`, `report_bits`) are computed on read, also after `replace`.
     """
 
     L: int = 5                      # APs in the chain
@@ -155,26 +155,28 @@ class NetworkConfig:
     b_e: int | None = None          # covariance-report bits per block
     corr_model: str = "uncorrelated"  # "uncorrelated" | "exponential"
     rho: float = 0.5                # exponential antenna-correlation factor
-    seed: int = 1
     d_min: float = 1.0              # AP-user distance floor, meters
-
-    p: float = field(init=False)
-    sigma2: float = field(init=False)
 
     def __post_init__(self):
         _coerce_fields(self)
-        if len(self.bits) == 1:
-            self.bits *= self.L
-        if self.b_e is None:
-            # full complex covariance report at combiner precision
-            self.b_e = 2 * self.K * self.K * self.b_c
-        self.p = 10.0 ** (self.p_db / 10.0)
-        self.sigma2 = 10.0 ** (self.noise_dbm / 10.0) * 1e-3
         self.validate()
 
     @property
+    def p(self) -> float:
+        return 10.0 ** (self.p_db / 10.0)
+
+    @property
+    def sigma2(self) -> float:
+        return 10.0 ** (self.noise_dbm / 10.0) * 1e-3
+
+    @property
+    def report_bits(self) -> int:
+        """b_e, or by default a full complex K x K report at b_c bits."""
+        return 2 * self.K * self.K * self.b_c if self.b_e is None else self.b_e
+
+    @property
     def r(self) -> int:
-        """Retained streams per AP (never stored, always derived)."""
+        """Retained streams per AP."""
         return min(self.N, self.K)
 
     @property
@@ -184,7 +186,8 @@ class NetworkConfig:
 
     @property
     def b_l(self) -> np.ndarray:
-        return np.asarray(self.bits, dtype=np.int64)
+        """Quantizer bits of each of the L APs."""
+        return np.full(self.L, self.bits, dtype=np.int64)
 
     def validate(self):
         _need(self.L >= 1, "L >= 1")
@@ -193,7 +196,8 @@ class NetworkConfig:
         _need(self.p > 0, "p > 0")
         _need(self.sigma2 > 0, "sigma2 > 0")
         _need(self.alpha > 0, "alpha > 0")
-        _need(len(self.bits) == self.L, f"bits must have length L={self.L}")
+        _need(len(self.bits) in (1, self.L),
+              f"bits must have length 1 or L={self.L}")
         _need(all(b >= 1 for b in self.bits), "b_l >= 1")
         _need(self.area_side > 0, "area_side > 0")
         _need(self.d_min > 0, "d_min > 0")
@@ -201,7 +205,7 @@ class NetworkConfig:
         _need(self.tau_d <= self.tau_c + 1e-9,
               f"tau_d <= T_c*B_c (tau_d={self.tau_d}, tau_c={self.tau_c:g})")
         _need(self.b_c >= 1, "b_c >= 1")
-        _need(self.b_e >= 0, "b_e >= 0")
+        _need(self.report_bits >= 0, "b_e >= 0")
         _need(self.corr_model in ("uncorrelated", "exponential"),
               f"corr_model must be 'uncorrelated' or 'exponential', "
               f"got {self.corr_model!r}")
@@ -218,7 +222,8 @@ class NetworkConfig:
             "sigma2_watt": self.sigma2,
             "r": self.r,
             "tau_c": self.tau_c,
-            "b_e": self.b_e,
+            "b_e": self.report_bits,
+            "b_l": self.b_l.tolist(),
         }}
 
 
@@ -279,10 +284,9 @@ class ExperimentPlan:
 
 
 def _settable_values(obj) -> dict:
-    """A config dataclass's init fields by name, as JSON values: tuples
+    """A config dataclass's fields by name, as JSON values: tuples
     become lists and options their names."""
-    return {f.name: _plain(getattr(obj, f.name))
-            for f in fields(obj) if f.init}
+    return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
 
 
 def _plain(v):

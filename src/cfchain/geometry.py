@@ -104,11 +104,10 @@ def build_spatial_covariance(cfg: NetworkConfig, beta_kl: float) -> np.ndarray:
 
 
 def _correlation_sqrt(cfg: NetworkConfig) -> np.ndarray:
-    """Real symmetric square root of the unit-trace antenna correlation."""
+    """Real symmetric square root of the spatial covariance at beta = 1."""
+    T = build_spatial_covariance(cfg, 1.0).real
     if cfg.corr_model == "uncorrelated":
-        return np.eye(cfg.N)
-    idx = np.arange(cfg.N)
-    T = cfg.rho ** np.abs(np.subtract.outer(idx, idx))
+        return T  # the identity is its own square root
     vals, vecs = np.linalg.eigh(T)
     if np.min(vals) < -1e-10 * np.max(vals):
         raise np.linalg.LinAlgError("antenna correlation matrix is not PSD")

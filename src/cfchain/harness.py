@@ -375,6 +375,6 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
         result.metadata["aborted_trials"] = len(aborts)
         result.metadata["total_trials"] = total
         result.metadata["aborts"] = aborts
-    # config, plan, seed, version and backend are recorded by the manifest
+    # config, plan (with the master seed) and version are in the manifest
     result.metadata["wall_time_s"] = round(time.perf_counter() - t0, 3)
     return result

@@ -12,7 +12,7 @@ import numpy as np
 
 
 def active_backend() -> str:
-    """Name of the kernel implementation, recorded in run manifests."""
+    """Name of the kernel implementation, recorded by perfbench."""
     return "numpy"
 
 

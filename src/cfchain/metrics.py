@@ -96,6 +96,6 @@ def fronthaul_bitrate(cfg: NetworkConfig, b_l: int) -> tuple[float, int]:
     """
     width, b_s = multiplier_width(cfg.b_c, b_l, cfg.r)
     n_cb = cfg.bandwidth_hz / cfg.coherence_bw_hz
-    rate = n_cb * (cfg.b_e + 2.0 * cfg.tau_d * cfg.K * width) \
+    rate = n_cb * (cfg.report_bits + 2.0 * cfg.tau_d * cfg.K * width) \
         / cfg.coherence_time_s
     return rate, b_s

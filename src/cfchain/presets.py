@@ -4,7 +4,7 @@ All presets share the default network (5 APs x 4 antennas, 10 users,
 100 MHz / -85 dBm noise, -10 dB transmit power, 3-bit quantizers) and
 differ only in what they sweep and how many trials they spend. A preset
 is a set of plan keywords; `runio.build_config` turns it into a config
-and plan exactly as it does a config file.
+and plan exactly as it does a config file, seed rule included.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ PRESETS = {
 
 def preset(name: str, seed: int | None = None
            ) -> tuple[NetworkConfig, ExperimentPlan]:
-    """(config, plan) of a preset; seed is applied as the override
-    `seed=N`, which also sets the master seed (see parse_overrides)."""
+    """(config, plan) of a preset; a seed is the override `seed=N`."""
     name = name.strip().lower()
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: "

@@ -9,9 +9,9 @@ values as the JSON gives them. Files, presets and CLI overrides all
 resolve through `build_config`, which also checks config and plan
 together. `emit_results` writes the CSV tables a result carries, then a
 run manifest (JSON); feeding that manifest back to `run` reproduces the
-run bit-exactly because it materializes every resolved value. The
-manifest records the config, plan, seed, version and backend once, at its
-top level; `result_metadata` holds only what the run measured.
+run bit-exactly. The manifest records the config with its derived values,
+the plan (whose master_seed is the run's one seed) and the version once,
+at its top level; `result_metadata` holds only what the run measured.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__ as _version
-from . import kernels
 from .config import (NOISE_KINDS, ConfigError, ExperimentPlan, NetworkConfig,
                      Text, _check_alpha_bits, coerce)
 
@@ -34,7 +33,7 @@ from .config import (NOISE_KINDS, ConfigError, ExperimentPlan, NetworkConfig,
 # files, manifests and overrides so that these keep replaying, then dropped
 RETIRED_KEYS = ("option", "carrier_freq_hz")
 _SECTION_KEYS = {
-    "network": {f.name for f in fields(NetworkConfig) if f.init} | set(
+    "network": {f.name for f in fields(NetworkConfig)} | {"seed"} | set(
         RETIRED_KEYS),
     "plan": {f.name for f in fields(ExperimentPlan)}}
 
@@ -42,9 +41,7 @@ _SECTION_KEYS = {
 def parse_overrides(overrides: list[str] | None) -> tuple[dict, dict]:
     """Split repeatable "key=value" strings into network and plan kwargs.
 
-    Keys are matched against the network section first, then the plan. A
-    seed override also moves master_seed, unless master_seed is overridden
-    too.
+    Keys are matched against the network section first, then the plan.
     """
     net_kwargs: dict = {}
     plan_kwargs: dict = {}
@@ -59,8 +56,6 @@ def parse_overrides(overrides: list[str] | None) -> tuple[dict, dict]:
             plan_kwargs[key] = Text(raw.strip())
         else:
             raise ConfigError(f"unknown override key {key!r}")
-    if "seed" in net_kwargs:
-        plan_kwargs.setdefault("master_seed", net_kwargs["seed"])
     return net_kwargs, plan_kwargs
 
 
@@ -68,8 +63,8 @@ def build_config(net_kwargs: dict, plan_kwargs: dict,
                  overrides: list[str] | None = None
                  ) -> tuple[NetworkConfig, ExperimentPlan]:
     """Build (NetworkConfig, ExperimentPlan) from keyword sets, with
-    overrides (see parse_overrides) on top; derived defaults such as b_e
-    follow the final values. master_seed defaults to the network seed.
+    overrides (see parse_overrides) on top. The run's one seed is the first
+    given of: override master_seed, override seed, master_seed, seed, 1.
 
     RETIRED_KEYS are dropped. A retired `option` still names the option of
     a noise kind whose options list has more than one entry: that is the
@@ -78,11 +73,17 @@ def build_config(net_kwargs: dict, plan_kwargs: dict,
     quantizes with must satisfy alpha^2 < 3*4^b.
     """
     net_ov, plan_ov = parse_overrides(overrides)
+    seeds = [coerce(ExperimentPlan, key, kw[key], "master_seed")
+             for kw, key in ((plan_ov, "master_seed"), (net_ov, "seed"),
+                             (plan_kwargs, "master_seed"),
+                             (net_kwargs, "seed")) if key in kw]
     net = {**net_kwargs, **net_ov}
+    net.pop("seed", None)
     retired = {key: net.pop(key) for key in RETIRED_KEYS if key in net}
     cfg = NetworkConfig(**net)
     plan_kw = {key: coerce(ExperimentPlan, key, raw) for key, raw in
-               {"master_seed": cfg.seed, **plan_kwargs, **plan_ov}.items()}
+               {**plan_kwargs, **plan_ov}.items()}
+    plan_kw["master_seed"] = seeds[0] if seeds else ExperimentPlan.master_seed
     if ("option" in retired
             and plan_kw.get("kind", ExperimentPlan.kind) in NOISE_KINDS
             and len(plan_kw.get("options", ExperimentPlan.options)) > 1):
@@ -119,8 +120,11 @@ def _read_sections(path: str) -> dict:
     try:
         if text.startswith("{"):
             doc = json.loads(text)
-            sections = {"network": dict(doc.get("config", {})),
-                        "plan": doc.get("plan", {})}
+            for key in ("config", "plan"):
+                if not isinstance(doc.setdefault(key, {}), dict):
+                    raise ConfigError(f"manifest {key} is not a JSON object:"
+                                      f" {doc[key]!r}")
+            sections = {"network": doc["config"], "plan": doc["plan"]}
             sections["network"].pop("derived", None)
         else:
             parser.read_string(text, source=path)
@@ -145,11 +149,9 @@ class RunManifest:
 
     config: dict
     plan: dict
-    seed: int
     out_dir: str
     version: str
     build_id: str
-    backend: str
     started_utc: str
 
     @classmethod
@@ -162,11 +164,9 @@ class RunManifest:
         return cls(
             config=cfg_doc,
             plan=plan.as_dict(),
-            seed=plan.master_seed,
             out_dir=str(out_dir),
             version=_version,
             build_id=f"cfchain-{_version}+cfg.{digest}",
-            backend=kernels.active_backend(),
             started_utc=datetime.datetime.now(
                 datetime.timezone.utc).isoformat(timespec="seconds"),
         )

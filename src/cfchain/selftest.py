@@ -28,10 +28,10 @@ def check_oracle_equivalence(fast: bool = False):
     worst = 0.0
     for i in range(n_inst):
         placement = generate_placement(
-            cfg, seed_stream(cfg.seed, i, 0, 0, Role.PLACEMENT))
+            cfg, seed_stream(1, i, 0, 0, Role.PLACEMENT))
         ch = draw_channel(cfg, placement,
-                          seed_stream(cfg.seed, i, 0, 0, Role.CHANNEL))
-        rng = seed_stream(cfg.seed, i, 0, 0, Role.NOISE)
+                          seed_stream(1, i, 0, 0, Role.CHANNEL))
+        rng = seed_stream(1, i, 0, 0, Role.NOISE)
         s = np.sqrt(cfg.p) * crandn(rng, cfg.K)
         y = ch.H @ s + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N)
         plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
@@ -67,8 +67,8 @@ def check_covariance_monotonicity(fast: bool = False):
     cfg = NetworkConfig()
     n_runs = 100 if fast else 500
     H = np.stack([draw_channel(cfg, generate_placement(
-        cfg, seed_stream(cfg.seed, i, 0, 0, Role.PLACEMENT)),
-        seed_stream(cfg.seed, i, 1, 0, Role.CHANNEL)).H
+        cfg, seed_stream(1, i, 0, 0, Role.PLACEMENT)),
+        seed_stream(1, i, 1, 0, Role.CHANNEL)).H
         for i in range(n_runs)])
     worst_inc, worst_eig = -np.inf, np.inf
     for k, option in enumerate(Option):

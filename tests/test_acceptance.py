@@ -53,10 +53,10 @@ def test_criterion_1_oracle_equivalence(report):
     worst = 0.0
     for i in range(100):
         placement = generate_placement(
-            cfg, seed_stream(cfg.seed, i, 0, 0, Role.PLACEMENT))
+            cfg, seed_stream(1, i, 0, 0, Role.PLACEMENT))
         ch = draw_channel(cfg, placement,
-                          seed_stream(cfg.seed, i, 0, 0, Role.CHANNEL))
-        rng = seed_stream(cfg.seed, i, 0, 0, Role.NOISE)
+                          seed_stream(1, i, 0, 0, Role.CHANNEL))
+        rng = seed_stream(1, i, 0, 0, Role.NOISE)
         s = np.sqrt(cfg.p) * crandn(rng, cfg.K)
         y = np.einsum("lnk,k->ln", ch.H, s) \
             + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N)
@@ -117,7 +117,7 @@ def _raw_quantization_reference(cfg, b, n_placements=100, n_samples=4000):
     options the chain's estimate is linear in the APs' quantized outputs,
     so the reference scores the best linear estimator of s from all of
     them, fitted on half of the samples and scored on the other half."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(1)
     L, N, K, S = cfg.L, cfg.N, cfg.K, n_samples
     corr = 1.0 - cfg.alpha ** 2 / (3.0 * 4.0 ** b)
 
@@ -270,11 +270,11 @@ def test_criterion_6_covariance_recursion(report):
     H = np.empty((n_runs, cfg.L, cfg.N, cfg.K), dtype=complex)
     for p_idx in range(n_runs // 20):
         placement = generate_placement(
-            cfg, seed_stream(cfg.seed, p_idx, 0, 0, Role.PLACEMENT))
+            cfg, seed_stream(1, p_idx, 0, 0, Role.PLACEMENT))
         for blk in range(20):
             H[20 * p_idx + blk] = draw_channel(
                 cfg, placement,
-                seed_stream(cfg.seed, p_idx, blk, 0, Role.CHANNEL)).H
+                seed_stream(1, p_idx, blk, 0, Role.CHANNEL)).H
     worst_inc = -np.inf
     worst_eig = np.inf
     for k, option in enumerate(opts):
@@ -288,12 +288,12 @@ def test_criterion_6_covariance_recursion(report):
 
     # lossless chain: realized mean squared error matches trace(C_L)
     placement = generate_placement(
-        cfg, seed_stream(cfg.seed, 0, 0, 0, Role.PLACEMENT))
+        cfg, seed_stream(1, 0, 0, 0, Role.PLACEMENT))
     ch = draw_channel(cfg, placement,
-                      seed_stream(cfg.seed, 0, 0, 0, Role.CHANNEL))
+                      seed_stream(1, 0, 0, 0, Role.CHANNEL))
     plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
     n = 10_000
-    rng = seed_stream(cfg.seed, 0, 0, 0, Role.NOISE)
+    rng = seed_stream(1, 0, 0, 0, Role.NOISE)
     s = np.sqrt(cfg.p) * crandn(rng, cfg.K, n)
     Y = np.einsum("lnk,ks->lns", ch.H, s) \
         + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)

@@ -103,10 +103,16 @@ def test_collect_call_unpacks_as_the_tracer_expects():
     assert counters["collect_clipped"] == int(clips.sum())
 
 
+def test_active_backend_resolves():
+    # perfbench's environment line reads it on every run; nothing in the
+    # package does
+    assert kernels.active_backend() == "numpy"
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_seed_is_the_master_seed(name):
-    cfg, plan = preset(name, seed=7)
-    assert plan.master_seed == 7 and cfg.seed == 7
+    _, plan = preset(name, seed=7)
+    assert plan.master_seed == 7
 
 
 def test_sweep_result_reads_as_the_benchmark_expects(tmp_path):

@@ -14,7 +14,7 @@ from cfchain.quantizer import calibrate_dynamic_range, draw_dither
 
 
 def _scenario(seed=0, **kw):
-    cfg = NetworkConfig(seed=seed, **kw)
+    cfg = NetworkConfig(**kw)
     placement = generate_placement(
         cfg, seed_stream(seed, 0, 0, 0, Role.PLACEMENT))
     ch = draw_channel(cfg, placement, seed_stream(seed, 0, 0, 0, Role.CHANNEL))
@@ -341,10 +341,10 @@ class TestRefineEstimate:
         sh = _lossless(plan, y)
         assert np.max(np.abs(sh - ref)) < 1e-10 * np.max(np.abs(ref))
 
-    def test_non_pd_observation_raises(self):
+    def test_non_pd_observation_raises(self, monkeypatch):
         # no channel and no noise: the observation covariance is zero
         cfg = NetworkConfig()
-        cfg.sigma2 = 0.0
+        monkeypatch.setattr(NetworkConfig, "sigma2", 0.0)
         with pytest.raises(ChainNumericsError):
             build_chain_plan(cfg, np.zeros((cfg.L, cfg.N, cfg.K), complex),
                              option=Option.NOQUANT)

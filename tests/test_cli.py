@@ -9,6 +9,7 @@ import pytest
 
 from cfchain.cli import main
 from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig, Option
+from cfchain.presets import preset
 from cfchain.runio import RETIRED_KEYS, build_config, parse_config
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -29,7 +30,7 @@ class TestParseConfig:
         assert cfg.p_db == -10.0
         assert cfg.alpha == 3.0
         assert cfg.corr_model == "uncorrelated"
-        assert cfg.bits == (3,) * 5
+        assert cfg.b_l.tolist() == [3] * 5
 
     def test_no_path_same_as_empty(self, tmp_path):
         a, _ = parse_config(None)
@@ -113,7 +114,7 @@ options = option1, noquant
     def test_integers_are_read_exactly(self):
         # 2**53 + 1 has no float64: a float round trip would give 2**53
         cfg, plan = parse_config(None, ["seed=9007199254740993"])
-        assert cfg.seed == plan.master_seed == 9007199254740993
+        assert plan.master_seed == 9007199254740993
         _, plan = parse_config(None, ["n_samples=1e3"])
         assert plan.n_samples == 1000
         with pytest.raises(ConfigError, match="not an integer"):
@@ -165,7 +166,10 @@ class TestCliCommands:
         ("[network]\nalpha = x\n", "alpha = 'x' is not a number"),
         ("[network]\nL = 2.5\n", "L = '2.5' is not an integer"),
         ("[plan]\nbits_sweep = 2, 3.5\n", "bits_sweep = '3.5' is not an"),
-    ], ids=["float_key", "int_key", "int_list"])
+        # a seed that master_seed outranks is still typed
+        ("[network]\nseed = x\n\n[plan]\nmaster_seed = 3\n",
+         "seed = 'x' is not an integer"),
+    ], ids=["float_key", "int_key", "int_list", "outranked_seed"])
     def test_validate_malformed_number_in_file(self, tmp_path, capsys, text,
                                                message):
         assert main(["validate", _write(tmp_path, text)]) == 3
@@ -277,7 +281,11 @@ n_samples = 8
         assert "conversions" not in doc
         assert doc["plan"]["kind"] == "nmse_vs_bits"
         assert doc["build_id"].startswith("cfchain-")
-        assert doc["backend"] == "numpy"
+        assert doc["config"]["derived"]["b_e"] == 1600
+        assert doc["config"]["derived"]["b_l"] == [3] * 5
+        # the plan's master_seed is the one seed: no copy beside it
+        assert "seed" not in doc and "seed" not in doc["config"]
+        assert "backend" not in doc
         # no silent defaults: every config field and plan field materialized
         for f in fields(NetworkConfig):
             if f.init:
@@ -296,6 +304,10 @@ n_samples = 8
         doc["config"].update(option="option1", carrier_freq_hz=2e9)
         doc["conversions"] = {"p_db_to_watt": [-10.0, 0.1],
                               "noise_dbm_to_watt": [-85.0, 3.16e-12]}
+        # and the copies of the seed, the backend name, the per-AP bits
+        # and the covariance-report size they wrote
+        doc["config"].update(seed=9, bits=[3] * 5, b_e=1600)
+        doc.update(seed=9, backend="numpy")
         old = tmp_path / "old.json"
         old.write_text(json.dumps(doc))
         assert main(["run", str(old), "--out", str(tmp_path / "re")]) == 0
@@ -393,7 +405,7 @@ options = option1
         run_csv = (tmp_path / "run" / "bitrate.csv").read_bytes()
         assert (tmp_path / "pre" / "bitrate.csv").read_bytes() == run_csv
         doc = json.loads((tmp_path / "pre" / "manifest.json").read_text())
-        assert doc["config"]["b_e"] == 2 * 10 * 10 * 9
+        assert doc["config"]["derived"]["b_e"] == 2 * 10 * 10 * 9
 
     def test_preset_override_of_L_resizes_bits(self, tmp_path):
         out = tmp_path / "l3"
@@ -401,20 +413,58 @@ options = option1
                      "--override", "L=3"]) == 0
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["config"]["L"] == 3
-        assert doc["config"]["bits"] == [3, 3, 3]
+        assert doc["config"]["derived"]["b_l"] == [3, 3, 3]
 
-    def test_preset_seed_override_moves_master_seed(self, tmp_path):
-        out = tmp_path / "s"
-        assert main(["preset", "bitrate", "--out", str(out),
-                     "--override", "seed=7"]) == 0
+    @pytest.mark.parametrize("route,network,plan,args,want", [
+        ("run", "", "", [], 1),
+        ("run", "seed = 5", "", [], 5),
+        ("run", "", "master_seed = 6", [], 6),
+        ("run", "seed = 5", "master_seed = 6", [], 6),
+        ("run", "seed = 5", "master_seed = 6", ["--override", "seed=7"], 7),
+        ("run", "seed = 5", "master_seed = 6", ["--seed", "7"], 7),
+        ("run", "seed = 5", "master_seed = 6",
+         ["--seed", "7", "--override", "master_seed=3"], 3),
+        ("run", "seed = 5", "master_seed = 6",
+         ["--override", "master_seed=3", "--override", "seed=7"], 3),
+        ("preset", None, None, [], 1),
+        ("preset", None, None, ["--override", "seed=7"], 7),
+        ("preset", None, None, ["--seed", "7"], 7),
+        ("preset", None, None,
+         ["--override", "seed=7", "--override", "master_seed=3"], 3),
+        ("preset(seed=)", None, None, 7, 7),
+    ], ids=["default", "file_seed", "file_master_seed",
+            "file_master_seed_over_seed", "override_seed_over_file",
+            "seed_flag_over_file", "override_master_seed_over_seed_flag",
+            "override_master_seed_over_override_seed", "preset_default",
+            "preset_override_seed", "preset_seed_flag",
+            "preset_override_master_seed_over_seed", "preset_api"])
+    def test_seed_precedence(self, tmp_path, route, network, plan, args,
+                             want):
+        # highest first: an override of master_seed, an override of seed
+        # (or --seed), the file's master_seed, its seed, 1
+        if route == "preset(seed=)":
+            assert preset("bitrate", seed=args)[1].master_seed == want
+            return
+        argv = ["preset", "bitrate"] if route == "preset" else [
+            "run", _write(tmp_path, f"[network]\n{network}\n[plan]\n"
+                          f"kind = bitrate_table\noptions = option1\n"
+                          f"{plan}\n")]
+        out = tmp_path / "out"
+        assert main(argv + args + ["--out", str(out)]) == 0
         doc = json.loads((out / "manifest.json").read_text())
-        assert doc["config"]["seed"] == 7
-        assert doc["plan"]["master_seed"] == 7
-        assert main(["preset", "bitrate", "--out", str(out),
-                     "--override", "seed=7", "--override",
-                     "master_seed=3"]) == 0
-        doc = json.loads((out / "manifest.json").read_text())
-        assert doc["plan"]["master_seed"] == 3
+        assert doc["plan"]["master_seed"] == want
+
+    @pytest.mark.parametrize("doc,section", [
+        ({"config": None}, "config"), ({"plan": None}, "plan"),
+        ({"config": [1]}, "config"),
+    ], ids=["null_config", "null_plan", "list_config"])
+    def test_manifest_section_not_an_object_exits_3(self, tmp_path, capsys,
+                                                     doc, section):
+        path = _write(tmp_path, json.dumps(doc), "manifest.json")
+        assert main(["validate", path]) == 3
+        err = capsys.readouterr().err
+        assert f"manifest {section} is not a JSON object" in err
+        assert "Traceback" not in err
 
     def test_selftest_fast(self, capsys):
         assert main(["selftest", "--fast"]) == 0

@@ -31,7 +31,6 @@ SAMPLES = {
     "b_e": (1000, "1000"),
     "corr_model": ("exponential", "exponential"),
     "rho": (0.3, "0.3"),
-    "seed": (9007199254740993, "9007199254740993"),
     "d_min": (2.0, "2"),
     "kind": ("ber_vs_power", "ber_vs_power"),
     "bits_sweep": ((2, 3), "2, 3"),
@@ -96,7 +95,7 @@ def test_every_route_resolves_a_field_alike(routes, cls, key):
 
 
 def test_integers_stay_exact_and_take_integral_float_forms():
-    assert NetworkConfig(seed=2 ** 53 + 1).seed == 2 ** 53 + 1
+    assert ExperimentPlan(master_seed=2 ** 53 + 1).master_seed == 2 ** 53 + 1
     plan = ExperimentPlan(n_samples=1e3, n_blocks=np.int64(3),
                           bits_sweep=np.arange(1, 4))
     assert repr((plan.n_samples, plan.n_blocks, plan.bits_sweep)) == (
@@ -106,11 +105,21 @@ def test_integers_stay_exact_and_take_integral_float_forms():
 
 
 def test_one_value_is_a_list_of_one():
-    assert NetworkConfig(bits=2).bits == (2,) * 5
-    assert NetworkConfig(bits=[2]).bits == (2,) * 5
+    for bits in (2, [2]):
+        cfg = NetworkConfig(bits=bits)
+        assert (cfg.bits, cfg.b_l.tolist()) == ((2,), [2] * 5)
     plan = ExperimentPlan(kind="Noise_CDF ", options="option3",
                           n_samples=10_000, n_blocks=1, n_placements=1)
     assert (plan.kind, plan.options) == ("noise_cdf", (Option.OPTION3,))
+
+
+@pytest.mark.parametrize("kw", [dict(K=12), dict(L=3), dict(b_c=9),
+                                dict(noise_dbm=-80)],
+                         ids=["K", "L", "b_c", "noise_dbm"])
+def test_replace_derives_like_construction(kw):
+    # derived values (report bits, per-AP bits, powers) follow the fields
+    assert replace(NetworkConfig(), **kw).as_dict() == (
+        NetworkConfig(**kw).as_dict())
 
 
 def test_replace_types_like_construction():

@@ -14,7 +14,7 @@ POWERS_DB = np.asarray(preset("fig5")[1].power_sweep_db, dtype=float)
 
 
 def _workload(seed=0, S=64):
-    cfg = NetworkConfig(seed=seed)
+    cfg = NetworkConfig()
     placement = generate_placement(
         cfg, seed_stream(seed, 0, 0, 0, Role.PLACEMENT))
     ch = draw_channel(cfg, placement, seed_stream(seed, 0, 0, 0, Role.CHANNEL))

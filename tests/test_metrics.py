@@ -50,7 +50,7 @@ class TestNmseAccumulator:
 
     def test_lossless_chain_matches_error_covariance(self):
         # NMSE * p * K tracks trace(C_L) for a fixed channel
-        cfg = NetworkConfig(seed=3)
+        cfg = NetworkConfig()
         placement = generate_placement(
             cfg, seed_stream(3, 0, 0, 0, Role.PLACEMENT))
         ch = draw_channel(cfg, placement,
@@ -125,11 +125,11 @@ class TestBitAccounting:
     def test_monotone_in_every_argument(self):
         base = NetworkConfig()
         r0, _ = fronthaul_bitrate(base, b_l=3)
-        assert fronthaul_bitrate(NetworkConfig(b_e=base.b_e + 1), 3)[0] > r0
+        assert fronthaul_bitrate(NetworkConfig(b_e=base.report_bits + 1), 3)[0] > r0
         assert fronthaul_bitrate(NetworkConfig(tau_d=191), 3)[0] > r0
         assert fronthaul_bitrate(NetworkConfig(K=11), 3)[0] > r0
         # b_c moves the derived b_e too; hold b_e to isolate the multiplier
-        assert fronthaul_bitrate(NetworkConfig(b_c=9, b_e=base.b_e),
+        assert fronthaul_bitrate(NetworkConfig(b_c=9, b_e=base.report_bits),
                                  3)[0] > r0
         assert fronthaul_bitrate(base, 4)[0] > r0
         assert fronthaul_bitrate(NetworkConfig(N=5), 3)[0] > r0  # r grows

@@ -199,7 +199,7 @@ class TestKsUniform:
 
 
 def _collect_noise(n=100_000, seed=1):
-    cfg = NetworkConfig(seed=seed)
+    cfg = NetworkConfig()
     placement = generate_placement(
         cfg, seed_stream(seed, 0, 0, 0, Role.PLACEMENT))
     ch = draw_channel(cfg, placement, seed_stream(seed, 0, 0, 0, Role.CHANNEL))
