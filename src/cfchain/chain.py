@@ -217,10 +217,8 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
             A = np.eye(N, dtype=complex)
             input_var = np.diagonal(R_y, axis1=-2, axis2=-1).real
         if quantized:
-            bank = calibrate_dynamic_range(input_var, cfg.alpha,
-                                           bits[..., l])
-            gamma[..., l, :] = bank.gamma
-            delta[..., l, :] = bank.delta
+            gamma[..., l, :], delta[..., l, :] = calibrate_dynamic_range(
+                input_var, cfg.alpha, bits[..., l])
         R_f = observation_covariance(A, R_G, delta[..., l, :])
         V[..., l, :, :], C = _combiner_and_covariance(C, H_l, A, R_f)
         AH[..., l, :, :] = _ct(A)

@@ -1,4 +1,5 @@
-"""Scenario configuration and experiment plans.
+"""Scenario configuration and experiment plans: keys, types and
+validation only.
 
 All user-facing powers are specified on log scales (transmit power in dB
 relative to 1 W, noise in dBm) and read in a single linear unit system
@@ -294,11 +295,3 @@ def _plain(v):
         return [_plain(x) for x in v]
     return v.value if isinstance(v, Option) else v
 
-
-def _check_alpha_bits(alpha: float, b: int):
-    """The dynamic-range closed form needs alpha^2 < 3*4^b; checked where
-    a config meets its plan (runio.build_config) and by the calibration."""
-    if alpha ** 2 >= 3.0 * 4.0 ** b:
-        raise ConfigError(
-            f"alpha^2 < 3*4^b violated (alpha={alpha}, b={b}): the dynamic "
-            "range calibration has no finite solution")

@@ -18,6 +18,7 @@ from .config import ConfigError, NetworkConfig
 
 PATHLOSS_INTERCEPT_DB = -30.5
 PATHLOSS_SLOPE_DB_PER_DECADE = -36.7
+PLACEMENT_DRAWS = 10_000  # tries per user to clear the d_min floor
 
 
 @dataclass
@@ -77,13 +78,16 @@ def generate_placement(cfg: NetworkConfig, rng: np.random.Generator) -> Placemen
     aps = ap_grid(cfg.L, cfg.area_side)
     users = np.empty((cfg.K, 2), dtype=float)
     for k in range(cfg.K):
-        for _ in range(10_000):
+        for _ in range(PLACEMENT_DRAWS):
             pos = rng.uniform(0.0, cfg.area_side, size=2)
             if np.min(np.linalg.norm(aps - pos, axis=1)) >= cfg.d_min:
                 users[k] = pos
                 break
-        else:  # pragma: no cover - area >> d_min in any sane scenario
-            raise RuntimeError("could not place a user outside the d_min floor")
+        else:
+            raise ConfigError(
+                f"user {k}: none of {PLACEMENT_DRAWS} draws clears d_min = "
+                f"{cfg.d_min:g} m from every AP in a square of area_side = "
+                f"{cfg.area_side:g} m")
     dist = np.linalg.norm(aps[:, None, :] - users[None, :, :], axis=2)
     dist = np.maximum(dist, cfg.d_min)
     return Placement(ap_positions=aps, user_positions=users, distances=dist)

@@ -1,65 +1,21 @@
-"""Hot numeric kernels: the per-sample chain evaluation and the mid-rise
-quantizer, in numpy.
+"""The hot numeric kernel: the per-sample chain evaluation, in numpy.
 
 The chain kernel batches over the sample axis and, optionally, over a
 leading sweep axis (bit widths or transmit powers), so a whole sweep of
-one option runs in one call.
+one option runs in one call. Each AP's quantizers are
+`quantizer.quantize_complex`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .quantizer import quantize_complex
+
 
 def active_backend() -> str:
     """Name of the kernel implementation, recorded by perfbench."""
     return "numpy"
-
-
-# ---------------------------------------------------------------------------
-# mid-rise quantizer, 2^b levels over [-gamma, gamma], saturating at the edge
-# ---------------------------------------------------------------------------
-
-def quantize_midrise(x: np.ndarray, gamma: np.ndarray,
-                     delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize real values; gamma/delta broadcast against x.
-
-    Returns (values, clipped_mask). A zero step size degenerates to a
-    constant-zero quantizer that never counts clipping.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(gamma, dtype=float)
-    d = np.asarray(delta, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = x + g
-        v /= d
-        np.floor(v, out=v)
-        v += 0.5
-        v *= d
-        v -= g
-        half = 0.5 * d
-        np.maximum(v, half - g, out=v)
-        np.minimum(v, g - half, out=v)
-    clipped = np.abs(x) > g
-    live = d > 0
-    if not live.all():
-        v = np.where(live, v, 0.0)
-        clipped = clipped & live
-    return v, clipped
-
-
-def quantize_complex(z: np.ndarray, gamma: np.ndarray,
-                     delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One mid-rise quantizer each for the real and imaginary parts of z.
-
-    gamma/delta broadcast against z. Both parts go through one call, as
-    the interleaved float view of z. Returns (values, clipped_mask) with
-    the mask shaped z.shape + (2,): real, imaginary.
-    """
-    x = np.ascontiguousarray(z, dtype=complex)[..., None].view(float)
-    v, clipped = quantize_midrise(x, np.asarray(gamma)[..., None],
-                                  np.asarray(delta)[..., None])
-    return v.view(complex)[..., 0], clipped
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,25 @@
-"""Non-subtractive dithered uniform quantization of complex vectors.
+"""Non-subtractive dithered uniform quantization of complex vectors,
+stated once here.
 
-Each complex stream gets a pair of identical real quantizers (real and
-imaginary parts). Dynamic ranges are calibrated from the second-order
-statistics of the quantizer input including the dither's own contribution,
-which gives the closed form
+Each complex stream gets a pair of identical real mid-rise quantizers
+(`quantize_complex`, `quantize_midrise`): 2^b levels at the centres of
+the cells of width delta = 2*gamma/2^b over [-gamma, gamma]; an input
+beyond +-gamma saturates at the outer level and counts as clipped, and
+gamma = delta = 0 gives a constant zero that never clips. A dither
+uniform over one step per real component is added before the quantizer
+and stays in the forwarded signal; it is drawn once per (block, option)
+at unit scale (`draw_dither`) and scaled by each chain's steps in
+`kernels.evaluate_chain`. The dynamic range counts the dither's own
+variance into the input, which gives the closed form
 
     gamma_i = sqrt( alpha^2 * (1 - alpha^2 / (3*4^b))^-1 * var_i / 2 )
 
-with var_i = E{|input_i|^2}. The dither stays in the forwarded signal
-(non-subtractive), so both its covariance and the quantization-noise
-covariance enter the downstream estimator. `noise_covariance` is the one
-statement of that model: each is uniform over one step per real
-component, delta^2/6 per complex stream, so together diag(delta^2/3);
-`uniform_cdf` is the one statement of the uniform law. The dither is
-drawn once per (block, option) at unit scale (`draw_dither`) and scaled
-by each chain's steps in `kernels.evaluate_chain`.
+with var_i = E{|input_i|^2} (`calibrate_dynamic_range`), finite only for
+alpha^2 < 3*4^b (`check_alpha_bits`). Dither and quantization noise are
+each uniform over one step per real component, delta^2/6 per complex
+stream, so the downstream estimator models them as diag(delta^2/3)
+(`noise_covariance`); `uniform_cdf` states the uniform law, which
+`validate_noise_statistics` checks against realized noise.
 """
 
 from __future__ import annotations
@@ -23,19 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MIN_NOISE_SAMPLES, ConfigError, _check_alpha_bits
+from .config import MIN_NOISE_SAMPLES, ConfigError
 
 
 class InsufficientSamplesError(ValueError):
     """Too few samples to certify the quantization-noise statistics."""
-
-
-@dataclass
-class QuantizerBank:
-    """Calibrated per-stream quantizers for one AP (2r real quantizers)."""
-
-    gamma: np.ndarray     # (...,r) dynamic ranges
-    delta: np.ndarray     # (...,r) step sizes, exactly 2*gamma/2^b
 
 
 @dataclass
@@ -65,13 +62,21 @@ class StatReport:
                    self.offdiag_ratio, self.eig_vs_diag_rel]
 
 
-def calibrate_dynamic_range(input_var, alpha: float, b) -> QuantizerBank:
-    """Build a bank from per-stream input variances E{|input_i|^2}.
+def check_alpha_bits(alpha: float, b: int):
+    """The dynamic-range closed form needs alpha^2 < 3*4^b; checked where
+    a config meets its plan (runio.build_config) and by the calibration."""
+    if alpha ** 2 >= 3.0 * 4.0 ** b:
+        raise ConfigError(
+            f"alpha^2 < 3*4^b violated (alpha={alpha}, b={b}): the dynamic "
+            "range calibration has no finite solution")
 
-    input_var is (..., r) and b an integer or an integer array of the
-    leading shape (...), one bit width per bank of a stacked sweep. A
-    zero-variance stream degenerates to gamma = delta = 0; the quantizer
-    then passes 0 and never counts clipping.
+
+def calibrate_dynamic_range(input_var, alpha: float,
+                            b) -> tuple[np.ndarray, np.ndarray]:
+    """Dynamic ranges and steps (gamma, delta), each (..., r), from input
+    variances E{|input_i|^2} (..., r): delta is exactly 2*gamma/2^b, and a
+    zero variance gives gamma = delta = 0. b is an integer or an integer
+    array of the leading shape (...), one bit width per r streams.
     """
     input_var = np.atleast_1d(np.asarray(input_var, dtype=float))
     if (input_var < 0).any():
@@ -79,11 +84,53 @@ def calibrate_dynamic_range(input_var, alpha: float, b) -> QuantizerBank:
     b = np.asarray(b, dtype=np.int64)
     if (b < 1).any():
         raise ConfigError("b_l >= 1")
-    _check_alpha_bits(alpha, int(b.min()))  # the bound tightens as b falls
+    check_alpha_bits(alpha, int(b.min()))  # the bound tightens as b falls
     corr = 1.0 - alpha ** 2 / (3.0 * 4.0 ** b[..., None])
     gamma = np.sqrt(alpha ** 2 / corr * input_var / 2.0)
     delta = 2.0 * gamma / 2.0 ** b[..., None]
-    return QuantizerBank(gamma=gamma, delta=delta)
+    return gamma, delta
+
+
+def quantize_midrise(x: np.ndarray, gamma: np.ndarray,
+                     delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Quantize real values; gamma/delta broadcast against x.
+
+    Returns (values, clipped_mask). A zero step size degenerates to a
+    constant-zero quantizer that never counts clipping.
+    """
+    x = np.asarray(x, dtype=float)
+    g = np.asarray(gamma, dtype=float)
+    d = np.asarray(delta, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = x + g
+        v /= d
+        np.floor(v, out=v)
+        v += 0.5
+        v *= d
+        v -= g
+        half = 0.5 * d
+        np.maximum(v, half - g, out=v)
+        np.minimum(v, g - half, out=v)
+    clipped = np.abs(x) > g
+    live = d > 0
+    if not live.all():
+        v = np.where(live, v, 0.0)
+        clipped = clipped & live
+    return v, clipped
+
+
+def quantize_complex(z: np.ndarray, gamma: np.ndarray,
+                     delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One mid-rise quantizer each for the real and imaginary parts of z.
+
+    gamma/delta broadcast against z. Both parts go through one call, as
+    the interleaved float view of z. Returns (values, clipped_mask) with
+    the mask shaped z.shape + (2,): real, imaginary.
+    """
+    x = np.ascontiguousarray(z, dtype=complex)[..., None].view(float)
+    v, clipped = quantize_midrise(x, np.asarray(gamma)[..., None],
+                                  np.asarray(delta)[..., None])
+    return v.view(complex)[..., 0], clipped
 
 
 def noise_covariance(delta) -> np.ndarray:
@@ -130,7 +177,6 @@ def ks_uniform(x: np.ndarray, delta: float) -> float:
 
 def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
                               delta: np.ndarray,
-                              min_samples: int = MIN_NOISE_SAMPLES,
                               cdf_grid: np.ndarray | None = None
                               ) -> StatReport:
     """Check the dither theory against realized quantization noise.
@@ -152,10 +198,10 @@ def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
     ok_re = np.abs(eta.real) <= half
     ok_im = np.abs(eta.imag) <= half
     n_unclipped = np.minimum(ok_re.sum(axis=1), ok_im.sum(axis=1))
-    if np.any(n_unclipped < min_samples):
+    if np.any(n_unclipped < MIN_NOISE_SAMPLES):
         raise InsufficientSamplesError(
-            f"need >= {min_samples} unclipped samples per quantizer pair, "
-            f"got {n_unclipped.min()}")
+            f"need >= {MIN_NOISE_SAMPLES} unclipped samples per quantizer "
+            f"pair, got {n_unclipped.min()}")
 
     ks_re, ks_im, corr_in = np.empty((3, r))
     cdfs = None if cdf_grid is None else []

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__ as _version
 from .config import (NOISE_KINDS, ConfigError, ExperimentPlan, NetworkConfig,
-                     Text, _check_alpha_bits, coerce)
+                     Text, coerce)
+from .quantizer import check_alpha_bits
 
 # [network] keys earlier versions wrote, which no run reads: accepted from
 # files, manifests and overrides so that these keep replaying, then dropped
@@ -91,7 +92,7 @@ def build_config(net_kwargs: dict, plan_kwargs: dict,
     plan = ExperimentPlan(**plan_kw)
     if any(o.quantized for o in plan.options):
         bits = plan.bits_sweep if plan.kind == "nmse_vs_bits" else cfg.bits
-        _check_alpha_bits(cfg.alpha, min(bits))
+        check_alpha_bits(cfg.alpha, min(bits))
     return cfg, plan
 
 

@@ -91,9 +91,9 @@ def check_formula_goldens(fast: bool = False):
     checks = []
     checks.append(abs(pathloss_db(1.0) + 30.5) < 1e-12)
     checks.append(abs(pathloss_db(100.0) + 103.9) < 1e-12)
-    bank = calibrate_dynamic_range([2.0], 3.0, 3)
-    checks.append(abs(bank.gamma[0] - 3.0 * (1 - 9 / 192) ** -0.5) < 1e-12)
-    checks.append(abs(bank.delta[0] - 2 * bank.gamma[0] / 8) < 1e-15)
+    gamma, delta = calibrate_dynamic_range([2.0], 3.0, 3)
+    checks.append(abs(gamma[0] - 3.0 * (1 - 9 / 192) ** -0.5) < 1e-12)
+    checks.append(abs(delta[0] - 2 * gamma[0] / 8) < 1e-15)
     width, b_s = multiplier_width(8, 3, 4)
     checks.append(width == 18 and b_s == 36)
     cfg = NetworkConfig(b_e=3200)

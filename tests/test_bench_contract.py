@@ -66,6 +66,28 @@ def test_every_target_resolves():
         assert callable(getattr(mod, attr)), (mod_name, attr)
 
 
+def test_every_target_is_called(monkeypatch):
+    # a target that still resolves but is no longer called through its
+    # (module, attribute) would read 0 in the traced metrics, silently
+    targets = {(mod_name, attr) for mod_name, attr, _ in _tracer().TARGETS}
+    calls = Counter()
+    for mod_name, attr in targets:
+        mod = importlib.import_module(f"cfchain.{mod_name}")
+
+        def counted(*args, _fn=getattr(mod, attr), _key=(mod_name, attr),
+                    **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, counted)
+    for name, sizes in (("fig4", dict(n_placements=1, n_blocks=1,
+                                      n_samples=10)),
+                        ("fig2", dict(n_samples=15_000))):
+        cfg, plan = preset(name)
+        run_experiment(dataclasses.replace(plan, **sizes), cfg, workers=1)
+    assert sorted(targets - set(calls)) == []
+
+
 def test_plan_option_defaults_to_option1():
     cfg = NetworkConfig()
     H = _channel(cfg).H

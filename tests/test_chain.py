@@ -177,16 +177,16 @@ class TestProjectAndObservation:
         X = crandn(rng, 4, 4)
         R = hermitize(X @ X.conj().T)
         A, vals = pca_basis(R, 4)
-        bank = calibrate_dynamic_range(vals, alpha=3.0, b=24)
-        Rf = observation_covariance(A, R, bank.delta)
+        _, delta = calibrate_dynamic_range(vals, alpha=3.0, b=24)
+        Rf = observation_covariance(A, R, delta)
         assert np.allclose(Rf, A.conj().T @ R @ A, atol=1e-10)
 
     def test_direct_substitution(self):
-        bank = calibrate_dynamic_range([1.0, 1.0, 1.0, 1.0], alpha=3.0, b=3)
+        _, delta = calibrate_dynamic_range([1.0, 1.0, 1.0, 1.0], alpha=3.0,
+                                           b=3)
         Rf = observation_covariance(np.eye(4, dtype=complex),
-                                    0.5 * np.eye(4, dtype=complex),
-                                    bank.delta)
-        expected = 0.5 * np.eye(4) + 2 * np.diag(bank.delta ** 2 / 6)
+                                    0.5 * np.eye(4, dtype=complex), delta)
+        expected = 0.5 * np.eye(4) + 2 * np.diag(delta ** 2 / 6)
         assert np.allclose(Rf, expected)
 
     def test_observation_diag_matches_monte_carlo(self):

@@ -199,6 +199,22 @@ class TestCliCommands:
         assert "got 2000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unreachable_d_min_is_a_config_error(self, tmp_path, capsys,
+                                                 workers):
+        # validation cannot tell that no point of the area clears the
+        # floor; the placement draws find out, in a pool worker too
+        out = tmp_path / "fig4"
+        assert main(["preset", "fig4", "--override", "d_min=1000",
+                     "--override", "n_placements=2", "--workers", workers,
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "d_min = 1000 m" in err
+        assert "area_side = 500 m" in err
+        assert "10000 draws" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_too_few_unclipped_noise_samples_fail_the_run(self, tmp_path,
                                                           capsys):
         # exactly the minimum passes validation, but at this seed the

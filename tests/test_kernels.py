@@ -38,19 +38,6 @@ def _run(ch, plan, Y, U):
                                Y, U, plan.mode, plan.option.quantized)
 
 
-class TestQuantizeKernelParity:
-    def test_broadcasting_per_row(self, rng):
-        x = rng.normal(0, 1, (4, 100))
-        g = np.array([1.0, 2.0, 0.5, 3.0])[:, None]
-        d = 2 * g / 8
-        v, c = kernels.quantize_midrise(x, g, d)
-        assert v.shape == x.shape
-        for i in range(4):
-            vi, ci = kernels.quantize_midrise(x[i], g[i, 0] * np.ones(100),
-                                              d[i, 0] * np.ones(100))
-            assert np.array_equal(v[i], vi)
-
-
 class TestChainKernelBatch:
     """A batch over the sweep axis matches one call per axis point."""
 

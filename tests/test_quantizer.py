@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cfchain import kernels
 from cfchain.chain import apply_chain_collect, build_chain_plan
 from cfchain.config import ConfigError, NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
@@ -9,6 +8,7 @@ from cfchain.harness import Role, seed_stream
 from cfchain.quantizer import (InsufficientSamplesError,
                                calibrate_dynamic_range, draw_dither,
                                ks_uniform, noise_covariance,
+                               quantize_complex, quantize_midrise,
                                validate_noise_statistics)
 
 GAMMA_GOLDEN = 3.0728851183895034  # sqrt(9 / (1 - 9/192)), hand-derived
@@ -16,31 +16,33 @@ GAMMA_GOLDEN = 3.0728851183895034  # sqrt(9 / (1 - 9/192)), hand-derived
 
 class TestCalibration:
     def test_gamma_closed_form(self):
-        bank = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
-        assert bank.gamma[0] == pytest.approx(GAMMA_GOLDEN, rel=1e-12)
+        gamma, _ = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
+        assert gamma[0] == pytest.approx(GAMMA_GOLDEN, rel=1e-12)
 
     def test_step_relation_exact(self):
-        bank = calibrate_dynamic_range([2.0, 0.7, 1e-9], alpha=3.0, b=5)
-        assert np.array_equal(bank.delta, 2.0 * bank.gamma / 2.0 ** 5)
+        gamma, delta = calibrate_dynamic_range([2.0, 0.7, 1e-9], alpha=3.0,
+                                               b=5)
+        assert np.array_equal(delta, 2.0 * gamma / 2.0 ** 5)
 
     def test_noise_covariances(self):
         # dither and quantization noise, delta^2/6 per complex stream each
-        bank = calibrate_dynamic_range([1.0, 4.0], alpha=2.0, b=4)
-        assert np.allclose(noise_covariance(bank.delta),
-                           2 * np.diag(bank.delta ** 2 / 6.0))
+        _, delta = calibrate_dynamic_range([1.0, 4.0], alpha=2.0, b=4)
+        assert np.allclose(noise_covariance(delta),
+                           2 * np.diag(delta ** 2 / 6.0))
 
     def test_zero_variance_degenerates(self):
         bank = calibrate_dynamic_range([0.0], alpha=3.0, b=3)
-        assert bank.gamma[0] == 0.0
-        assert bank.delta[0] == 0.0
+        gamma, delta = bank
+        assert gamma[0] == 0.0
+        assert delta[0] == 0.0
         f, clipped = _quantize(bank, 0.3 + 0.1j)
         assert f[0] == 0.0
         assert not clipped.any()
 
     def test_fine_quantization_limit(self):
         # correction factor -> 1, gamma -> alpha * sqrt(var/2)
-        bank = calibrate_dynamic_range([2.0], alpha=3.0, b=20)
-        assert bank.gamma[0] == pytest.approx(3.0, rel=1e-5)
+        gamma, _ = calibrate_dynamic_range([2.0], alpha=3.0, b=20)
+        assert gamma[0] == pytest.approx(3.0, rel=1e-5)
 
     def test_alpha_domain_error(self):
         with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
@@ -49,11 +51,12 @@ class TestCalibration:
     def test_stacked_bits_match_one_at_a_time(self):
         var = np.array([[2.0, 0.7], [1.0, 4.0], [0.5, 0.5]])
         bits = np.array([1, 3, 8])
-        bank = calibrate_dynamic_range(var, alpha=1.5, b=bits)
+        gamma, delta = calibrate_dynamic_range(var, alpha=1.5, b=bits)
         for i, b in enumerate(bits):
-            one = calibrate_dynamic_range(var[i], alpha=1.5, b=b)
-            assert np.array_equal(bank.gamma[i], one.gamma)
-            assert np.array_equal(bank.delta[i], one.delta)
+            one_gamma, one_delta = calibrate_dynamic_range(var[i], alpha=1.5,
+                                                           b=b)
+            assert np.array_equal(gamma[i], one_gamma)
+            assert np.array_equal(delta[i], one_delta)
         with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
             calibrate_dynamic_range(var, alpha=4.0, b=bits)
 
@@ -62,22 +65,22 @@ class TestCalibration:
             calibrate_dynamic_range([-1.0], alpha=3.0, b=3)
 
 
-def _scaled_dither(bank, rng, n):
-    """(r, n) dither of the bank, scaled as the harness scales it."""
-    return bank.delta[:, None] * draw_dither(rng, (bank.delta.size, n))
+def _scaled_dither(delta, rng, n):
+    """(r, n) dither of steps delta, scaled as the harness scales it."""
+    return delta[:, None] * draw_dither(rng, (delta.size, n))
 
 
 class TestDither:
     def test_zero_delta_gives_zero(self, rng):
-        bank = calibrate_dynamic_range([0.0, 1.0], alpha=3.0, b=3)
-        d = _scaled_dither(bank, rng, 100)
+        _, delta = calibrate_dynamic_range([0.0, 1.0], alpha=3.0, b=3)
+        d = _scaled_dither(delta, rng, 100)
         assert np.all(d[0] == 0)
 
     def test_moments(self, rng):
-        bank = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
+        _, delta = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
         n = 1_000_000
-        d = _scaled_dither(bank, rng, n)[0]
-        delta = bank.delta[0]
+        d = _scaled_dither(delta, rng, n)[0]
+        delta = delta[0]
         assert np.var(d.real) == pytest.approx(delta ** 2 / 12, rel=0.01)
         assert np.var(d.imag) == pytest.approx(delta ** 2 / 12, rel=0.01)
         assert abs(d.real.mean()) < 3 * delta / np.sqrt(12 * n)
@@ -94,25 +97,25 @@ class TestDither:
             assert np.array_equal(D.view(np.uint64), ref.view(np.uint64))
 
     def test_bounded_support(self, rng):
-        bank = calibrate_dynamic_range([1.0, 3.0], alpha=3.0, b=2)
-        d = _scaled_dither(bank, rng, 10_000)
-        half = bank.delta[:, None] / 2
+        _, delta = calibrate_dynamic_range([1.0, 3.0], alpha=3.0, b=2)
+        d = _scaled_dither(delta, rng, 10_000)
+        half = delta[:, None] / 2
         assert np.all(np.abs(d.real) <= half)
         assert np.all(np.abs(d.imag) <= half)
 
 
 def _unit_bank(b):
     """gamma = 1 exactly, for hand-checkable level geometry."""
-    bank = calibrate_dynamic_range([1.0], alpha=3.0, b=b)
-    bank.gamma[:] = 1.0
-    bank.delta[:] = 2.0 / 2.0 ** b
-    return bank
+    gamma, delta = calibrate_dynamic_range([1.0], alpha=3.0, b=b)
+    gamma[:] = 1.0
+    delta[:] = 2.0 / 2.0 ** b
+    return gamma, delta
 
 
 def _quantize(bank, z):
-    """The bank's quantizers on one complex value, as the chain applies
-    them: (f, clipped mask)."""
-    return kernels.quantize_complex(np.array([z]), bank.gamma, bank.delta)
+    """The quantizers of bank = (gamma, delta) on one complex value, as
+    the chain applies them: (f, clipped mask)."""
+    return quantize_complex(np.array([z]), *bank)
 
 
 class TestQuantize:
@@ -123,7 +126,7 @@ class TestQuantize:
 
     def test_reconstruction_levels_are_fixed_points(self):
         bank = _unit_bank(3)
-        delta = bank.delta[0]
+        delta = bank[1][0]
         levels = -1.0 + (np.arange(8) + 0.5) * delta
         for lv in levels:
             f, _ = _quantize(bank, lv + 1j * lv)
@@ -132,10 +135,10 @@ class TestQuantize:
     def test_saturation(self):
         bank = _unit_bank(3)
         f, clipped = _quantize(bank, 10.0 + 0.0j)
-        assert f[0].real == pytest.approx(1.0 - bank.delta[0] / 2)
+        assert f[0].real == pytest.approx(1.0 - bank[1][0] / 2)
         assert np.count_nonzero(clipped) == 1
         f, clipped = _quantize(bank, -10.0 - 10.0j)
-        assert f[0].real == pytest.approx(-1.0 + bank.delta[0] / 2)
+        assert f[0].real == pytest.approx(-1.0 + bank[1][0] / 2)
         assert np.count_nonzero(clipped) == 2
 
     def test_monotone_per_component(self, rng):
@@ -149,19 +152,30 @@ class TestQuantize:
         x = rng.uniform(-1, 1, 2000)
         for v in x[:50]:
             f, _ = _quantize(bank, v + 0j)
-            assert abs(f[0].real - v) <= bank.delta[0] / 2 + 1e-15
+            assert abs(f[0].real - v) <= bank[1][0] / 2 + 1e-15
 
     def test_realized_noise_variance(self, rng):
         # unclipped samples: var(eta) -> delta^2/12 per real component
-        bank = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
+        gamma, delta = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
         n = 100_000
         x = np.sqrt(2.0 / 2.0) * rng.standard_normal(n)  # var 1 per real
-        d = rng.uniform(-0.5, 0.5, n) * bank.delta[0]
+        d = rng.uniform(-0.5, 0.5, n) * delta[0]
         z = x + d
-        v, clipped = kernels.quantize_midrise(
-            z, bank.gamma[0] * np.ones(n), bank.delta[0] * np.ones(n))
+        v, clipped = quantize_midrise(
+            z, gamma[0] * np.ones(n), delta[0] * np.ones(n))
         eta = (v - z)[~clipped]
-        assert np.var(eta) == pytest.approx(bank.delta[0] ** 2 / 12, rel=0.02)
+        assert np.var(eta) == pytest.approx(delta[0] ** 2 / 12, rel=0.02)
+
+    def test_broadcasting_per_row(self, rng):
+        x = rng.normal(0, 1, (4, 100))
+        g = np.array([1.0, 2.0, 0.5, 3.0])[:, None]
+        d = 2 * g / 8
+        v, c = quantize_midrise(x, g, d)
+        assert v.shape == x.shape
+        for i in range(4):
+            vi, ci = quantize_midrise(x[i], g[i, 0] * np.ones(100),
+                                      d[i, 0] * np.ones(100))
+            assert np.array_equal(v[i], vi)
 
 
 def _sup_distance(x, delta):
@@ -226,9 +240,9 @@ class TestNoiseStatistics:
     def test_insufficient_samples(self):
         eta, pre, delta = _collect_noise(n=2000)
         with pytest.raises(InsufficientSamplesError):
-            validate_noise_statistics(eta, pre, delta, min_samples=10_000)
+            validate_noise_statistics(eta, pre, delta)
 
     def test_shape_mismatch(self):
         eta, pre, delta = _collect_noise(n=2000)
         with pytest.raises(ValueError):
-            validate_noise_statistics(eta[:2], pre, delta, min_samples=10)
+            validate_noise_statistics(eta[:2], pre, delta)
