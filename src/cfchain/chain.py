@@ -58,11 +58,10 @@ def pca_basis(R: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-r orthonormal eigenvectors of a Hermitian PSD matrix.
 
     R may be a (..., N, N) stack; A is then (..., N, r) and the eigenvalues
-    (..., r). Eigenvalues come out in descending order. Each vector's
-    largest-magnitude entry is rotated to be real positive, and the vectors
-    of exactly equal eigenvalues are ordered lexicographically, which maps
-    an isotropic matrix to the canonical basis; repeated runs are
-    bit-identical.
+    (..., r). Eigenvalues come out in descending order, and exactly equal
+    ones keep eigh's order, which maps an isotropic matrix to the
+    canonical basis. Each vector's largest-magnitude entry is rotated to
+    be real positive; repeated runs are bit-identical.
     """
     R = np.asarray(R)
     N = R.shape[-1]
@@ -75,38 +74,15 @@ def pca_basis(R: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
             f"eigendecomposition failed: {e}; "
             f"trace={np.trace(R, axis1=-2, axis2=-1)!r}, "
             f"norm={np.max(np.linalg.norm(R, axis=(-2, -1))):g}") from e
-    vals = vals[..., ::-1]  # eigh returns them ascending
-    vecs = vecs[..., ::-1]
+    # eigh returns them ascending; a stable sort keeps its order in ties
+    order = np.argsort(-vals, axis=-1, kind="stable")[..., :r]
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
     # unit-norm columns: the pivot's magnitude is at least 1/sqrt(N)
     piv = np.take_along_axis(
         vecs, np.abs(vecs).argmax(axis=-2)[..., None, :], axis=-2)
     vecs *= piv.conj() / np.abs(piv)
-    # exact eigenvalue ties among the leading r: order the tied columns
-    # lexicographically, matrix by matrix
-    m = min(r + 1, N)
-    tied = (vals[..., 1:m] == vals[..., :m - 1]).any(axis=-1)
-    if tied.any():
-        for idx in map(tuple, np.argwhere(tied)):
-            _order_tied_columns(vals[idx], vecs[idx], r)
-    return np.ascontiguousarray(vecs[..., :r]), vals[..., :r].real
-
-
-def _order_tied_columns(vals: np.ndarray, vecs: np.ndarray, r: int):
-    """Sort, in place, each run of equal eigenvalues that starts before r."""
-    j = 0
-    while j < r:
-        k = j + 1
-        while k < vecs.shape[1] and vals[k] == vals[j]:
-            k += 1
-        if k - j > 1:
-            block = vecs[:, j:k]
-            keys = [tuple(np.round(np.concatenate(
-                [block[:, c].real, block[:, c].imag]), 12)) for c in
-                range(block.shape[1])]
-            sel = sorted(range(block.shape[1]), key=lambda c: keys[c],
-                         reverse=True)
-            vecs[:, j:k] = block[:, sel]
-        j = k
+    return vecs, vals
 
 
 def observation_covariance(A: np.ndarray, R_G: np.ndarray,
@@ -207,15 +183,14 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
         R_G = residual_covariance(H_l, C, cfg.sigma2)
         if option in (Option.OPTION1, Option.NOQUANT):
             A, input_var = pca_basis(R_G, r)
-        elif option is Option.OPTION2:
+        else:  # options 2 and 3 quantize a view of the raw vector
             R_y = hermitize(p[..., None, None] * (H_l @ _ct(H_l))
                             + cfg.sigma2 * np.eye(N))
-            A, input_var = pca_basis(R_y, r)
-        else:  # OPTION3: quantize the raw vector, no rotation
-            R_y = (p[..., None, None] * (H_l @ _ct(H_l))
-                   + cfg.sigma2 * np.eye(N))
-            A = np.eye(N, dtype=complex)
-            input_var = np.diagonal(R_y, axis1=-2, axis2=-1).real
+            if option is Option.OPTION2:
+                A, input_var = pca_basis(R_y, r)
+            else:  # OPTION3: no rotation
+                A = np.eye(N, dtype=complex)
+                input_var = np.diagonal(R_y, axis1=-2, axis2=-1).real
         if quantized:
             gamma[..., l, :], delta[..., l, :] = calibrate_dynamic_range(
                 input_var, cfg.alpha, bits[..., l])

@@ -71,9 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE")
 
-    p_self = sub.add_parser("selftest", help="run the invariant suite")
-    p_self.add_argument("--fast", action="store_true",
-                        help="smaller sample counts, looser thresholds")
+    sub.add_parser("selftest", help="run the invariant suite")
     return ap
 
 
@@ -118,7 +116,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from .selftest import run_selftest
-    return run_selftest(fast=args.fast)
+    return run_selftest()
 
 
 def main(argv=None) -> int:
@@ -138,9 +136,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as e:
-        print(f"file not found: {e}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

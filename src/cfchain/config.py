@@ -13,6 +13,7 @@ construction, `dataclasses.replace`) alike.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, fields
@@ -59,7 +60,8 @@ class Text(str):
 
 def _number(key: str, raw, kind=int):
     """raw as a kind, int or float. An int is read exactly; an int key
-    also takes an integral float, or float form such as "1e3"."""
+    also takes an integral float, or float form such as "1e3". A float
+    key takes finite values only: nan and +-inf are not numbers here."""
     x = raw
     if isinstance(raw, Text):
         for parse in (int, float):
@@ -68,10 +70,13 @@ def _number(key: str, raw, kind=int):
                 break
             except ValueError:
                 x = None
-    if (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and (kind is float or isinstance(x, numbers.Integral)
-                 or float(x).is_integer())):
-        return kind(x)
+    try:
+        if isinstance(x, numbers.Real) and not isinstance(x, bool):
+            y = kind(x)
+            if (y == x) if kind is int else math.isfinite(y):
+                return y
+    except (OverflowError, ValueError):  # int(inf), int(nan), float(10**400)
+        pass
     raise ConfigError(f"{key} = {raw!r} is not "
                       + ("an integer" if kind is int else "a number"))
 
@@ -125,6 +130,11 @@ def _coerce_fields(obj):
     """Type each of obj's fields in place."""
     for f in fields(obj):
         setattr(obj, f.name, _KINDS[f.type](f.name, getattr(obj, f.name)))
+
+
+# Widest quantizer, in bits: float64 cannot tell the 2^b cells of
+# (x + gamma) / delta apart beyond about 2^52.
+MAX_BITS = 52
 
 
 def _need(cond, msg: str):
@@ -194,12 +204,19 @@ class NetworkConfig:
         _need(self.L >= 1, "L >= 1")
         _need(self.N >= 1, "N >= 1")
         _need(self.K >= 1, "K >= 1")
-        _need(self.p > 0, "p > 0")
-        _need(self.sigma2 > 0, "sigma2 > 0")
+        for key, watts in (("p_db", "p"), ("noise_dbm", "sigma2")):
+            try:
+                ok = 0 < getattr(self, watts) < math.inf
+            except OverflowError:
+                ok = False
+            _need(ok, f"{key} = {getattr(self, key):g} is out of range: "
+                  f"{watts} in watts must be positive and finite")
         _need(self.alpha > 0, "alpha > 0")
         _need(len(self.bits) in (1, self.L),
               f"bits must have length 1 or L={self.L}")
         _need(all(b >= 1 for b in self.bits), "b_l >= 1")
+        _need(all(b <= MAX_BITS for b in self.bits),
+              f"bits values <= MAX_BITS = {MAX_BITS}")
         _need(self.area_side > 0, "area_side > 0")
         _need(self.d_min > 0, "d_min > 0")
         _need(self.tau_d >= 0, "tau_d >= 0")
@@ -273,6 +290,8 @@ class ExperimentPlan:
             _need(len(self.bits_sweep) >= 1, "bits_sweep non-empty")
             _need(all(b >= 1 for b in self.bits_sweep),
                   "bits_sweep values >= 1")
+            _need(all(b <= MAX_BITS for b in self.bits_sweep),
+                  f"bits_sweep values <= MAX_BITS = {MAX_BITS}")
             _need(list(self.bits_sweep) == sorted(self.bits_sweep),
                   "bits_sweep sorted")
         if self.kind == "ber_vs_power":

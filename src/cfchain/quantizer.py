@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MIN_NOISE_SAMPLES, ConfigError
+from .config import MAX_BITS, MIN_NOISE_SAMPLES, ConfigError
 
 
 class InsufficientSamplesError(ValueError):
@@ -84,6 +84,8 @@ def calibrate_dynamic_range(input_var, alpha: float,
     b = np.asarray(b, dtype=np.int64)
     if (b < 1).any():
         raise ConfigError("b_l >= 1")
+    if (b > MAX_BITS).any():
+        raise ConfigError(f"b_l <= MAX_BITS = {MAX_BITS}")
     check_alpha_bits(alpha, int(b.min()))  # the bound tightens as b falls
     corr = 1.0 - alpha ** 2 / (3.0 * 4.0 ** b[..., None])
     gamma = np.sqrt(alpha ** 2 / corr * input_var / 2.0)

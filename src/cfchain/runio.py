@@ -112,10 +112,11 @@ def _read_sections(path: str) -> dict:
     """The network and plan keys of an INI file's [network] and [plan]
     sections, as Text, or of a manifest's config and plan, as JSON values.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config file {path}: {e}") from e
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (L vs l)
     try:

@@ -1,13 +1,9 @@
 """Built-in invariant suite behind the `selftest` CLI subcommand.
 
-Each check returns (name, passed, detail). The fast mode trims sample
-counts so the suite finishes in a few seconds; thresholds that depend on
-sample size are relaxed accordingly.
+Each check returns (name, passed, detail).
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -21,10 +17,10 @@ from .presets import preset
 from .quantizer import calibrate_dynamic_range
 
 
-def check_oracle_equivalence(fast: bool = False):
+def check_oracle_equivalence():
     """Lossless chain must reproduce the batch LMMSE on stacked channels."""
     cfg = NetworkConfig()
-    n_inst = 20 if fast else 100
+    n_inst = 100
     worst = 0.0
     for i in range(n_inst):
         placement = generate_placement(
@@ -45,14 +41,12 @@ def check_oracle_equivalence(fast: bool = False):
             f"max |diff| = {worst:.3e} over {n_inst} instances")
 
 
-def check_noise_statistics(fast: bool = False):
-    """Quantization noise of the fig2 preset run (20 000 samples in fast
-    mode): uniform CDF, diagonal covariance, input-free."""
+def check_noise_statistics():
+    """Quantization noise of the fig2 preset run: uniform CDF, diagonal
+    covariance, input-free."""
     cfg, plan = preset("fig2")
-    rep = run_experiment(replace(plan, n_samples=20_000) if fast else plan,
-                         cfg).stat_report
-    ks_lim = 0.01 if not fast else 0.02
-    ok = (rep.ks_re.max() < ks_lim and rep.ks_im.max() < ks_lim
+    rep = run_experiment(plan, cfg).stat_report
+    ok = (rep.ks_re.max() < 0.01 and rep.ks_im.max() < 0.01
           and rep.offdiag_ratio < 0.05 and rep.corr_input.max() < 0.02)
     return ("quantization-noise statistics (CDF, covariance, decorrelation)",
             ok,
@@ -61,11 +55,11 @@ def check_noise_statistics(fast: bool = False):
             f"corr {rep.corr_input.max():.4f} at n={rep.n_samples}")
 
 
-def check_covariance_monotonicity(fast: bool = False):
+def check_covariance_monotonicity():
     """trace(C) never increases along the chain; C stays PSD. Chain i runs
     option i % 4, and each option's chains are planned in one call."""
     cfg = NetworkConfig()
-    n_runs = 100 if fast else 500
+    n_runs = 500
     H = np.stack([draw_channel(cfg, generate_placement(
         cfg, seed_stream(1, i, 0, 0, Role.PLACEMENT)),
         seed_stream(1, i, 1, 0, Role.CHANNEL)).H
@@ -85,7 +79,7 @@ def check_covariance_monotonicity(fast: bool = False):
             f"min eig/trace {worst_eig:.2e} over {n_runs} chains")
 
 
-def check_formula_goldens(fast: bool = False):
+def check_formula_goldens():
     """Closed-form arithmetic pinned to hand-computed values."""
     from .geometry import pathloss_db
     checks = []
@@ -109,10 +103,10 @@ ALL_CHECKS = [check_formula_goldens, check_oracle_equivalence,
               check_noise_statistics, check_covariance_monotonicity]
 
 
-def run_selftest(fast: bool = False, echo=print) -> int:
+def run_selftest() -> int:
     failures = 0
     for check in ALL_CHECKS:
-        name, ok, detail = check(fast=fast)
-        echo(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        name, ok, detail = check()
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 1

@@ -179,7 +179,15 @@ class TestCliCommands:
         ("L=abc", "L = 'abc' is not an integer"),
         ("L=2.5", "L = '2.5' is not an integer"),
         ("power_sweep_db=-2,y", "power_sweep_db = 'y' is not a number"),
-    ], ids=["not_a_number", "int_key", "float_list"])
+        # a float key takes finite values only
+        ("p_db=inf", "p_db = 'inf' is not a number"),
+        ("noise_dbm=-inf", "noise_dbm = '-inf' is not a number"),
+        ("rho=nan", "rho = 'nan' is not a number"),
+        ("area_side=inf", "area_side = 'inf' is not a number"),
+        ("bandwidth_hz=1e400", "bandwidth_hz = '1e400' is not a number"),
+        ("power_sweep_db=-2,inf", "power_sweep_db = 'inf' is not a number"),
+    ], ids=["not_a_number", "int_key", "float_list", "inf", "minus_inf",
+            "nan", "area_side", "overflowing_text", "non_finite_list"])
     def test_validate_malformed_number_override(self, capsys, override,
                                                 message):
         assert main(["validate", os.devnull, "--override", override]) == 3
@@ -482,10 +490,38 @@ options = option1
         assert f"manifest {section} is not a JSON object" in err
         assert "Traceback" not in err
 
-    def test_selftest_fast(self, capsys):
-        assert main(["selftest", "--fast"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4
+    @pytest.mark.parametrize("make", [
+        lambda tmp: tmp / "missing.ini",
+        lambda tmp: tmp,
+        lambda tmp: tmp / "utf16.ini",
+    ], ids=["missing", "directory", "undecodable"])
+    def test_unreadable_config_file_exits_3(self, tmp_path, capsys, make):
+        # a UTF-16 byte-order mark, FF FE, is not UTF-8
+        (tmp_path / "utf16.ini").write_bytes(
+            "[network]\nL = 3\n".encode("utf-16"))
+        path = make(tmp_path)
+        assert main(["validate", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read config "
+                              f"file {path}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("override,message", [
+        # a power in watts that overflows or underflows names its key
+        ("p_db=4000", "p_db = 4000 is out of range"),
+        ("noise_dbm=4000", "noise_dbm = 4000 is out of range"),
+        ("p_db=-4000", "p_db = -4000 is out of range"),
+        # beyond 2^52 cells float64 cannot tell them apart
+        ("bits=53", "bits values <= MAX_BITS = 52"),
+        ("bits=600", "bits values <= MAX_BITS = 52"),
+        ("bits_sweep=8,60,1000,1100", "bits_sweep values <= MAX_BITS = 52"),
+    ], ids=["p_overflows", "sigma2_overflows", "p_underflows", "bits",
+            "bits_overflowing_4_to_the_b", "bits_sweep"])
+    def test_out_of_range_value_exits_3(self, capsys, override, message):
+        assert main(["validate", os.devnull, "--override", override]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_runs_without_scipy(self, tmp_path):
         # the noise statistics and the selftest need numpy only
@@ -495,13 +531,14 @@ options = option1
             "from cfchain.cli import main\n"
             f"rc = main(['preset', 'fig2', '--out', {str(tmp_path)!r}, "
             "'--override', 'n_samples=20000'])\n"
-            "sys.exit(rc or main(['selftest', '--fast']))\n")
+            "sys.exit(rc or main(['selftest']))\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert (tmp_path / "noise_stats.csv").exists()
+        assert proc.stdout.count("[PASS]") == 4
 
     def test_usage_error_exit_code(self):
         assert main([]) == 2

@@ -137,12 +137,16 @@ def test_replace_types_like_construction():
     (lambda: NetworkConfig(L="5"), "L = '5' is not an integer"),
     (lambda: NetworkConfig(K=True), "K = True is not an integer"),
     (lambda: NetworkConfig(p_db="-10"), "p_db = '-10' is not a number"),
+    (lambda: NetworkConfig(rho=float("nan")), "rho = nan is not a number"),
+    (lambda: ExperimentPlan(power_sweep_db=(0, -float("inf"))),
+     "power_sweep_db = -inf is not a number"),
     (lambda: NetworkConfig(b_e=[1]), r"b_e = \[1\] is not an integer"),
     (lambda: NetworkConfig(corr_model=1), "corr_model = 1 is not a string"),
     (lambda: ExperimentPlan(options=("option4",)),
      "options = 'option4' is not one of"),
 ], ids=["bits_sweep", "bits", "str_for_int", "bool_for_int", "str_for_float",
-        "list_for_int", "number_for_name", "unknown_option"])
+        "nan", "minus_inf", "list_for_int", "number_for_name",
+        "unknown_option"])
 def test_direct_construction_rejects_mistyped_values(make, message):
     with pytest.raises(ConfigError, match=message):
         make()

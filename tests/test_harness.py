@@ -137,28 +137,12 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("placements,workers,pools", [
         (2, 8, [2]), (3, 2, [2]), (1, 8, []), (4, 1, [])])
-    def test_pool_is_sized_by_the_placements(self, monkeypatch, placements,
+    def test_pool_is_sized_by_the_placements(self, pool_sizes, placements,
                                              workers, pools):
-        sizes = []
-
-        class InlinePool:  # records its size, maps in this process
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return map(fn, args)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         cfg = NetworkConfig()
         plan = _tiny_plan(n_placements=placements, n_blocks=1)
         res = run_experiment(plan, cfg, workers=workers)
-        assert sizes == pools
+        assert pool_sizes == pools
         ref = run_experiment(plan, cfg)
         assert res.tables == ref.tables
 

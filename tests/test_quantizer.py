@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfchain.chain import apply_chain_collect, build_chain_plan
-from cfchain.config import ConfigError, NetworkConfig, Option
+from cfchain.config import MAX_BITS, ConfigError, NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
 from cfchain.quantizer import (InsufficientSamplesError,
@@ -59,6 +59,14 @@ class TestCalibration:
             assert np.array_equal(delta[i], one_delta)
         with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
             calibrate_dynamic_range(var, alpha=4.0, b=bits)
+
+    def test_bit_width_bounded_by_float64(self):
+        # beyond MAX_BITS the cells of (x + gamma) / delta are not told
+        # apart, and 4.0 ** b overflows by b = 512
+        calibrate_dynamic_range([1.0], alpha=3.0, b=MAX_BITS)
+        for b in (MAX_BITS + 1, 600, [8, 1100]):
+            with pytest.raises(ConfigError, match="b_l <= MAX_BITS = 52"):
+                calibrate_dynamic_range([1.0], alpha=3.0, b=b)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ConfigError):
