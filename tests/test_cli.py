@@ -523,6 +523,12 @@ options = option1
         assert message in err
         assert "Traceback" not in err
 
+    def test_selftest_fast(self, capsys):
+        # the selftest has one size; it runs in about 2 s
+        assert main(["selftest"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 4
+
     def test_runs_without_scipy(self, tmp_path):
         # the noise statistics and the selftest need numpy only
         code = (
