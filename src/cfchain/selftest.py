@@ -1,23 +1,48 @@
 """Built-in invariant suite behind the `selftest` CLI subcommand.
 
-Each check returns (name, passed, detail).
+Each check returns a `Check`: its name, verdict, a one-line detail and
+the numbers it measured. The acceptance tests call the same checks, so
+each invariant and each bound below is stated once:
+
+- `check_oracle_equivalence` is criterion 1 (100 instances);
+- `check_noise_statistics` runs the fig2 preset against the noise
+  bounds that criteria 2 and 3 also use;
+- `check_covariance_monotonicity(n_chains)` is criterion 6's first half,
+  at 500 chains here and 10 000 in criterion 6;
+- `check_formula_goldens` is criterion 7 (9 identities).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .chain import build_chain_plan, centralized_mmse_oracle
 from .config import NetworkConfig, Option
-from .geometry import crandn, draw_channel, generate_placement
+from .geometry import crandn, draw_channel, generate_placement, pathloss_db
 from .harness import Role, run_experiment, seed_stream
 from .metrics import fronthaul_bitrate, multiplier_width
 from .presets import preset
 from .quantizer import calibrate_dynamic_range
 
+ORACLE_BOUND = 1e-9      # max |lossless chain - batch LMMSE|
+COVARIANCE_BOUND = 1e-8  # trace increase and negative eigenvalue / trace
+KS_BOUND = 0.01          # KS distance of the noise from the uniform law
+OFFDIAG_BOUND = 0.05     # off-diagonal / diagonal of the noise covariance
+INPUT_CORR_BOUND = 0.02  # correlation of the noise with its input
+GOLDEN_REL = 1e-12       # relative tolerance of the closed-form goldens
 
-def check_oracle_equivalence():
+
+class Check(NamedTuple):
+    name: str
+    ok: bool
+    detail: str
+    values: dict
+
+
+def check_oracle_equivalence() -> Check:
     """Lossless chain must reproduce the batch LMMSE on stacked channels."""
     cfg = NetworkConfig()
     n_inst = 100
@@ -36,34 +61,42 @@ def check_oracle_equivalence():
             None, 0, False)
         ref = centralized_mmse_oracle(ch.H, y, cfg.p, cfg.sigma2)
         worst = max(worst, float(np.max(np.abs(sh[:, 0] - ref))))
-    ok = worst < 1e-9
-    return ("oracle equivalence (lossless chain vs batch LMMSE)", ok,
-            f"max |diff| = {worst:.3e} over {n_inst} instances")
+    return Check("oracle equivalence (lossless chain vs batch LMMSE)",
+                 worst < ORACLE_BOUND,
+                 f"max |diff| = {worst:.3e} over {n_inst} instances",
+                 {"max_diff": worst, "n_instances": n_inst})
 
 
-def check_noise_statistics():
+def check_noise_statistics() -> Check:
     """Quantization noise of the fig2 preset run: uniform CDF, diagonal
     covariance, input-free."""
     cfg, plan = preset("fig2")
     rep = run_experiment(plan, cfg).stat_report
-    ok = (rep.ks_re.max() < 0.01 and rep.ks_im.max() < 0.01
-          and rep.offdiag_ratio < 0.05 and rep.corr_input.max() < 0.02)
-    return ("quantization-noise statistics (CDF, covariance, decorrelation)",
-            ok,
-            f"KS<= {max(rep.ks_re.max(), rep.ks_im.max()):.4f}, "
-            f"offdiag {rep.offdiag_ratio:.4f}, "
-            f"corr {rep.corr_input.max():.4f} at n={rep.n_samples}")
+    ks = float(max(rep.ks_re.max(), rep.ks_im.max()))
+    corr = float(rep.corr_input.max())
+    ok = (ks < KS_BOUND and rep.offdiag_ratio < OFFDIAG_BOUND
+          and corr < INPUT_CORR_BOUND)
+    return Check("quantization-noise statistics (CDF, covariance, "
+                 "decorrelation)", ok,
+                 f"KS<= {ks:.4f}, offdiag {rep.offdiag_ratio:.4f}, "
+                 f"corr {corr:.4f} at n={rep.n_samples}",
+                 {"ks": ks, "offdiag": rep.offdiag_ratio, "corr": corr,
+                  "n_samples": rep.n_samples})
 
 
-def check_covariance_monotonicity():
-    """trace(C) never increases along the chain; C stays PSD. Chain i runs
-    option i % 4, and each option's chains are planned in one call."""
+def check_covariance_monotonicity(n_chains: int = 500) -> Check:
+    """trace(C) never increases along the chain; C stays PSD. Chain i is
+    block i % 20 of placement i // 20 and runs option i % 4; each option's
+    chains are planned in one call."""
     cfg = NetworkConfig()
-    n_runs = 500
-    H = np.stack([draw_channel(cfg, generate_placement(
-        cfg, seed_stream(1, i, 0, 0, Role.PLACEMENT)),
-        seed_stream(1, i, 1, 0, Role.CHANNEL)).H
-        for i in range(n_runs)])
+    H = np.empty((n_chains, cfg.L, cfg.N, cfg.K), dtype=complex)
+    for i in range(n_chains):
+        p_idx, blk = divmod(i, 20)
+        if blk == 0:
+            placement = generate_placement(
+                cfg, seed_stream(1, p_idx, 0, 0, Role.PLACEMENT))
+        H[i] = draw_channel(cfg, placement,
+                            seed_stream(1, p_idx, blk, 0, Role.CHANNEL)).H
     worst_inc, worst_eig = -np.inf, np.inf
     for k, option in enumerate(Option):
         plan = build_chain_plan(cfg, H[k::4], option=option)
@@ -73,30 +106,51 @@ def check_covariance_monotonicity():
             ev = (np.linalg.eigvalsh(C).min(axis=-1)
                   / np.trace(C, axis1=-2, axis2=-1).real)
             worst_eig = min(worst_eig, float(ev.min()))
-    ok = worst_inc <= 1e-8 and worst_eig >= -1e-8
-    return ("error-covariance recursion (monotone trace, PSD)", ok,
-            f"max trace increase {worst_inc:.2e}, "
-            f"min eig/trace {worst_eig:.2e} over {n_runs} chains")
+    ok = worst_inc <= COVARIANCE_BOUND and worst_eig >= -COVARIANCE_BOUND
+    return Check("error-covariance recursion (monotone trace, PSD)", ok,
+                 f"max trace increase {worst_inc:.2e}, "
+                 f"min eig/trace {worst_eig:.2e} over {n_chains} chains",
+                 {"max_trace_increase": worst_inc,
+                  "min_eig_over_trace": worst_eig, "n_chains": n_chains})
 
 
-def check_formula_goldens():
-    """Closed-form arithmetic pinned to hand-computed values."""
-    from .geometry import pathloss_db
-    checks = []
-    checks.append(abs(pathloss_db(1.0) + 30.5) < 1e-12)
-    checks.append(abs(pathloss_db(100.0) + 103.9) < 1e-12)
-    gamma, delta = calibrate_dynamic_range([2.0], 3.0, 3)
-    checks.append(abs(gamma[0] - 3.0 * (1 - 9 / 192) ** -0.5) < 1e-12)
-    checks.append(abs(delta[0] - 2 * gamma[0] / 8) < 1e-15)
+def _close(value, golden):
+    return abs(value - golden) <= GOLDEN_REL * abs(golden)
+
+
+def check_formula_goldens() -> Check:
+    """Closed-form arithmetic pinned to hand-computed values; `values`
+    maps each identity's name to whether it holds."""
+    gamma, _ = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
+    gamma2, delta2 = calibrate_dynamic_range([2.0, 0.5], alpha=2.5, b=4)
     width, b_s = multiplier_width(8, 3, 4)
-    checks.append(width == 18 and b_s == 36)
     cfg = NetworkConfig(b_e=3200)
-    rate, b_s2 = fronthaul_bitrate(cfg, b_l=3)
-    checks.append(abs(rate - 3.58e10) < 1e-3)
-    checks.append(b_s2 == 36)
-    ok = all(checks)
-    return ("formula goldens (path loss, dynamic range, bit accounting)", ok,
-            f"{sum(checks)}/{len(checks)} identities hold")
+    rate, fronthaul_b_s = fronthaul_bitrate(cfg, b_l=3)
+    n_cb = cfg.bandwidth_hz / cfg.coherence_bw_hz
+    increment = 2.0 * n_cb * cfg.tau_d * cfg.K / cfg.coherence_time_s
+    holds = {
+        "pathloss 1m": _close(pathloss_db(1.0), -30.5),
+        "pathloss 100m": _close(pathloss_db(100.0), -103.9),
+        "pathloss 10m": _close(pathloss_db(10.0), -67.2),
+        # 3 (1 - 9/192)^(-1/2): alpha = 3, b = 3, variance 2
+        "gamma closed form": _close(gamma[0], 3.0728851183895034),
+        "step relation": bool(
+            np.array_equal(delta2, 2.0 * gamma2 / 2.0 ** 4)),
+        "accumulator width": width == 18,
+        "estimate width":
+            b_s == fronthaul_b_s == 2 * (8 + 3 + 2 * 4 - 1) == 36,
+        "bitrate golden": _close(rate, 3.58e10),
+        "bitrate affine in bits": all(
+            _close(fronthaul_bitrate(cfg, b_l=b + 1)[0]
+                   - fronthaul_bitrate(cfg, b_l=b)[0], increment)
+            for b in range(1, 8)),
+    }
+    failed = [k for k, v in holds.items() if not v]
+    return Check("formula goldens (path loss, dynamic range, bit accounting)",
+                 not failed,
+                 f"{len(holds) - len(failed)}/{len(holds)} identities hold"
+                 f"{(', failed: ' + ', '.join(failed)) if failed else ''}",
+                 holds)
 
 
 ALL_CHECKS = [check_formula_goldens, check_oracle_equivalence,
@@ -106,7 +160,7 @@ ALL_CHECKS = [check_formula_goldens, check_oracle_equivalence,
 def run_selftest() -> int:
     failures = 0
     for check in ALL_CHECKS:
-        name, ok, detail = check()
+        name, ok, detail, _ = check()
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 1

@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from cfchain import kernels
-from cfchain.chain import build_chain_plan, centralized_mmse_oracle
+from cfchain.chain import build_chain_plan
 from cfchain.cli import main
 from cfchain.config import NetworkConfig, Option
-from cfchain.geometry import crandn, draw_channel, generate_placement, \
-    pathloss_db
+from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, run_experiment, seed_stream
-from cfchain.metrics import fronthaul_bitrate, multiplier_width
 from cfchain.presets import preset
-from cfchain.quantizer import calibrate_dynamic_range
+from cfchain.selftest import GOLDEN_REL, KS_BOUND, OFFDIAG_BOUND, \
+    check_covariance_monotonicity, check_formula_goldens, \
+    check_oracle_equivalence
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -49,29 +49,11 @@ def _paired_diff_hw(res, opt_hi, opt_lo, idx):
 
 def test_criterion_1_oracle_equivalence(report):
     t0 = time.perf_counter()
-    cfg = NetworkConfig()
-    worst = 0.0
-    for i in range(100):
-        placement = generate_placement(
-            cfg, seed_stream(1, i, 0, 0, Role.PLACEMENT))
-        ch = draw_channel(cfg, placement,
-                          seed_stream(1, i, 0, 0, Role.CHANNEL))
-        rng = seed_stream(1, i, 0, 0, Role.NOISE)
-        s = np.sqrt(cfg.p) * crandn(rng, cfg.K)
-        y = np.einsum("lnk,k->ln", ch.H, s) \
-            + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N)
-        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-        sh, _ = kernels.apply_chain(
-            ch.H, plan.AH, plan.V, plan.gamma, plan.delta, y[:, :, None],
-            np.zeros((cfg.L, plan.r, 1), complex), 0, False)
-        ref = centralized_mmse_oracle(ch.H, y, cfg.p, cfg.sigma2)
-        worst = max(worst, float(np.max(np.abs(sh[:, 0] - ref))))
+    chk = check_oracle_equivalence()
     elapsed = time.perf_counter() - t0
-    ok = worst < 1e-9 and elapsed < 10.0
-    report(1, "lossless chain equals centralized estimator", ok,
-            f"max elementwise diff {worst:.3e} over 100 instances, "
-            f"{elapsed:.1f}s")
-    assert worst < 1e-9
+    report(1, "lossless chain equals centralized estimator",
+           chk.ok and elapsed < 10.0, f"{chk.detail}, {elapsed:.1f}s")
+    assert chk.ok, chk.detail
     assert elapsed < 10.0
 
 
@@ -83,11 +65,11 @@ def test_criterion_2_noise_cdf(report):
     ks = max(rep.ks_re.max(), rep.ks_im.max())
     n = int(rep.n_unclipped.min())
     elapsed = time.perf_counter() - t0
-    ok = ks < 0.01 and n >= 100_000 and elapsed < 30.0
+    ok = ks < KS_BOUND and n >= 100_000 and elapsed < 30.0
     report(2, "quantization-noise CDF is uniform", ok,
             f"worst KS {ks:.4f} at >= {n} samples/pair, {elapsed:.1f}s")
     assert n >= 100_000
-    assert ks < 0.01
+    assert ks < KS_BOUND
     assert elapsed < 30.0
 
 
@@ -97,12 +79,12 @@ def test_criterion_3_noise_covariance_diagonality(report):
     res = run_experiment(plan, cfg)
     rep = res.stat_report
     elapsed = time.perf_counter() - t0
-    ok = rep.offdiag_ratio < 0.05 and rep.eig_vs_diag_rel < 0.05 \
+    ok = rep.offdiag_ratio < OFFDIAG_BOUND and rep.eig_vs_diag_rel < 0.05 \
         and elapsed < 30.0
     report(3, "quantization-noise covariance is diagonal", ok,
             f"offdiag/diag {rep.offdiag_ratio:.4f}, "
             f"eig-vs-diag {rep.eig_vs_diag_rel:.4f}, {elapsed:.1f}s")
-    assert rep.offdiag_ratio < 0.05
+    assert rep.offdiag_ratio < OFFDIAG_BOUND
     assert rep.eig_vs_diag_rel < 0.05
     assert elapsed < 30.0
 
@@ -262,31 +244,10 @@ def test_criterion_5_ber_vs_power(report):
 
 @pytest.mark.slow
 def test_criterion_6_covariance_recursion(report):
-    cfg = NetworkConfig()
-    opts = [Option.OPTION1, Option.OPTION2, Option.OPTION3, Option.NOQUANT]
-    n_runs = 10_000
-    # chain `run` is block run % 20 of placement run // 20 and runs option
-    # run % 4; each option's chains are planned in one stacked call
-    H = np.empty((n_runs, cfg.L, cfg.N, cfg.K), dtype=complex)
-    for p_idx in range(n_runs // 20):
-        placement = generate_placement(
-            cfg, seed_stream(1, p_idx, 0, 0, Role.PLACEMENT))
-        for blk in range(20):
-            H[20 * p_idx + blk] = draw_channel(
-                cfg, placement,
-                seed_stream(1, p_idx, blk, 0, Role.CHANNEL)).H
-    worst_inc = -np.inf
-    worst_eig = np.inf
-    for k, option in enumerate(opts):
-        plan = build_chain_plan(cfg, H[k::4], option=option)
-        inc = np.max(np.diff(plan.traces), axis=-1) / plan.traces[:, 0]
-        worst_inc = max(worst_inc, float(inc.max()))
-        for C in plan.covariances:
-            ev = (np.linalg.eigvalsh(C).min(axis=-1)
-                  / np.trace(C, axis1=-2, axis2=-1).real)
-            worst_eig = min(worst_eig, float(ev.min()))
+    chk = check_covariance_monotonicity(10_000)
 
     # lossless chain: realized mean squared error matches trace(C_L)
+    cfg = NetworkConfig()
     placement = generate_placement(
         cfg, seed_stream(1, 0, 0, 0, Role.PLACEMENT))
     ch = draw_channel(cfg, placement,
@@ -298,51 +259,20 @@ def test_criterion_6_covariance_recursion(report):
     Y = np.einsum("lnk,ks->lns", ch.H, s) \
         + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)
     sh, _ = kernels.apply_chain(ch.H, plan.AH, plan.V, plan.gamma, plan.delta,
-                                Y, np.zeros((cfg.L, plan.r, n), complex),
-                                0, False)
+                                Y, None, 0, False)
     emp = float(np.mean(np.sum(np.abs(s - sh) ** 2, axis=0)))
     mc_rel = abs(emp - plan.traces[-1]) / plan.traces[-1]
 
-    ok = worst_inc <= 1e-8 and worst_eig >= -1e-8 and mc_rel < 0.03
-    report(6, "error-covariance recursion sane", ok,
-            f"max trace increase {worst_inc:.2e}, min eig/trace "
-            f"{worst_eig:.2e} over {n_runs} chains, MC-vs-trace "
-            f"{mc_rel:.3%}")
-    assert worst_inc <= 1e-8
-    assert worst_eig >= -1e-8
+    report(6, "error-covariance recursion sane", chk.ok and mc_rel < 0.03,
+           f"{chk.detail}, MC-vs-trace {mc_rel:.3%}")
+    assert chk.ok, chk.detail
     assert mc_rel < 0.03
 
 
 def test_criterion_7_formula_goldens(report):
-    checks = {}
-    checks["pathloss 1m"] = abs(pathloss_db(1.0) - (-30.5)) <= 1e-12 * 30.5
-    checks["pathloss 100m"] = abs(pathloss_db(100.0) - (-103.9)) \
-        <= 1e-12 * 103.9
-    checks["pathloss 10m"] = abs(pathloss_db(10.0) - (-67.2)) <= 1e-12 * 67.2
-    gamma, _ = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
-    golden = 3.0728851183895034
-    checks["gamma closed form"] = abs(gamma[0] - golden) <= 1e-12 * golden
-    gamma2, delta2 = calibrate_dynamic_range([2.0, 0.5], alpha=2.5, b=4)
-    checks["step relation"] = bool(
-        np.array_equal(delta2, 2.0 * gamma2 / 2.0 ** 4))
-    width, b_s = multiplier_width(8, 3, 4)
-    checks["accumulator width"] = width == 18
-    checks["estimate width"] = b_s == 2 * (8 + 3 + 2 * 4 - 1) == 36
-    cfg = NetworkConfig(b_e=3200)
-    rate, _ = fronthaul_bitrate(cfg, b_l=3)
-    checks["bitrate golden"] = abs(rate - 3.58e10) <= 1e-12 * 3.58e10
-    n_cb = cfg.bandwidth_hz / cfg.coherence_bw_hz
-    increment = 2.0 * n_cb * cfg.tau_d * cfg.K / cfg.coherence_time_s
-    affine = all(
-        abs((fronthaul_bitrate(cfg, b_l=b + 1)[0]
-             - fronthaul_bitrate(cfg, b_l=b)[0]) - increment)
-        <= 1e-12 * increment for b in range(1, 8))
-    checks["bitrate affine in bits"] = affine
-    failed = [k for k, v in checks.items() if not v]
-    report(7, "closed-form goldens at 1e-12", not failed,
-            f"{len(checks) - len(failed)}/{len(checks)} identities"
-            f"{(', failed: ' + ', '.join(failed)) if failed else ''}")
-    assert not failed
+    chk = check_formula_goldens()
+    report(7, f"closed-form goldens at {GOLDEN_REL:g}", chk.ok, chk.detail)
+    assert chk.ok, chk.detail
 
 
 def test_criterion_8_worker_determinism(tmp_path, report):

@@ -529,6 +529,15 @@ options = option1
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 4
 
+    def test_selftest_failure_exits_1(self, capsys, monkeypatch):
+        # a bound no lossless chain can meet fails exactly one check
+        monkeypatch.setattr("cfchain.selftest.ORACLE_BOUND", 0.0)
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1
+        assert out.count("[PASS]") == 3
+        assert "[FAIL] oracle equivalence" in out
+
     def test_runs_without_scipy(self, tmp_path):
         # the noise statistics and the selftest need numpy only
         code = (

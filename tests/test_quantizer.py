@@ -10,6 +10,7 @@ from cfchain.quantizer import (InsufficientSamplesError,
                                ks_uniform, noise_covariance,
                                quantize_complex, quantize_midrise,
                                validate_noise_statistics)
+from cfchain.selftest import INPUT_CORR_BOUND, KS_BOUND, OFFDIAG_BOUND
 
 GAMMA_GOLDEN = 3.0728851183895034  # sqrt(9 / (1 - 9/192)), hand-derived
 
@@ -240,10 +241,10 @@ class TestNoiseStatistics:
     def test_report_thresholds(self):
         eta, pre, delta = _collect_noise()
         rep = validate_noise_statistics(eta, pre, delta)
-        assert rep.ks_re.max() < 0.01
-        assert rep.ks_im.max() < 0.01
-        assert rep.offdiag_ratio < 0.05
-        assert rep.corr_input.max() < 0.02
+        assert rep.ks_re.max() < KS_BOUND
+        assert rep.ks_im.max() < KS_BOUND
+        assert rep.offdiag_ratio < OFFDIAG_BOUND
+        assert rep.corr_input.max() < INPUT_CORR_BOUND
 
     def test_insufficient_samples(self):
         eta, pre, delta = _collect_noise(n=2000)
