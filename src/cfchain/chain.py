@@ -6,7 +6,7 @@ received vector, refines the estimate with a linear MMSE update, and
 forwards the updated state. The error covariance is conditioned on the
 local channels, so `build_chain_plan` runs the covariance recursion once
 per coherence block and stores every combining matrix in a `ChainPlan`,
-with the per-AP error covariances; the last one is the final error
+with the trace of the error covariance after each AP and the final error
 covariance. The recursion's matrices are small (N x N and K x K), so one
 call stacks it over many blocks' channels and a whole sweep axis, and
 `ChainPlan.block` hands each block its own slice. The quantizers enter
@@ -21,7 +21,7 @@ tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -113,31 +113,34 @@ class ChainPlan:
     Everything here is fixed across the samples of the block; the kernels
     consume the stacked arrays. A plan carries a leading batch shape (...)
     on every array but H: one entry per block of a stacked plan, per axis
-    point of a sweep, or both, blocks first.
+    point of a sweep, or both, blocks first. The covariance after an
+    earlier AP l is the final C of the plan built on APs 0..l.
     """
 
     option: Option
-    r: int
     H: np.ndarray        # (..., L, N, K) the channels as given to the plan
     AH: np.ndarray       # (..., L, r, N) projection rows A^H
     V: np.ndarray        # (..., L, K, r) combining matrices
     gamma: np.ndarray    # (..., L, r) dynamic ranges (zeros for NOQUANT)
     delta: np.ndarray    # (..., L, r) step sizes (zeros for NOQUANT)
     traces: np.ndarray   # (..., L+1) trace of C before/after each AP
-    covariances: list    # L x (..., K, K): C after each AP, the last final
+    C: np.ndarray        # (..., K, K) final error covariance
 
     @property
     def mode(self) -> int:
         return self.option.mode
 
+    @property
+    def r(self) -> int:
+        return self.AH.shape[-2]
+
     def block(self, j: int) -> "ChainPlan":
         """The plan of entry j of the leading axis, e.g. one block of a
-        plan stacked over blocks. H is indexed too, so it keeps whatever
-        unit axes it was given with."""
-        return ChainPlan(option=self.option, r=self.r, H=self.H[j],
-                         AH=self.AH[j], V=self.V[j], gamma=self.gamma[j],
-                         delta=self.delta[j], traces=self.traces[j],
-                         covariances=[C[j] for C in self.covariances])
+        plan stacked over blocks. Every array is indexed, H too, so it
+        keeps whatever unit axes it was given with."""
+        return ChainPlan(**{f.name: self.option if f.name == "option"
+                            else getattr(self, f.name)[j]
+                            for f in fields(self)})
 
 
 def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
@@ -176,7 +179,6 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
     delta = np.zeros(batch + (L, r))
     traces = np.empty(batch + (L + 1,))
     traces[..., 0] = np.trace(C, axis1=-2, axis2=-1).real
-    covs = []
 
     for l in range(L):
         H_l = H[..., l, :, :]
@@ -198,10 +200,9 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
         V[..., l, :, :], C = _combiner_and_covariance(C, H_l, A, R_f)
         AH[..., l, :, :] = _ct(A)
         traces[..., l + 1] = np.trace(C, axis1=-2, axis2=-1).real
-        covs.append(C)
 
-    return ChainPlan(option=option, r=r, H=H, AH=AH, V=V, gamma=gamma,
-                     delta=delta, traces=traces, covariances=covs)
+    return ChainPlan(option=option, H=H, AH=AH, V=V, gamma=gamma,
+                     delta=delta, traces=traces, C=C)
 
 
 def apply_chain_collect(plan: ChainPlan, Y: np.ndarray, D: np.ndarray,
@@ -224,16 +225,11 @@ def centralized_mmse_oracle(H_all: np.ndarray, y_all: np.ndarray, p: float,
                             sigma2: float) -> np.ndarray:
     """Batch LMMSE on the stacked network: p Hb^H (p Hb Hb^H + s2 I)^-1 yb.
 
-    H_all: (L, N, K) or already stacked (LN, K); y_all likewise (L, N) or
-    (LN,) or (LN, S). Test oracle for the lossless chain.
+    H_all is (L, N, K); y_all is (L, N), giving (K,), or (L, N, S),
+    giving (K, S). Test oracle for the lossless chain.
     """
-    H_all = np.asarray(H_all)
-    Hb = H_all.reshape(-1, H_all.shape[-1]) if H_all.ndim == 3 else H_all
-    y = np.asarray(y_all)
-    yb = y.reshape(Hb.shape[0], -1) if y.ndim >= 2 else y.reshape(-1, 1)
-    squeeze = y.ndim == 1 or (y.ndim == 2 and H_all.ndim == 3)
-    M = Hb.shape[0]
-    Ry = p * (Hb @ Hb.conj().T) + sigma2 * np.eye(M)
-    sol = np.linalg.solve(Ry, yb)
-    out = p * (Hb.conj().T @ sol)
-    return out[:, 0] if squeeze and out.shape[1] == 1 else out
+    L, N, K = H_all.shape
+    Hb = H_all.reshape(L * N, K)
+    yb = y_all.reshape((L * N,) + y_all.shape[2:])
+    Ry = p * (Hb @ Hb.conj().T) + sigma2 * np.eye(L * N)
+    return p * (Hb.conj().T @ np.linalg.solve(Ry, yb))

@@ -65,11 +65,10 @@ class SweepResult:
     `metadata` holds what the run itself measured.
     """
 
-    kind: str
-    axis_name: str
-    axis_values: list
     options: list                     # option value strings, plan order
-    metric: str                       # "nmse" | "ber" | ""
+    axis_name: str = ""               # sweeps only, as are the next two
+    axis_values: list = field(default_factory=list)
+    metric: str = ""                  # "nmse" | "ber"
     cells: dict = field(default_factory=dict)  # (opt_value, idx) -> Cell
     metadata: dict = field(default_factory=dict)
     tables: dict = field(default_factory=dict)
@@ -211,9 +210,8 @@ def _plan_chunk(cfg, opt, Hs, sweep, pairs, failed):
     channels Hs: a list of each pair's plan, None where a pair has no plan.
 
     One build_chain_plan call stacks the chunk's channels against the
-    sweep (bits or p, or nothing); its pair slices carry no covariances,
-    the largest arrays of the chunk, which no kernel reads. If the call
-    fails, the pairs not yet in `failed` are planned one at a time, and
+    sweep (bits or p, or nothing) and each pair takes its slice. If the
+    call fails, the pairs not yet in `failed` are planned one at a time, and
     each one that fails is recorded there, keyed by (placement, block),
     as its abort.
     """
@@ -221,7 +219,6 @@ def _plan_chunk(cfg, opt, Hs, sweep, pairs, failed):
     try:
         stacked = build_chain_plan(cfg, H[:, None] if sweep else H,
                                    option=opt, **sweep)
-        stacked.covariances = []
         return [stacked.block(j) for j in range(len(Hs))]
     except (ChainNumericsError, np.linalg.LinAlgError):
         pass
@@ -311,9 +308,8 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
         tables = {"noise_cov.csv": (
             ["index", "diagonal", "eigenvalue"],
             np.column_stack([np.arange(1, r + 1), report.diag, report.eig]))}
-    return SweepResult(kind=plan.kind, axis_name="pair",
-                       axis_values=list(range(r)), options=[option.value],
-                       metric="", tables=tables, stat_report=report)
+    return SweepResult(options=[option.value], tables=tables,
+                       stat_report=report)
 
 
 def _run_bitrate_table(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
@@ -323,9 +319,7 @@ def _run_bitrate_table(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
         width, _ = multiplier_width(cfg.b_c, b, cfg.r)
         rows.append([b, width, b_s, rate])
     header = ["b_l", "multiplier_width", "b_s", "bitrate_bits_per_s"]
-    return SweepResult(kind=plan.kind, axis_name="b_l",
-                       axis_values=list(plan.bits_sweep), options=[],
-                       metric="", tables={"bitrate.csv": (header, rows)})
+    return SweepResult(options=[], tables={"bitrate.csv": (header, rows)})
 
 
 def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
@@ -368,9 +362,8 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
         results = [part for task in tasks for part in task]
         cells, aborts, total = _aggregate_sweep(cfg, plan, results, metric)
         result = SweepResult(
-            kind=plan.kind, axis_name=axis_name, axis_values=axis,
-            options=[o.value for o in plan.options], metric=metric,
-            cells=cells)
+            options=[o.value for o in plan.options], axis_name=axis_name,
+            axis_values=axis, metric=metric, cells=cells)
         result.tables[f"{plan.kind}.csv"] = result.table()
         result.metadata["aborted_trials"] = len(aborts)
         result.metadata["total_trials"] = total

@@ -86,8 +86,10 @@ def check_noise_statistics() -> Check:
 
 def check_covariance_monotonicity(n_chains: int = 500) -> Check:
     """trace(C) never increases along the chain; C stays PSD. Chain i is
-    block i % 20 of placement i // 20 and runs option i % 4; each option's
-    chains are planned in one call."""
+    block i % 20 of placement i // 20 and runs option i % 4. The C after
+    AP l is the final C of the plan on APs 0..l (the recursion is causal);
+    each option's chains are planned in one call per prefix, the last of
+    which is the whole chain."""
     cfg = NetworkConfig()
     H = np.empty((n_chains, cfg.L, cfg.N, cfg.K), dtype=complex)
     for i in range(n_chains):
@@ -99,13 +101,14 @@ def check_covariance_monotonicity(n_chains: int = 500) -> Check:
                             seed_stream(1, p_idx, blk, 0, Role.CHANNEL)).H
     worst_inc, worst_eig = -np.inf, np.inf
     for k, option in enumerate(Option):
-        plan = build_chain_plan(cfg, H[k::4], option=option)
+        for n in range(1, cfg.L + 1):
+            plan = build_chain_plan(cfg, H[k::4, :n], option=option,
+                                    bits=cfg.b_l[:n])
+            ev = (np.linalg.eigvalsh(plan.C).min(axis=-1)
+                  / np.trace(plan.C, axis1=-2, axis2=-1).real)
+            worst_eig = min(worst_eig, float(ev.min()))
         inc = np.max(np.diff(plan.traces), axis=-1) / plan.traces[:, 0]
         worst_inc = max(worst_inc, float(inc.max()))
-        for C in plan.covariances:
-            ev = (np.linalg.eigvalsh(C).min(axis=-1)
-                  / np.trace(C, axis1=-2, axis2=-1).real)
-            worst_eig = min(worst_eig, float(ev.min()))
     ok = worst_inc <= COVARIANCE_BOUND and worst_eig >= -COVARIANCE_BOUND
     return Check("error-covariance recursion (monotone trace, PSD)", ok,
                  f"max trace increase {worst_inc:.2e}, "

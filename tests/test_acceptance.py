@@ -242,7 +242,6 @@ def test_criterion_5_ber_vs_power(report):
     assert not problems, "; ".join(problems)
 
 
-@pytest.mark.slow
 def test_criterion_6_covariance_recursion(report):
     chk = check_covariance_monotonicity(10_000)
 

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cfchain import kernels
-from cfchain.chain import (ChainNumericsError, apply_chain_collect,
-                           build_chain_plan, centralized_mmse_oracle,
-                           hermitize, observation_covariance, pca_basis,
+from cfchain.chain import (ChainNumericsError, ChainPlan,
+                           apply_chain_collect, build_chain_plan,
+                           centralized_mmse_oracle, hermitize,
+                           observation_covariance, pca_basis,
                            residual_covariance)
 from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
@@ -213,7 +216,7 @@ class TestBatchedPlan:
     @staticmethod
     def _fields(plan):
         return {"AH": plan.AH, "V": plan.V, "gamma": plan.gamma,
-                "C": plan.covariances[-1]}
+                "C": plan.C}
 
     def _check(self, batched, singles):
         for name, stacked in self._fields(batched).items():
@@ -262,12 +265,11 @@ class TestBatchedPlan:
         for j, H in enumerate(Hs):
             single = build_chain_plan(cfg, H, option=opt, **kw)
             part = stacked.block(j)
-            for name in ("AH", "V", "gamma", "delta", "traces"):
-                assert np.array_equal(getattr(part, name),
-                                      getattr(single, name)), name
-            assert len(part.covariances) == len(single.covariances)
-            for C, C_single in zip(part.covariances, single.covariances):
-                assert np.array_equal(C, C_single)
+            for f in dataclasses.fields(ChainPlan):
+                a, b = getattr(part, f.name), getattr(single, f.name)
+                if f.name == "H":  # a sweep's stack keeps its unit axis
+                    a = a.reshape(b.shape)
+                assert np.array_equal(a, b), f.name
 
     def test_bit_axis_factors_bit_independent_bases_once(self, monkeypatch):
         # on the bit axis, option2's R_y and option1's AP-0 residual
@@ -301,8 +303,8 @@ class TestBatchedPlan:
         assert plan.AH.shape == (L, r, N)
         assert plan.V.shape == (L, K, r)
         assert plan.gamma.shape == plan.delta.shape == (L, r)
-        assert len(plan.covariances) == L
-        assert plan.covariances[-1].shape == (K, K)
+        assert plan.r == r
+        assert plan.C.shape == (K, K)
         assert plan.traces.shape == (L + 1,)
 
 
@@ -313,7 +315,7 @@ class TestRefineEstimate:
         plan = build_chain_plan(cfg, np.zeros((cfg.L, cfg.N, cfg.K), complex),
                                 option=Option.NOQUANT)
         assert not plan.V.any()
-        assert np.allclose(plan.covariances[-1], cfg.p * np.eye(cfg.K))
+        assert np.allclose(plan.C, cfg.p * np.eye(cfg.K))
         assert not _lossless(plan, crandn(rng, cfg.L, cfg.N, 8)).any()
 
     def test_zero_covariance_keeps_state(self):
@@ -322,7 +324,7 @@ class TestRefineEstimate:
         _, Y = _received(cfg, ch, 8)
         plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1, p=0.0)
         assert not plan.V.any()
-        assert not plan.covariances[-1].any()
+        assert not plan.C.any()
         sh, _ = kernels.apply_chain(plan.H, plan.AH, plan.V, plan.gamma,
                                     plan.delta, Y, _dither(plan, 8),
                                     plan.mode, True)
@@ -370,8 +372,7 @@ class TestRunChain:
         ref = V @ AH @ y[0]
         sh = _lossless(plan, y)
         assert np.max(np.abs(sh - ref)) < 1e-9 * np.max(np.abs(ref))
-        assert np.allclose(plan.covariances[-1], C, rtol=0,
-                           atol=1e-9 * cfg.p)
+        assert np.allclose(plan.C, C, rtol=0, atol=1e-9 * cfg.p)
 
     def test_fine_quantization_tracks_lossless(self):
         cfg, ch = _scenario(seed=2)
@@ -397,7 +398,9 @@ class TestRunChain:
             plan = build_chain_plan(cfg, ch.H, option=opt)
             assert np.all(np.diff(plan.traces)
                           <= COVARIANCE_BOUND * plan.traces[0])
-            for C in plan.covariances:
+            for n in range(1, cfg.L + 1):  # C after AP n-1: a prefix's C
+                C = build_chain_plan(cfg, ch.H[:n], option=opt,
+                                     bits=cfg.b_l[:n]).C
                 assert np.max(np.abs(C - C.conj().T)) < 1e-10
                 assert (np.linalg.eigvalsh(C).min()
                         >= -COVARIANCE_BOUND * np.trace(C).real)
@@ -482,13 +485,11 @@ class TestRunChain:
                 assert np.array_equal(getattr(part, name),
                                       getattr(full, name)[:n]), name
             assert np.array_equal(part.traces, full.traces[..., :n + 1])
-            assert len(part.covariances) == n
-            for C, C_full in zip(part.covariances, full.covariances):
-                assert np.array_equal(C, C_full)
             _, eta, pre, _ = apply_chain_collect(part, Y[:n], D[:n], n - 1)
             _, eta_full, pre_full, _ = apply_chain_collect(full, Y, D, n - 1)
             assert np.array_equal(eta, eta_full)
             assert np.array_equal(pre, pre_full)
+        assert np.array_equal(part.C, full.C)  # the last prefix is full
 
 
 class TestCentralizedOracle:
@@ -508,7 +509,7 @@ class TestCentralizedOracle:
     def test_batched_samples(self, rng):
         H = crandn(rng, 2, 3, 4)
         Y = crandn(rng, 2, 3, 7)
-        out = centralized_mmse_oracle(H, Y.reshape(6, 7), 0.5, 0.1)
+        out = centralized_mmse_oracle(H, Y, 0.5, 0.1)
         assert out.shape == (4, 7)
         one = centralized_mmse_oracle(H, Y[:, :, 0], 0.5, 0.1)
         assert np.allclose(out[:, 0], one)

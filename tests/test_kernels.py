@@ -7,6 +7,7 @@ from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
 from cfchain.presets import preset
+from cfchain.quantizer import draw_dither
 
 OPTIONS = [Option.OPTION1, Option.OPTION2, Option.OPTION3, Option.NOQUANT]
 BITS = np.arange(1, 9)
@@ -25,11 +26,9 @@ def _workload(seed=0, S=64):
     return cfg, ch, Y
 
 
-def _dither_u(cfg, opt, S):
-    r = cfg.N if opt is Option.OPTION3 else min(cfg.N, cfg.K)
-    du = seed_stream(0, 0, 0, 0, Role.DITHER, option_tag=opt.mode)
-    return (du.uniform(-0.5, 0.5, (cfg.L, r, S))
-            + 1j * du.uniform(-0.5, 0.5, (cfg.L, r, S)))
+def _dither_u(cfg, plan, S):
+    du = seed_stream(0, 0, 0, 0, Role.DITHER, option_tag=plan.mode)
+    return draw_dither(du, (cfg.L, plan.r, S))
 
 
 def _run(ch, plan, Y, U):
@@ -53,10 +52,10 @@ class TestChainKernelBatch:
     @pytest.mark.parametrize("opt", OPTIONS)
     def test_bit_sweep_with_shared_samples(self, opt):
         cfg, ch, Y = _workload(S=256)
-        U = _dither_u(cfg, opt, Y.shape[2])
         bits = np.repeat(BITS[:, None], cfg.L, axis=1)
-        batched = _run(ch, build_chain_plan(cfg, ch.H, option=opt, bits=bits),
-                       Y, U)
+        plan = build_chain_plan(cfg, ch.H, option=opt, bits=bits)
+        U = _dither_u(cfg, plan, Y.shape[2])
+        batched = _run(ch, plan, Y, U)
         singles = [_run(ch, build_chain_plan(cfg, ch.H, option=opt, bits=b),
                         Y, U) for b in bits]
         self._check(batched, singles)
@@ -72,9 +71,9 @@ class TestChainKernelBatch:
         s = np.sqrt(p_lin)[:, None, None] * crandn(rng, cfg.K, S)
         Y = np.einsum("lnk,bks->blns", ch.H, s) \
             + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, S)
-        U = _dither_u(cfg, opt, S)
-        batched = _run(ch, build_chain_plan(cfg, ch.H, option=opt, p=p_lin),
-                       Y, U)
+        plan = build_chain_plan(cfg, ch.H, option=opt, p=p_lin)
+        U = _dither_u(cfg, plan, S)
+        batched = _run(ch, plan, Y, U)
         singles = [_run(ch, build_chain_plan(cfg, ch.H, option=opt, p=p),
                         Y[i], U) for i, p in enumerate(p_lin)]
         self._check(batched, singles)
@@ -98,7 +97,7 @@ class TestUnitDitherContract:
         cfg, ch, Y = _workload()
         bits = np.repeat(BITS[:, None], cfg.L, axis=1)
         plan = build_chain_plan(cfg, ch.H, option=opt, bits=bits)
-        U = _dither_u(cfg, opt, Y.shape[2])
+        U = _dither_u(cfg, plan, Y.shape[2])
         sh, clips = _run(ch, plan, Y, U)
         sh_b, clips_b = _run(ch, plan, Y,
                              np.broadcast_to(U, (len(BITS),) + U.shape))

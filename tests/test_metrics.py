@@ -86,11 +86,6 @@ class TestBerAccumulator:
 
 
 class TestBitAccounting:
-    def test_multiplier_width_golden(self):
-        width, b_s = multiplier_width(8, 3, 4)
-        assert width == 18
-        assert b_s == 36
-
     def test_single_product(self):
         width, b_s = multiplier_width(5, 2, 1)
         assert width == 5 + 2 + 1
@@ -101,12 +96,6 @@ class TestBitAccounting:
             w0, _ = multiplier_width(8, b, 4)
             w1, _ = multiplier_width(8, b + 1, 4)
             assert w1 - w0 == 1
-
-    def test_bitrate_golden(self):
-        cfg = NetworkConfig(b_e=3200)
-        rate, b_s = fronthaul_bitrate(cfg, b_l=3)
-        assert rate == pytest.approx(3.58e10, rel=1e-12)
-        assert b_s == 36
 
     def test_bitrate_affine_increment_exact(self):
         cfg = NetworkConfig()

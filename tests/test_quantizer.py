@@ -12,14 +12,8 @@ from cfchain.quantizer import (InsufficientSamplesError,
                                validate_noise_statistics)
 from cfchain.selftest import INPUT_CORR_BOUND, KS_BOUND, OFFDIAG_BOUND
 
-GAMMA_GOLDEN = 3.0728851183895034  # sqrt(9 / (1 - 9/192)), hand-derived
-
 
 class TestCalibration:
-    def test_gamma_closed_form(self):
-        gamma, _ = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
-        assert gamma[0] == pytest.approx(GAMMA_GOLDEN, rel=1e-12)
-
     def test_step_relation_exact(self):
         gamma, delta = calibrate_dynamic_range([2.0, 0.7, 1e-9], alpha=3.0,
                                                b=5)
