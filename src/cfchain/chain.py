@@ -112,13 +112,13 @@ class ChainPlan:
 
     Everything here is fixed across the samples of the block; the kernels
     consume the stacked arrays. A plan carries a leading batch shape (...)
-    on every array but H: one entry per block of a stacked plan, per axis
+    on every array: one entry per block of a stacked plan, per axis
     point of a sweep, or both, blocks first. The covariance after an
     earlier AP l is the final C of the plan built on APs 0..l.
     """
 
     option: Option
-    H: np.ndarray        # (..., L, N, K) the channels as given to the plan
+    H: np.ndarray        # (..., L, N, K) the channels, a broadcast view
     AH: np.ndarray       # (..., L, r, N) projection rows A^H
     V: np.ndarray        # (..., L, K, r) combining matrices
     gamma: np.ndarray    # (..., L, r) dynamic ranges (zeros for NOQUANT)
@@ -136,8 +136,7 @@ class ChainPlan:
 
     def block(self, j: int) -> "ChainPlan":
         """The plan of entry j of the leading axis, e.g. one block of a
-        plan stacked over blocks. Every array is indexed, H too, so it
-        keeps whatever unit axes it was given with."""
+        plan stacked over blocks."""
         return ChainPlan(**{f.name: self.option if f.name == "option"
                             else getattr(self, f.name)[j]
                             for f in fields(self)})
@@ -201,8 +200,8 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
         AH[..., l, :, :] = _ct(A)
         traces[..., l + 1] = np.trace(C, axis1=-2, axis2=-1).real
 
-    return ChainPlan(option=option, H=H, AH=AH, V=V, gamma=gamma,
-                     delta=delta, traces=traces, C=C)
+    return ChainPlan(option=option, H=np.broadcast_to(H, batch + (L, N, K)),
+                     AH=AH, V=V, gamma=gamma, delta=delta, traces=traces, C=C)
 
 
 def apply_chain_collect(plan: ChainPlan, Y: np.ndarray, D: np.ndarray,

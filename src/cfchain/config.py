@@ -135,11 +135,25 @@ def _coerce_fields(obj):
 # Widest quantizer, in bits: float64 cannot tell the 2^b cells of
 # (x + gamma) / delta apart beyond about 2^52.
 MAX_BITS = 52
+# Largest p/sigma2 of a transmit power, 220 dB: some 15 dB short of where
+# p H H^H swamps sigma2 I in float64 and the recursion starts to fail.
+MAX_SNR = 1e22
 
 
 def _need(cond, msg: str):
     if not cond:
         raise ConfigError(msg)
+
+
+def check_power(key: str, p_db: float, sigma2: float):
+    """Finite, nonzero watts p and p/sigma2 <= MAX_SNR, or a ConfigError."""
+    try:
+        p = 10.0 ** (p_db / 10.0)
+    except OverflowError:
+        p = math.inf
+    bad = f"{key} = {p_db:g} is out of range: "
+    _need(0 < p < math.inf, bad + "p in watts must be positive and finite")
+    _need(p <= MAX_SNR * sigma2, bad + f"p/sigma2 > MAX_SNR = {MAX_SNR:g}")
 
 
 @dataclass
@@ -204,13 +218,13 @@ class NetworkConfig:
         _need(self.L >= 1, "L >= 1")
         _need(self.N >= 1, "N >= 1")
         _need(self.K >= 1, "K >= 1")
-        for key, watts in (("p_db", "p"), ("noise_dbm", "sigma2")):
-            try:
-                ok = 0 < getattr(self, watts) < math.inf
-            except OverflowError:
-                ok = False
-            _need(ok, f"{key} = {getattr(self, key):g} is out of range: "
-                  f"{watts} in watts must be positive and finite")
+        try:
+            ok = 0 < self.sigma2 < math.inf
+        except OverflowError:
+            ok = False
+        _need(ok, f"noise_dbm = {self.noise_dbm:g} is out of range: "
+              "sigma2 in watts must be positive and finite")
+        check_power("p_db", self.p_db, self.sigma2)
         _need(self.alpha > 0, "alpha > 0")
         _need(len(self.bits) in (1, self.L),
               f"bits must have length 1 or L={self.L}")

@@ -23,9 +23,9 @@ def active_backend() -> str:
 #
 # mode: 0 = lossless, 1/2/3 = the three processing sequences.
 # Shapes, with an optional leading batch shape (...) shared by the plan
-# arrays: H (L,N,K), one block's channels, AH (...,L,r,N) = A^H,
-# V (...,L,K,r), gamma/delta (...,L,r), Y (L,N,S) shared by the batch or
-# (...,L,N,S), D (L,r,S) or (...,L,r,S) the unit dither of
+# arrays: H (L,N,K), one block's channels, or (...,L,N,K), AH (...,L,r,N)
+# = A^H, V (...,L,K,r), gamma/delta (...,L,r), Y (L,N,S) shared by the
+# batch or (...,L,N,S), D (L,r,S) or (...,L,r,S) the unit dither of
 # `quantizer.draw_dither`, which the kernel scales by delta (unused, and
 # may be None, when do_quant is false), all complex128/float64. A call
 # covers one block: the sweeps pass one block's slice of a plan stacked
@@ -41,7 +41,7 @@ def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
     for a lossless chain) and the pre-dither quantizer input, each
     (...,r,S); both are None when collect_ap is None.
     """
-    L, _, K = H.shape
+    L, _, K = H.shape[-3:]
     batch = AH.shape[:-3]
     S = Y.shape[-1]
     s_hat = np.zeros(batch + (K, S), dtype=complex)
@@ -50,7 +50,7 @@ def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
     for l in range(L):
         AH_l = AH[..., l, :, :]
         Y_l = Y[..., l, :, :]
-        pred = H[l] @ s_hat
+        pred = H[..., l, :, :] @ s_hat
         if mode <= 1:
             qin = AH_l @ (Y_l - pred)
             predp = None

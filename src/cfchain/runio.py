@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .config import (NOISE_KINDS, ConfigError, ExperimentPlan, NetworkConfig,
-                     Text, coerce)
+                     Text, check_power, coerce)
 from .quantizer import check_alpha_bits
 
 # [network] keys earlier versions wrote, which no run reads: accepted from
@@ -70,8 +70,8 @@ def build_config(net_kwargs: dict, plan_kwargs: dict,
     RETIRED_KEYS are dropped. A retired `option` still names the option of
     a noise kind whose options list has more than one entry: that is the
     one option such a file or manifest ran before [plan] options chose it.
-    Config and plan are checked together: every bit width the plan
-    quantizes with must satisfy alpha^2 < 3*4^b.
+    Config and plan are checked together: the plan's bit widths against
+    alpha^2 < 3*4^b, its transmit powers by `check_power`.
     """
     net_ov, plan_ov = parse_overrides(overrides)
     seeds = [coerce(ExperimentPlan, key, kw[key], "master_seed")
@@ -93,6 +93,8 @@ def build_config(net_kwargs: dict, plan_kwargs: dict,
     if any(o.quantized for o in plan.options):
         bits = plan.bits_sweep if plan.kind == "nmse_vs_bits" else cfg.bits
         check_alpha_bits(cfg.alpha, min(bits))
+    for p_db in plan.power_sweep_db if plan.kind == "ber_vs_power" else ():
+        check_power("power_sweep_db", p_db, cfg.sigma2)
     return cfg, plan
 
 

@@ -13,45 +13,17 @@ from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import Role, seed_stream
 from cfchain.presets import preset
-from cfchain.quantizer import calibrate_dynamic_range, draw_dither
-from cfchain.selftest import COVARIANCE_BOUND
-
-
-def _scenario(seed=0, **kw):
-    cfg = NetworkConfig(**kw)
-    placement = generate_placement(
-        cfg, seed_stream(seed, 0, 0, 0, Role.PLACEMENT))
-    ch = draw_channel(cfg, placement, seed_stream(seed, 0, 0, 0, Role.CHANNEL))
-    return cfg, ch
-
-
-def _received(cfg, ch, S, seed=0):
-    rng = seed_stream(seed, 0, 0, 0, Role.NOISE)
-    s = np.sqrt(cfg.p) * crandn(rng, cfg.K, S)
-    Y = ch.H @ s + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, S)
-    return s, Y
-
-
-def _dither(plan, S, seed=0):
-    """The plan's unit dither, (L, r, S), drawn as the harness does."""
-    du = seed_stream(seed, 0, 0, 0, Role.DITHER, option_tag=plan.mode)
-    return draw_dither(du, plan.delta.shape + (S,))
-
-
-def _lossless(plan, Y):
-    """Estimates of a lossless plan through the production kernel."""
-    sh, _ = kernels.apply_chain(plan.H, plan.AH, plan.V, plan.gamma,
-                                plan.delta, Y, None, plan.mode, False)
-    return sh
+from cfchain.quantizer import calibrate_dynamic_range
+from scenario import received, run_chain, scenario, unit_dither
 
 
 class TestDecorrelateAndCovariance:
     def test_zero_prior_passthrough(self):
         # the first AP has no prior estimate: it quantizes A^H y itself
-        cfg, ch = _scenario(seed=1)
-        _, Y = _received(cfg, ch, 64, seed=1)
+        cfg, ch = scenario(seed=1)
+        _, Y = received(cfg, ch, 64, seed=1)
         plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
-        _, _, pre, _ = apply_chain_collect(plan, Y, _dither(plan, 64), 0)
+        _, _, pre, _ = apply_chain_collect(plan, Y, unit_dither(plan, 64), 0)
         assert np.array_equal(pre, plan.AH[0] @ Y[0])
 
     def test_perfect_prior_noiseless(self, rng):
@@ -69,10 +41,10 @@ class TestDecorrelateAndCovariance:
         assert not eta.any()
 
     def test_dimension_mismatch(self):
-        cfg, ch = _scenario()
+        cfg, ch = scenario()
         plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
         with pytest.raises(ValueError):
-            _lossless(plan, np.zeros((cfg.L, cfg.N + 1, 3), complex))
+            run_chain(ch.H, plan, np.zeros((cfg.L, cfg.N + 1, 3), complex))
 
     def test_residual_trivials(self, rng):
         H = crandn(rng, 4, 10)
@@ -151,18 +123,18 @@ class TestPcaBasis:
 class TestProjectAndObservation:
     def test_identity_projection(self):
         # option3 quantizes the raw received vector: A = I at every AP
-        cfg, ch = _scenario(seed=2)
-        _, Y = _received(cfg, ch, 32, seed=2)
+        cfg, ch = scenario(seed=2)
+        _, Y = received(cfg, ch, 32, seed=2)
         plan = build_chain_plan(cfg, ch.H, option=Option.OPTION3)
         assert np.array_equal(plan.AH,
                               np.broadcast_to(np.eye(cfg.N), plan.AH.shape))
-        _, _, pre, _ = apply_chain_collect(plan, Y, _dither(plan, 32), 0)
+        _, _, pre, _ = apply_chain_collect(plan, Y, unit_dither(plan, 32), 0)
         assert np.array_equal(pre, Y[0])
 
     def test_nullspace_input(self):
         # with r < N, the eigendirections AP 0 discards project to zero
         with pytest.warns(UserWarning):
-            cfg, ch = _scenario(seed=1, N=6, K=4)
+            cfg, ch = scenario(seed=1, N=6, K=4)
         plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
         R = residual_covariance(ch.H[0], cfg.p * np.eye(cfg.K), cfg.sigma2)
         G = np.linalg.eigh(R)[1][:, :cfg.N - cfg.r]  # smallest eigenvalues
@@ -170,7 +142,7 @@ class TestProjectAndObservation:
 
     def test_non_expansive(self, rng):
         with pytest.warns(UserWarning):
-            cfg, ch = _scenario(seed=1, N=6, K=4)
+            cfg, ch = scenario(seed=1, N=6, K=4)
         G = crandn(rng, cfg.N, 50)
         for opt in (Option.OPTION1, Option.OPTION2):
             AH = build_chain_plan(cfg, ch.H, option=opt).AH
@@ -195,11 +167,11 @@ class TestProjectAndObservation:
 
     def test_observation_diag_matches_monte_carlo(self):
         # diag(R_f) vs sample variance of the forwarded observation
-        cfg, ch = _scenario(seed=4)
+        cfg, ch = scenario(seed=4)
         plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
         n = 100_000
-        s, Y = _received(cfg, ch, n, seed=4)
-        D = _dither(plan, n, seed=4)
+        s, Y = received(cfg, ch, n, seed=4)
+        D = unit_dither(plan, n, seed=4)
         # AP 0: f = quantized projection of y (no prior to subtract)
         l = 0
         _, eta, pre, _ = apply_chain_collect(plan, Y, D, l)
@@ -229,7 +201,7 @@ class TestBatchedPlan:
     @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
                                      Option.OPTION3, Option.NOQUANT])
     def test_bit_sweep(self, opt):
-        cfg, ch = _scenario(seed=3)
+        cfg, ch = scenario(seed=3)
         bits = np.repeat(np.arange(1, 9)[:, None], cfg.L, axis=1)
         batched = build_chain_plan(cfg, ch.H, option=opt, bits=bits)
         self._check(batched, [build_chain_plan(cfg, ch.H, option=opt, bits=b)
@@ -238,7 +210,7 @@ class TestBatchedPlan:
     @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
                                      Option.OPTION3, Option.NOQUANT])
     def test_power_sweep(self, opt):
-        cfg, ch = _scenario(seed=5)
+        cfg, ch = scenario(seed=5)
         p_db = np.asarray(preset("fig5")[1].power_sweep_db, dtype=float)
         p_lin = 10.0 ** (p_db / 10.0)
         batched = build_chain_plan(cfg, ch.H, option=opt, p=p_lin)
@@ -251,7 +223,7 @@ class TestBatchedPlan:
     def test_stacked_blocks_equal_single_blocks(self, opt, sweep):
         # the harness stacks a chunk of blocks' channels in one call: each
         # block's slice must be bit-identical to that block's own plan
-        cfg, _ = _scenario(seed=7)
+        cfg = NetworkConfig()
         placement = generate_placement(
             cfg, seed_stream(7, 0, 0, 0, Role.PLACEMENT))
         Hs = np.stack([draw_channel(cfg, placement, seed_stream(
@@ -266,17 +238,28 @@ class TestBatchedPlan:
             single = build_chain_plan(cfg, H, option=opt, **kw)
             part = stacked.block(j)
             for f in dataclasses.fields(ChainPlan):
-                a, b = getattr(part, f.name), getattr(single, f.name)
-                if f.name == "H":  # a sweep's stack keeps its unit axis
-                    a = a.reshape(b.shape)
-                assert np.array_equal(a, b), f.name
+                assert np.array_equal(getattr(part, f.name),
+                                      getattr(single, f.name)), f.name
+
+    def test_block_carries_the_channels_of_its_batch(self):
+        # a plan built from one block's channels against a sweep carries
+        # them at every sweep point: block(0) is that block, not AP 0,
+        # and evaluates as the batch's first point does
+        cfg, ch = scenario()
+        bits = np.repeat(np.arange(1, 9)[:, None], cfg.L, axis=1)
+        plan = build_chain_plan(cfg, ch.H, bits=bits)
+        assert np.array_equal(plan.block(0).H, ch.H)
+        _, Y = received(cfg, ch, 16)
+        D = unit_dither(plan, 16)
+        assert np.array_equal(apply_chain_collect(plan, Y, D, 1)[1][0],
+                              apply_chain_collect(plan.block(0), Y, D, 1)[1])
 
     def test_bit_axis_factors_bit_independent_bases_once(self, monkeypatch):
         # on the bit axis, option2's R_y and option1's AP-0 residual
         # covariance do not depend on the bit width: each is factored once
         # per block, as a (T, 1) stack, not once per (block, bit width)
         import cfchain.chain as chain_mod
-        cfg, _ = _scenario(seed=7)
+        cfg = NetworkConfig()
         placement = generate_placement(
             cfg, seed_stream(7, 0, 0, 0, Role.PLACEMENT))
         Hs = np.stack([draw_channel(cfg, placement, seed_stream(
@@ -297,7 +280,7 @@ class TestBatchedPlan:
         assert batches == [(3, 1)] + [(3, 8)] * (cfg.L - 1)
 
     def test_unbatched_shapes(self):
-        cfg, ch = _scenario()
+        cfg, ch = scenario()
         L, N, K, r = cfg.L, cfg.N, cfg.K, cfg.r
         plan = build_chain_plan(cfg, ch.H)
         assert plan.AH.shape == (L, r, N)
@@ -312,22 +295,20 @@ class TestRefineEstimate:
     def test_zero_channel_keeps_state(self, rng):
         # APs that hear nobody leave the estimate and covariance unchanged
         cfg = NetworkConfig()
-        plan = build_chain_plan(cfg, np.zeros((cfg.L, cfg.N, cfg.K), complex),
-                                option=Option.NOQUANT)
+        H = np.zeros((cfg.L, cfg.N, cfg.K), complex)
+        plan = build_chain_plan(cfg, H, option=Option.NOQUANT)
         assert not plan.V.any()
         assert np.allclose(plan.C, cfg.p * np.eye(cfg.K))
-        assert not _lossless(plan, crandn(rng, cfg.L, cfg.N, 8)).any()
+        assert not run_chain(H, plan, crandn(rng, cfg.L, cfg.N, 8))[0].any()
 
     def test_zero_covariance_keeps_state(self):
         # a prior without uncertainty (p = 0) is never refined
-        cfg, ch = _scenario()
-        _, Y = _received(cfg, ch, 8)
+        cfg, ch = scenario()
+        _, Y = received(cfg, ch, 8)
         plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1, p=0.0)
         assert not plan.V.any()
         assert not plan.C.any()
-        sh, _ = kernels.apply_chain(plan.H, plan.AH, plan.V, plan.gamma,
-                                    plan.delta, Y, _dither(plan, 8),
-                                    plan.mode, True)
+        sh, _ = run_chain(ch.H, plan, Y, unit_dither(plan, 8))
         assert not sh.any()
 
     def test_single_ap_textbook_lmmse(self, rng):
@@ -341,7 +322,7 @@ class TestRefineEstimate:
         H = ch.H[0]
         ref = cfg.p * H.conj().T @ np.linalg.solve(
             cfg.p * (H @ H.conj().T) + cfg.sigma2 * np.eye(cfg.N), y[0])
-        sh = _lossless(plan, y)
+        sh, _ = run_chain(ch.H, plan, y)
         assert np.max(np.abs(sh - ref)) < 1e-10 * np.max(np.abs(ref))
 
     def test_non_pd_observation_raises(self, monkeypatch):
@@ -370,48 +351,32 @@ class TestRunChain:
         V = cfg.p * H.conj().T @ AH.conj().T @ np.linalg.inv(R_f)
         C = cfg.p * np.eye(cfg.K) - cfg.p * V @ AH @ H
         ref = V @ AH @ y[0]
-        sh = _lossless(plan, y)
+        sh, _ = run_chain(ch.H, plan, y)
         assert np.max(np.abs(sh - ref)) < 1e-9 * np.max(np.abs(ref))
         assert np.allclose(plan.C, C, rtol=0, atol=1e-9 * cfg.p)
 
     def test_fine_quantization_tracks_lossless(self):
-        cfg, ch = _scenario(seed=2)
+        cfg, ch = scenario(seed=2)
         n = 4000
-        s, Y = _received(cfg, ch, n, seed=2)
+        s, Y = received(cfg, ch, n, seed=2)
         plan_q = build_chain_plan(cfg, ch.H, option=Option.OPTION1,
                                   bits=np.full(cfg.L, 12))
         plan_0 = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-        sh_q, _ = kernels.apply_chain(ch.H, plan_q.AH, plan_q.V, plan_q.gamma,
-                                      plan_q.delta, Y, _dither(plan_q, n, 2),
-                                      1, True)
-        sh_0 = _lossless(plan_0, Y)
+        sh_q, _ = run_chain(ch.H, plan_q, Y, unit_dither(plan_q, n, 2))
+        sh_0, _ = run_chain(ch.H, plan_0, Y)
         nm_q = np.mean(np.sum(np.abs(s - sh_q) ** 2, 0) /
                        np.sum(np.abs(s) ** 2, 0))
         nm_0 = np.mean(np.sum(np.abs(s - sh_0) ** 2, 0) /
                        np.sum(np.abs(s) ** 2, 0))
         assert abs(nm_q - nm_0) / nm_0 < 0.02
 
-    def test_trace_monotone_and_psd(self):
-        for seed, opt in [(0, Option.OPTION1), (1, Option.OPTION2),
-                          (2, Option.OPTION3), (3, Option.NOQUANT)]:
-            cfg, ch = _scenario(seed=seed)
-            plan = build_chain_plan(cfg, ch.H, option=opt)
-            assert np.all(np.diff(plan.traces)
-                          <= COVARIANCE_BOUND * plan.traces[0])
-            for n in range(1, cfg.L + 1):  # C after AP n-1: a prefix's C
-                C = build_chain_plan(cfg, ch.H[:n], option=opt,
-                                     bits=cfg.b_l[:n]).C
-                assert np.max(np.abs(C - C.conj().T)) < 1e-10
-                assert (np.linalg.eigvalsh(C).min()
-                        >= -COVARIANCE_BOUND * np.trace(C).real)
-
     def test_interap_orthogonality(self):
         # quantized output of AP 1 is uncorrelated with the innovation at AP 2
-        cfg, ch = _scenario(seed=6)
+        cfg, ch = scenario(seed=6)
         plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
         n = 100_000
-        s, Y = _received(cfg, ch, n, seed=6)
-        D = _dither(plan, n, seed=6)
+        s, Y = received(cfg, ch, n, seed=6)
+        D = unit_dither(plan, n, seed=6)
         # reproduce f_1 and s_hat_1, then the AP-2 innovation
         _, eta, pre, _ = apply_chain_collect(plan, Y, D, 0)
         f1 = pre + plan.delta[0][:, None] * D[0] + eta
@@ -423,16 +388,6 @@ class TestRunChain:
         norm = np.sqrt(np.outer(np.mean(np.abs(f1c) ** 2, 1),
                                 np.mean(np.abs(G2c) ** 2, 1)))
         assert np.max(np.abs(cross) / norm) < 0.02
-
-    def test_mc_error_matches_trace(self):
-        # lossless chain: E||s - s_hat||^2 == trace(C_L) for fixed channels
-        cfg, ch = _scenario(seed=8)
-        n = 10_000
-        s, Y = _received(cfg, ch, n, seed=8)
-        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-        sh = _lossless(plan, Y)
-        emp = np.mean(np.sum(np.abs(s - sh) ** 2, axis=0))
-        assert emp == pytest.approx(plan.traces[-1], rel=0.03)
 
     def test_retained_variance_is_maximal(self):
         # descending eigenvalues: any other r-subset retains less variance
@@ -449,16 +404,14 @@ class TestRunChain:
             np.sort(all_vals)[::-1][:cfg.r].sum(), rel=1e-12)
 
     def test_collect_path_matches_kernel(self):
-        cfg, ch = _scenario(seed=9)
+        cfg, ch = scenario(seed=9)
         n = 256
-        s, Y = _received(cfg, ch, n, seed=9)
+        s, Y = received(cfg, ch, n, seed=9)
         for opt in (Option.OPTION1, Option.OPTION2, Option.OPTION3):
             plan = build_chain_plan(cfg, ch.H, option=opt)
-            D = _dither(plan, n, seed=9)
+            D = unit_dither(plan, n, seed=9)
             sh_a, eta, pre, clips_a = apply_chain_collect(plan, Y, D, 2)
-            sh_b, clips_b = kernels.apply_chain(
-                ch.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D,
-                plan.mode, True)
+            sh_b, clips_b = run_chain(ch.H, plan, Y, D)
             assert np.max(np.abs(sh_a - sh_b)) < 1e-12
             assert eta.shape == (plan.r, n)
             half = np.broadcast_to(plan.delta[2][:, None] / 2, eta.shape)
@@ -473,11 +426,11 @@ class TestRunChain:
     def test_prefix_plan_equals_full_plan(self, opt):
         # the noise statistics plan and run APs 0..ap alone: the recursion
         # and the kernel are causal, so a prefix is bit-identical
-        cfg, ch = _scenario(seed=4)
+        cfg, ch = scenario(seed=4)
         S = 128
-        _, Y = _received(cfg, ch, S, seed=4)
+        _, Y = received(cfg, ch, S, seed=4)
         full = build_chain_plan(cfg, ch.H, option=opt)
-        D = _dither(full, S, seed=4)
+        D = unit_dither(full, S, seed=4)
         for n in range(1, cfg.L + 1):
             part = build_chain_plan(cfg, ch.H[:n], option=opt,
                                     bits=cfg.b_l[:n])

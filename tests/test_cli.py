@@ -69,16 +69,6 @@ options = option1, noquant
         with pytest.raises(ConfigError, match="netwrk"):
             parse_config(path)
 
-    def test_bits_floor_error_names_invariant(self, tmp_path):
-        path = _write(tmp_path, "[network]\nbits = 0\n")
-        with pytest.raises(ConfigError, match="b_l >= 1"):
-            parse_config(path)
-
-    def test_alpha_domain_error_names_constraint(self, tmp_path):
-        path = _write(tmp_path, "[network]\nalpha = 200\nbits = 1\n")
-        with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
-            parse_config(path)
-
     def test_alpha_checked_only_against_quantized_bit_widths(self):
         # nmse_vs_bits quantizes with bits_sweep, not bits
         build_config(dict(alpha=4.0, bits=1), dict(bits_sweep=(2, 3)))
@@ -139,6 +129,74 @@ options = option1, option3, noquant
 """
 
 
+# What `validate` refuses with exit 3, by the route of its input: (id,
+# source, what stderr says, naming the file read as {path}).
+EXIT_3 = {
+    "ini": [
+        ("bits_floor", "[network]\nbits = 0\n", "b_l >= 1"),
+        ("float_key", "[network]\nalpha = x\n",
+         "alpha = 'x' is not a number"),
+        ("int_key", "[network]\nL = 2.5\n", "L = '2.5' is not an integer"),
+        ("int_list", "[plan]\nbits_sweep = 2, 3.5\n",
+         "bits_sweep = '3.5' is not an"),
+        # a seed that master_seed outranks is still typed
+        ("outranked_seed", "[network]\nseed = x\n\n[plan]\nmaster_seed = 3\n",
+         "seed = 'x' is not an integer"),
+        ("too_few_noise_samples", "[plan]\nkind = noise_cdf\noptions = "
+         "option1\nn_samples = 2000\nn_placements = 1\nn_blocks = 1\n",
+         "noise_cdf needs n_samples * n_blocks * n_placements >= 10000, "
+         "got 2000"),
+    ],
+    "override": [
+        ("not_a_number", "L=abc", "L = 'abc' is not an integer"),
+        ("int_key", "L=2.5", "L = '2.5' is not an integer"),
+        ("float_list", "power_sweep_db=-2,y",
+         "power_sweep_db = 'y' is not a number"),
+        # a float key takes finite values only
+        ("inf", "p_db=inf", "p_db = 'inf' is not a number"),
+        ("minus_inf", "noise_dbm=-inf", "noise_dbm = '-inf' is not a number"),
+        ("nan", "rho=nan", "rho = 'nan' is not a number"),
+        ("area_side", "area_side=inf", "area_side = 'inf' is not a number"),
+        ("overflowing_text", "bandwidth_hz=1e400",
+         "bandwidth_hz = '1e400' is not a number"),
+        ("non_finite_list", "power_sweep_db=-2,inf",
+         "power_sweep_db = 'inf' is not a number"),
+        # a power in watts that overflows or underflows names its key
+        ("p_overflows", "p_db=4000", "p_db = 4000 is out of range"),
+        ("sigma2_overflows", "noise_dbm=4000",
+         "noise_dbm = 4000 is out of range"),
+        ("p_underflows", "p_db=-4000", "p_db = -4000 is out of range"),
+        # as does a power the recursion cannot factor: p/sigma2 > 220 dB
+        ("snr_above_max", "p_db=120", "p_db = 120 is out of range"),
+        ("snr_above_max_by_noise", "noise_dbm=-300",
+         "p_db = -10 is out of range"),
+        # each power of a power sweep takes the same rule
+        ("sweep_overflows", "kind=ber_vs_power power_sweep_db=-20,4000",
+         "power_sweep_db = 4000 is out of range"),
+        ("sweep_snr_above_max", "kind=ber_vs_power power_sweep_db=-20,150",
+         "power_sweep_db = 150 is out of range"),
+        # beyond 2^52 cells float64 cannot tell them apart
+        ("bits", "bits=53", "bits values <= MAX_BITS = 52"),
+        ("bits_overflowing_4_to_the_b", "bits=600",
+         "bits values <= MAX_BITS = 52"),
+        ("bits_sweep", "bits_sweep=8,60,1000,1100",
+         "bits_sweep values <= MAX_BITS = 52"),
+    ],
+    "manifest": [
+        ("null_config", {"config": None},
+         "manifest config is not a JSON object"),
+        ("null_plan", {"plan": None}, "manifest plan is not a JSON object"),
+        ("list_config", {"config": [1]},
+         "manifest config is not a JSON object"),
+    ],
+    "path": [
+        ("missing", "missing.ini", "cannot read config file {path}: "),
+        ("directory", ".", "cannot read config file {path}: "),
+        ("undecodable", "utf16.ini", "cannot read config file {path}: "),
+    ],
+}
+
+
 class TestCliCommands:
     def test_validate_ok_writes_nothing(self, tmp_path, capsys):
         path = _write(tmp_path, SMALL_RUN)
@@ -156,49 +214,6 @@ class TestCliCommands:
                                                      text):
         assert main(["validate", _write(tmp_path, text)]) == 3
         assert "alpha^2 < 3*4^b violated" in capsys.readouterr().err
-
-    def test_validate_bad_config_exit_code(self, tmp_path, capsys):
-        path = _write(tmp_path, "[network]\nbits = 0\n")
-        assert main(["validate", path]) == 3
-        assert "b_l >= 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text,message", [
-        ("[network]\nalpha = x\n", "alpha = 'x' is not a number"),
-        ("[network]\nL = 2.5\n", "L = '2.5' is not an integer"),
-        ("[plan]\nbits_sweep = 2, 3.5\n", "bits_sweep = '3.5' is not an"),
-        # a seed that master_seed outranks is still typed
-        ("[network]\nseed = x\n\n[plan]\nmaster_seed = 3\n",
-         "seed = 'x' is not an integer"),
-    ], ids=["float_key", "int_key", "int_list", "outranked_seed"])
-    def test_validate_malformed_number_in_file(self, tmp_path, capsys, text,
-                                               message):
-        assert main(["validate", _write(tmp_path, text)]) == 3
-        assert message in capsys.readouterr().err
-
-    @pytest.mark.parametrize("override,message", [
-        ("L=abc", "L = 'abc' is not an integer"),
-        ("L=2.5", "L = '2.5' is not an integer"),
-        ("power_sweep_db=-2,y", "power_sweep_db = 'y' is not a number"),
-        # a float key takes finite values only
-        ("p_db=inf", "p_db = 'inf' is not a number"),
-        ("noise_dbm=-inf", "noise_dbm = '-inf' is not a number"),
-        ("rho=nan", "rho = 'nan' is not a number"),
-        ("area_side=inf", "area_side = 'inf' is not a number"),
-        ("bandwidth_hz=1e400", "bandwidth_hz = '1e400' is not a number"),
-        ("power_sweep_db=-2,inf", "power_sweep_db = 'inf' is not a number"),
-    ], ids=["not_a_number", "int_key", "float_list", "inf", "minus_inf",
-            "nan", "area_side", "overflowing_text", "non_finite_list"])
-    def test_validate_malformed_number_override(self, capsys, override,
-                                                message):
-        assert main(["validate", os.devnull, "--override", override]) == 3
-        assert message in capsys.readouterr().err
-
-    def test_validate_rejects_too_few_noise_samples(self, tmp_path, capsys):
-        path = _write(tmp_path, "[plan]\nkind = noise_cdf\noptions = option1"
-                      "\nn_samples = 2000\nn_placements = 1\nn_blocks = 1\n")
-        assert main(["validate", path]) == 3
-        assert ("noise_cdf needs n_samples * n_blocks * n_placements >= "
-                "10000, got 2000") in capsys.readouterr().err
 
     def test_preset_rejects_too_few_noise_samples(self, tmp_path, capsys):
         out = tmp_path / "fig2"
@@ -272,17 +287,6 @@ n_samples = 8
         lines = (out / "nmse_vs_bits.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 8
         assert all(len(ln.split(",")) == 1 + 4 * 2 for ln in lines)
-
-    def test_rerun_from_manifest_is_byte_identical(self, tmp_path):
-        path = _write(tmp_path, SMALL_RUN)
-        out1 = tmp_path / "r1"
-        out2 = tmp_path / "r2"
-        assert main(["run", path, "--out", str(out1)]) == 0
-        assert main(["run", str(out1 / "manifest.json"),
-                     "--out", str(out2)]) == 0
-        a = (out1 / "nmse_vs_bits.csv").read_bytes()
-        b = (out2 / "nmse_vs_bits.csv").read_bytes()
-        assert a == b
 
     def test_manifest_round_trip_resolves_identically(self, tmp_path):
         path = _write(tmp_path, SMALL_RUN)
@@ -478,49 +482,26 @@ options = option1
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["plan"]["master_seed"] == want
 
-    @pytest.mark.parametrize("doc,section", [
-        ({"config": None}, "config"), ({"plan": None}, "plan"),
-        ({"config": [1]}, "config"),
-    ], ids=["null_config", "null_plan", "list_config"])
-    def test_manifest_section_not_an_object_exits_3(self, tmp_path, capsys,
-                                                     doc, section):
-        path = _write(tmp_path, json.dumps(doc), "manifest.json")
-        assert main(["validate", path]) == 3
+    @pytest.mark.parametrize("route,source,message", [
+        pytest.param(route, source, message, id=f"{route}-{name}")
+        for route, rows in EXIT_3.items() for name, source, message in rows])
+    def test_validate_exits_3(self, tmp_path, capsys, route, source,
+                              message):
+        if route == "override":
+            args = [os.devnull] + [a for ov in source.split()
+                                   for a in ("--override", ov)]
+        elif route == "path":
+            # a UTF-16 byte-order mark, FF FE, is not UTF-8
+            (tmp_path / "utf16.ini").write_bytes(
+                "[network]\nL = 3\n".encode("utf-16"))
+            args = [str(tmp_path / source)]
+        else:  # a config file's text or a manifest document
+            args = [_write(tmp_path, source) if route == "ini" else
+                    _write(tmp_path, json.dumps(source), "manifest.json")]
+        assert main(["validate"] + args) == 3
         err = capsys.readouterr().err
-        assert f"manifest {section} is not a JSON object" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("make", [
-        lambda tmp: tmp / "missing.ini",
-        lambda tmp: tmp,
-        lambda tmp: tmp / "utf16.ini",
-    ], ids=["missing", "directory", "undecodable"])
-    def test_unreadable_config_file_exits_3(self, tmp_path, capsys, make):
-        # a UTF-16 byte-order mark, FF FE, is not UTF-8
-        (tmp_path / "utf16.ini").write_bytes(
-            "[network]\nL = 3\n".encode("utf-16"))
-        path = make(tmp_path)
-        assert main(["validate", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: cannot read config "
-                              f"file {path}: ")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("override,message", [
-        # a power in watts that overflows or underflows names its key
-        ("p_db=4000", "p_db = 4000 is out of range"),
-        ("noise_dbm=4000", "noise_dbm = 4000 is out of range"),
-        ("p_db=-4000", "p_db = -4000 is out of range"),
-        # beyond 2^52 cells float64 cannot tell them apart
-        ("bits=53", "bits values <= MAX_BITS = 52"),
-        ("bits=600", "bits values <= MAX_BITS = 52"),
-        ("bits_sweep=8,60,1000,1100", "bits_sweep values <= MAX_BITS = 52"),
-    ], ids=["p_overflows", "sigma2_overflows", "p_underflows", "bits",
-            "bits_overflowing_4_to_the_b", "bits_sweep"])
-    def test_out_of_range_value_exits_3(self, capsys, override, message):
-        assert main(["validate", os.devnull, "--override", override]) == 3
-        err = capsys.readouterr().err
-        assert message in err
+        assert err.startswith("configuration error: ")
+        assert message.format(path=args[0]) in err
         assert "Traceback" not in err
 
     def test_selftest_fast(self, capsys):

@@ -180,3 +180,21 @@ def test_malformed_manifest_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: config parse error")
     assert "Traceback" not in err
+
+
+class TestConfigValidation:
+    def test_k_less_than_n_warns(self):
+        with pytest.warns(UserWarning):
+            NetworkConfig(N=8, K=4, bits=(3,) * 5)
+
+    def test_bits_length(self):
+        with pytest.raises(ConfigError, match="length"):
+            NetworkConfig(bits=(3, 3))
+
+    def test_bits_floor(self):
+        with pytest.raises(ConfigError, match="b_l >= 1"):
+            NetworkConfig(bits=0)
+
+    def test_tau_d_budget(self):
+        with pytest.raises(ConfigError, match="tau_d"):
+            NetworkConfig(tau_d=10_000)

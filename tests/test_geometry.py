@@ -7,7 +7,7 @@ from cfchain.geometry import (ap_grid, build_spatial_covariance, crandn,
                               draw_channel, generate_placement, pathloss_db)
 from cfchain.harness import Role, seed_stream
 from cfchain.quantizer import calibrate_dynamic_range
-from cfchain.runio import build_config
+from scenario import scenario
 
 
 class TestPathloss:
@@ -182,9 +182,7 @@ class TestReceiveSignal:
     def test_empirical_covariance(self):
         # option3 calibrates each antenna on E|y_n|^2 = p |h_n|^2 + sigma2;
         # the received samples, formed as the harness forms them, agree
-        cfg = NetworkConfig()
-        pl = generate_placement(cfg, seed_stream(2, 0, 0, 0, Role.PLACEMENT))
-        ch = draw_channel(cfg, pl, seed_stream(2, 0, 0, 0, Role.CHANNEL))
+        cfg, ch = scenario(seed=2)
         rng = np.random.default_rng(7)
         n = 50_000
         Y = (ch.H @ (np.sqrt(cfg.p) * crandn(rng, cfg.K, n))
@@ -194,24 +192,3 @@ class TestReceiveSignal:
         plan = build_chain_plan(cfg, ch.H, option=Option.OPTION3)
         assert np.allclose(gamma, plan.gamma, rtol=0.02)
 
-
-class TestConfigValidation:
-    def test_k_less_than_n_warns(self):
-        with pytest.warns(UserWarning):
-            NetworkConfig(N=8, K=4, bits=(3,) * 5)
-
-    def test_bits_length(self):
-        with pytest.raises(ConfigError, match="length"):
-            NetworkConfig(bits=(3, 3))
-
-    def test_bits_floor(self):
-        with pytest.raises(ConfigError, match="b_l >= 1"):
-            NetworkConfig(bits=0)
-
-    def test_alpha_domain(self):
-        with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
-            build_config(dict(alpha=200.0, bits=1), dict(kind="ber_vs_power"))
-
-    def test_tau_d_budget(self):
-        with pytest.raises(ConfigError, match="tau_d"):
-            NetworkConfig(tau_d=10_000)

@@ -7,6 +7,7 @@ from cfchain import harness, presets
 from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig, Option
 from cfchain.geometry import draw_channel, generate_placement
 from cfchain.harness import Role, run_experiment, seed_stream
+from scenario import PERFBENCH, load_perfbench
 
 
 class TestSeedStream:
@@ -107,15 +108,6 @@ def _tiny_plan(**kw):
 
 
 class TestRunExperiment:
-    def test_deterministic_rerun(self):
-        cfg = NetworkConfig()
-        a = run_experiment(_tiny_plan(), cfg)
-        b = run_experiment(_tiny_plan(), cfg)
-        for o in a.options:
-            for i in range(len(a.axis_values)):
-                assert a.value(o, i) == b.value(o, i)
-                assert a.halfwidth(o, i) == b.halfwidth(o, i)
-
     def test_lossless_curve_is_flat(self):
         cfg = NetworkConfig()
         plan = _tiny_plan(options=(Option.NOQUANT,), bits_sweep=(1, 3, 8))
@@ -219,9 +211,8 @@ class TestRunExperiment:
         # serially: fig4-bits fills each 64-plan chunk with 4 placements x
         # 2 blocks (2 chunks x 4 options), fig5-power keeps one placement
         # per task and 5 of its 10 blocks per chunk (4 chunks x 4 options)
-        from test_bench_contract import PERFBENCH, _perfbench
         monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports checks
-        run = _perfbench("run")
+        run = load_perfbench("run")
         n = 0
         real = harness.build_chain_plan
 

@@ -1,40 +1,16 @@
 import numpy as np
 import pytest
 
-from cfchain import kernels
 from cfchain.chain import build_chain_plan
-from cfchain.config import NetworkConfig, Option
-from cfchain.geometry import crandn, draw_channel, generate_placement
+from cfchain.config import Option
+from cfchain.geometry import crandn
 from cfchain.harness import Role, seed_stream
 from cfchain.presets import preset
-from cfchain.quantizer import draw_dither
+from scenario import received, run_chain, scenario, unit_dither
 
 OPTIONS = [Option.OPTION1, Option.OPTION2, Option.OPTION3, Option.NOQUANT]
 BITS = np.arange(1, 9)
 POWERS_DB = np.asarray(preset("fig5")[1].power_sweep_db, dtype=float)
-
-
-def _workload(seed=0, S=64):
-    cfg = NetworkConfig()
-    placement = generate_placement(
-        cfg, seed_stream(seed, 0, 0, 0, Role.PLACEMENT))
-    ch = draw_channel(cfg, placement, seed_stream(seed, 0, 0, 0, Role.CHANNEL))
-    rng = seed_stream(seed, 0, 0, 0, Role.NOISE)
-    s = np.sqrt(cfg.p) * crandn(rng, cfg.K, S)
-    Y = np.einsum("lnk,ks->lns", ch.H, s) \
-        + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, S)
-    return cfg, ch, Y
-
-
-def _dither_u(cfg, plan, S):
-    du = seed_stream(0, 0, 0, 0, Role.DITHER, option_tag=plan.mode)
-    return draw_dither(du, (cfg.L, plan.r, S))
-
-
-def _run(ch, plan, Y, U):
-    """The kernel on a unit dither U, which it scales by the plan's steps."""
-    return kernels.apply_chain(ch.H, plan.AH, plan.V, plan.gamma, plan.delta,
-                               Y, U, plan.mode, plan.option.quantized)
 
 
 class TestChainKernelBatch:
@@ -51,20 +27,22 @@ class TestChainKernelBatch:
 
     @pytest.mark.parametrize("opt", OPTIONS)
     def test_bit_sweep_with_shared_samples(self, opt):
-        cfg, ch, Y = _workload(S=256)
+        cfg, ch = scenario()
+        _, Y = received(cfg, ch, 256)
         bits = np.repeat(BITS[:, None], cfg.L, axis=1)
         plan = build_chain_plan(cfg, ch.H, option=opt, bits=bits)
-        U = _dither_u(cfg, plan, Y.shape[2])
-        batched = _run(ch, plan, Y, U)
-        singles = [_run(ch, build_chain_plan(cfg, ch.H, option=opt, bits=b),
-                        Y, U) for b in bits]
+        U = unit_dither(plan, Y.shape[2])
+        batched = run_chain(ch.H, plan, Y, U)
+        singles = [run_chain(ch.H, build_chain_plan(cfg, ch.H, option=opt,
+                                                    bits=b), Y, U)
+                   for b in bits]
         self._check(batched, singles)
         if opt.quantized:
             assert batched[1][0].sum() > 0  # one bit clips: counts compared
 
     @pytest.mark.parametrize("opt", OPTIONS)
     def test_power_sweep_with_stacked_samples(self, opt):
-        cfg, ch, _ = _workload()
+        cfg, ch = scenario()
         S = 128
         p_lin = 10.0 ** (POWERS_DB / 10.0)
         rng = seed_stream(0, 0, 0, 0, Role.SIGNAL)
@@ -72,10 +50,11 @@ class TestChainKernelBatch:
         Y = np.einsum("lnk,bks->blns", ch.H, s) \
             + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, S)
         plan = build_chain_plan(cfg, ch.H, option=opt, p=p_lin)
-        U = _dither_u(cfg, plan, S)
-        batched = _run(ch, plan, Y, U)
-        singles = [_run(ch, build_chain_plan(cfg, ch.H, option=opt, p=p),
-                        Y[i], U) for i, p in enumerate(p_lin)]
+        U = unit_dither(plan, S)
+        batched = run_chain(ch.H, plan, Y, U)
+        singles = [run_chain(ch.H, build_chain_plan(cfg, ch.H, option=opt,
+                                                    p=p), Y[i], U)
+                   for i, p in enumerate(p_lin)]
         self._check(batched, singles)
 
 
@@ -83,24 +62,26 @@ class TestUnitDitherContract:
     """The kernel takes the unit dither and scales it by the plan's steps."""
 
     def test_lossless_needs_no_dither(self):
-        cfg, ch, Y = _workload()
+        cfg, ch = scenario()
+        _, Y = received(cfg, ch, 64)
         bits = np.repeat(BITS[:, None], cfg.L, axis=1)
         plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT, bits=bits)
         zeros = np.zeros(plan.delta.shape + (Y.shape[2],), complex)
-        sh_none, clips_none = _run(ch, plan, Y, None)
-        sh_zero, clips_zero = _run(ch, plan, Y, zeros)
+        sh_none, clips_none = run_chain(ch.H, plan, Y)
+        sh_zero, clips_zero = run_chain(ch.H, plan, Y, zeros)
         assert np.array_equal(sh_none, sh_zero)
         assert np.array_equal(clips_none, clips_zero)
 
     @pytest.mark.parametrize("opt", OPTIONS[:3])
     def test_shared_dither_equals_its_broadcast(self, opt):
-        cfg, ch, Y = _workload()
+        cfg, ch = scenario()
+        _, Y = received(cfg, ch, 64)
         bits = np.repeat(BITS[:, None], cfg.L, axis=1)
         plan = build_chain_plan(cfg, ch.H, option=opt, bits=bits)
-        U = _dither_u(cfg, plan, Y.shape[2])
-        sh, clips = _run(ch, plan, Y, U)
-        sh_b, clips_b = _run(ch, plan, Y,
-                             np.broadcast_to(U, (len(BITS),) + U.shape))
+        U = unit_dither(plan, Y.shape[2])
+        sh, clips = run_chain(ch.H, plan, Y, U)
+        sh_b, clips_b = run_chain(ch.H, plan, Y,
+                                  np.broadcast_to(U, (len(BITS),) + U.shape))
         assert np.array_equal(sh, sh_b)
         assert np.array_equal(clips, clips_b)
         assert clips.sum() > 0  # one bit clips: the counts are compared

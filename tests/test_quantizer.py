@@ -2,29 +2,16 @@ import numpy as np
 import pytest
 
 from cfchain.chain import apply_chain_collect, build_chain_plan
-from cfchain.config import MAX_BITS, ConfigError, NetworkConfig, Option
-from cfchain.geometry import crandn, draw_channel, generate_placement
+from cfchain.config import MAX_BITS, ConfigError, Option
 from cfchain.harness import Role, seed_stream
 from cfchain.quantizer import (InsufficientSamplesError,
                                calibrate_dynamic_range, draw_dither,
-                               ks_uniform, noise_covariance,
-                               quantize_complex, quantize_midrise,
+                               ks_uniform, quantize_complex, quantize_midrise,
                                validate_noise_statistics)
-from cfchain.selftest import INPUT_CORR_BOUND, KS_BOUND, OFFDIAG_BOUND
+from scenario import received, scenario, unit_dither
 
 
 class TestCalibration:
-    def test_step_relation_exact(self):
-        gamma, delta = calibrate_dynamic_range([2.0, 0.7, 1e-9], alpha=3.0,
-                                               b=5)
-        assert np.array_equal(delta, 2.0 * gamma / 2.0 ** 5)
-
-    def test_noise_covariances(self):
-        # dither and quantization noise, delta^2/6 per complex stream each
-        _, delta = calibrate_dynamic_range([1.0, 4.0], alpha=2.0, b=4)
-        assert np.allclose(noise_covariance(delta),
-                           2 * np.diag(delta ** 2 / 6.0))
-
     def test_zero_variance_degenerates(self):
         bank = calibrate_dynamic_range([0.0], alpha=3.0, b=3)
         gamma, delta = bank
@@ -38,10 +25,6 @@ class TestCalibration:
         # correction factor -> 1, gamma -> alpha * sqrt(var/2)
         gamma, _ = calibrate_dynamic_range([2.0], alpha=3.0, b=20)
         assert gamma[0] == pytest.approx(3.0, rel=1e-5)
-
-    def test_alpha_domain_error(self):
-        with pytest.raises(ConfigError, match=r"alpha\^2 < 3\*4\^b"):
-            calibrate_dynamic_range([1.0], alpha=4.0, b=1)
 
     def test_stacked_bits_match_one_at_a_time(self):
         var = np.array([[2.0, 0.7], [1.0, 4.0], [0.5, 0.5]])
@@ -215,37 +198,23 @@ class TestKsUniform:
         assert _sup_distance(x, delta) == pytest.approx(1 / (2 * n), rel=1e-9)
 
 
-def _collect_noise(n=100_000, seed=1):
-    cfg = NetworkConfig()
-    placement = generate_placement(
-        cfg, seed_stream(seed, 0, 0, 0, Role.PLACEMENT))
-    ch = draw_channel(cfg, placement, seed_stream(seed, 0, 0, 0, Role.CHANNEL))
+def _collect_noise(n):
+    """(eta, pre, delta) of AP 1's quantizers on n samples of option1."""
+    cfg, ch = scenario(seed=1)
     plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
-    rng = seed_stream(seed, 0, 0, 0, Role.NOISE)
-    s = np.sqrt(cfg.p) * crandn(rng, cfg.K, n)
-    Y = ch.H @ s + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)
-    Du = draw_dither(seed_stream(seed, 0, 0, 0, Role.DITHER, option_tag=1),
-                     (cfg.L, plan.r, n))
-    ap = 1
-    _, eta, pre, _ = apply_chain_collect(plan, Y, Du, collect_ap=ap)
-    return eta, pre, plan.delta[ap]
+    _, Y = received(cfg, ch, n, seed=1)
+    D = unit_dither(plan, n, seed=1)
+    _, eta, pre, _ = apply_chain_collect(plan, Y, D, collect_ap=1)
+    return eta, pre, plan.delta[1]
 
 
 class TestNoiseStatistics:
-    def test_report_thresholds(self):
-        eta, pre, delta = _collect_noise()
-        rep = validate_noise_statistics(eta, pre, delta)
-        assert rep.ks_re.max() < KS_BOUND
-        assert rep.ks_im.max() < KS_BOUND
-        assert rep.offdiag_ratio < OFFDIAG_BOUND
-        assert rep.corr_input.max() < INPUT_CORR_BOUND
-
     def test_insufficient_samples(self):
-        eta, pre, delta = _collect_noise(n=2000)
+        eta, pre, delta = _collect_noise(2000)
         with pytest.raises(InsufficientSamplesError):
             validate_noise_statistics(eta, pre, delta)
 
     def test_shape_mismatch(self):
-        eta, pre, delta = _collect_noise(n=2000)
+        eta, pre, delta = _collect_noise(2000)
         with pytest.raises(ValueError):
             validate_noise_statistics(eta[:2], pre, delta)

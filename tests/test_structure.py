@@ -1,4 +1,5 @@
-"""Layout rules of the package that no behaviour test sees."""
+"""Layout rules of the package and its tests that no behaviour test
+sees."""
 
 import ast
 from pathlib import Path
@@ -23,4 +24,18 @@ def test_no_private_names_cross_modules():
                 found += [f"{path.name}: from {'.' * node.level}"
                           f"{node.module or ''} import {alias.name}"
                           for alias in node.names if _private(alias.name)]
+    assert found == []
+
+
+def test_test_modules_share_code_through_the_helper_module():
+    # a test module imports no other: code that two of them share lives
+    # in tests/scenario.py, which pytest does not collect
+    found = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else [])
+            found += [f"{path.name}: import {name}" for name in names
+                      if name.startswith("test_")]
     assert found == []
