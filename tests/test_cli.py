@@ -129,11 +129,14 @@ options = option1, option3, noquant
 """
 
 
-# What `validate` refuses with exit 3, by the route of its input: (id,
-# source, what stderr says, naming the file read as {path}).
+# What `validate` refuses with exit 3, by the test that checks it: the
+# route of its input, then (id, source, what stderr says, naming the file
+# read as {path}).
 EXIT_3 = {
-    "ini": [
+    "bad_config": ("ini", [
         ("bits_floor", "[network]\nbits = 0\n", "b_l >= 1"),
+    ]),
+    "malformed_number_in_file": ("ini", [
         ("float_key", "[network]\nalpha = x\n",
          "alpha = 'x' is not a number"),
         ("int_key", "[network]\nL = 2.5\n", "L = '2.5' is not an integer"),
@@ -142,12 +145,14 @@ EXIT_3 = {
         # a seed that master_seed outranks is still typed
         ("outranked_seed", "[network]\nseed = x\n\n[plan]\nmaster_seed = 3\n",
          "seed = 'x' is not an integer"),
+    ]),
+    "too_few_noise_samples": ("ini", [
         ("too_few_noise_samples", "[plan]\nkind = noise_cdf\noptions = "
          "option1\nn_samples = 2000\nn_placements = 1\nn_blocks = 1\n",
          "noise_cdf needs n_samples * n_blocks * n_placements >= 10000, "
          "got 2000"),
-    ],
-    "override": [
+    ]),
+    "malformed_number_override": ("override", [
         ("not_a_number", "L=abc", "L = 'abc' is not an integer"),
         ("int_key", "L=2.5", "L = '2.5' is not an integer"),
         ("float_list", "power_sweep_db=-2,y",
@@ -161,6 +166,8 @@ EXIT_3 = {
          "bandwidth_hz = '1e400' is not a number"),
         ("non_finite_list", "power_sweep_db=-2,inf",
          "power_sweep_db = 'inf' is not a number"),
+    ]),
+    "out_of_range_value": ("override", [
         # a power in watts that overflows or underflows names its key
         ("p_overflows", "p_db=4000", "p_db = 4000 is out of range"),
         ("sigma2_overflows", "noise_dbm=4000",
@@ -181,20 +188,53 @@ EXIT_3 = {
          "bits values <= MAX_BITS = 52"),
         ("bits_sweep", "bits_sweep=8,60,1000,1100",
          "bits_sweep values <= MAX_BITS = 52"),
-    ],
-    "manifest": [
+    ]),
+    "manifest_section_not_an_object": ("manifest", [
         ("null_config", {"config": None},
          "manifest config is not a JSON object"),
         ("null_plan", {"plan": None}, "manifest plan is not a JSON object"),
         ("list_config", {"config": [1]},
          "manifest config is not a JSON object"),
-    ],
-    "path": [
+    ]),
+    "unreadable_config_file": ("path", [
         ("missing", "missing.ini", "cannot read config file {path}: "),
         ("directory", ".", "cannot read config file {path}: "),
         ("undecodable", "utf16.ini", "cannot read config file {path}: "),
-    ],
+    ]),
 }
+
+
+def _validate_exits_3(test):
+    """The test that `validate` exits 3 on each case of EXIT_3[test]."""
+    route, rows = EXIT_3[test]
+
+    def check(self, tmp_path, capsys, source, message):
+        if route == "override":
+            args = [os.devnull] + [a for ov in source.split()
+                                   for a in ("--override", ov)]
+        elif route == "path":
+            # a UTF-16 byte-order mark, FF FE, is not UTF-8
+            (tmp_path / "utf16.ini").write_bytes(
+                "[network]\nL = 3\n".encode("utf-16"))
+            args = [str(tmp_path / source)]
+        else:  # a config file's text or a manifest document
+            args = [_write(tmp_path, source) if route == "ini" else
+                    _write(tmp_path, json.dumps(source), "manifest.json")]
+        assert main(["validate"] + args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert message.format(path=args[0]) in err
+        assert "Traceback" not in err
+
+    if len(rows) == 1:  # one case: the test takes no parameters
+        ((_, source, message),) = rows
+
+        def single(self, tmp_path, capsys):
+            check(self, tmp_path, capsys, source, message)
+        return single
+    return pytest.mark.parametrize("source,message", [
+        pytest.param(source, message, id=name)
+        for name, source, message in rows])(check)
 
 
 class TestCliCommands:
@@ -482,27 +522,18 @@ options = option1
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["plan"]["master_seed"] == want
 
-    @pytest.mark.parametrize("route,source,message", [
-        pytest.param(route, source, message, id=f"{route}-{name}")
-        for route, rows in EXIT_3.items() for name, source, message in rows])
-    def test_validate_exits_3(self, tmp_path, capsys, route, source,
-                              message):
-        if route == "override":
-            args = [os.devnull] + [a for ov in source.split()
-                                   for a in ("--override", ov)]
-        elif route == "path":
-            # a UTF-16 byte-order mark, FF FE, is not UTF-8
-            (tmp_path / "utf16.ini").write_bytes(
-                "[network]\nL = 3\n".encode("utf-16"))
-            args = [str(tmp_path / source)]
-        else:  # a config file's text or a manifest document
-            args = [_write(tmp_path, source) if route == "ini" else
-                    _write(tmp_path, json.dumps(source), "manifest.json")]
-        assert main(["validate"] + args) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ")
-        assert message.format(path=args[0]) in err
-        assert "Traceback" not in err
+    test_validate_bad_config_exit_code = _validate_exits_3("bad_config")
+    test_validate_malformed_number_in_file = _validate_exits_3(
+        "malformed_number_in_file")
+    test_validate_malformed_number_override = _validate_exits_3(
+        "malformed_number_override")
+    test_validate_rejects_too_few_noise_samples = _validate_exits_3(
+        "too_few_noise_samples")
+    test_manifest_section_not_an_object_exits_3 = _validate_exits_3(
+        "manifest_section_not_an_object")
+    test_unreadable_config_file_exits_3 = _validate_exits_3(
+        "unreadable_config_file")
+    test_out_of_range_value_exits_3 = _validate_exits_3("out_of_range_value")
 
     def test_selftest_fast(self, capsys):
         # the selftest has one size; it runs in about 2 s
