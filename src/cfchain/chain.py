@@ -97,9 +97,11 @@ def _combiner_and_covariance(C_prev, H_l, A, R_f):
     try:
         np.linalg.cholesky(R_f)
     except np.linalg.LinAlgError as e:
+        ratio = np.min(np.linalg.eigvalsh(C_prev).min(axis=-1)
+                       / np.abs(np.trace(C_prev, axis1=-2, axis2=-1)))
         raise ChainNumericsError(
             f"observation covariance not positive definite: {e}; "
-            f"cond~{np.max(np.linalg.cond(R_f)):.2e}") from e
+            f"incoming error covariance min eig/|trace| {ratio:.2e}") from e
     X = np.linalg.solve(R_f, M)    # R_f^-1 A^H H C
     V = _ct(X)                     # (..., K, r)
     C_new = hermitize(C_prev - _ct(M) @ X)

@@ -5,6 +5,7 @@ role) tuple maps to its own counter-based Philox stream, so any trial can
 be reproduced in isolation and worker count cannot change results. All
 processing options inside one sample consume identical channel, signal,
 and noise draws (common random numbers); only the dither is per-option.
+Which tuple feeds which draw is stated once, in the `trial_*` functions.
 """
 
 from __future__ import annotations
@@ -54,6 +55,39 @@ def seed_stream(master_seed: int, placement_idx: int, block_idx: int,
         spawn_key=(int(placement_idx), int(block_idx), int(sample_idx),
                    int(role), int(option_tag)))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def trial_channels(cfg, ms, pairs):
+    """Channels (T, L, N, K) of T (placement, block) pairs."""
+    where = {p: generate_placement(cfg, seed_stream(
+        ms, p, 0, 0, Role.PLACEMENT)) for p in {p for p, _ in pairs}}
+    return np.stack([draw_channel(cfg, where[p], seed_stream(
+        ms, p, blk, 0, Role.CHANNEL)).H for p, blk in pairs])
+
+
+def trial_noise(cfg, ms, placement, block, S, sample=0):
+    """A block's noise (L, N, S) at variance sigma2, from sample `sample`."""
+    noise = crandn(seed_stream(ms, placement, block, sample, Role.NOISE),
+                   cfg.L, cfg.N, S)
+    noise *= np.sqrt(cfg.sigma2)
+    return noise
+
+
+def trial_samples(cfg, ms, placement, block, H, S, sample=0):
+    """(s, Y): a block's Gaussian symbols (K, S) at power p and the samples
+    H's APs receive, formed in the noise draw's array."""
+    Y = trial_noise(cfg, ms, placement, block, S, sample)[:H.shape[-3]]
+    s = crandn(seed_stream(ms, placement, block, sample, Role.SIGNAL),
+               cfg.K, S)
+    s *= np.sqrt(cfg.p)
+    Y += H @ s
+    return s, Y
+
+
+def trial_dither(ms, placement, block, option, shape, sample=0):
+    """A block's unit dither for one option, of shape (..., S)."""
+    return draw_dither(seed_stream(ms, placement, block, sample, Role.DITHER,
+                                   option_tag=option.mode), shape)
 
 
 @dataclass
@@ -120,11 +154,10 @@ def _placement_worker(args):
     args is (cfg, plan, placements), placements a range. The task's
     (placement, block) pairs, placement-major, are walked in chunks of
     `_pairs_per_chunk`, one chunk at a time; a chunk may span placements.
-    For each chunk, every pair's channel is drawn from its own stream and
-    one stacked plan call per option covers the chunk's pairs and the whole
-    axis (`_plan_chunk`). Then each pair draws its noise, signal and unit
-    dither (one per quantized option, for the whole axis) from its own
-    streams and makes one kernel call per option on its slice of the plan.
+    For each chunk, one stacked plan call per option covers the chunk's
+    channels and the whole axis (`_plan_chunk`). Then each pair draws its
+    samples and unit dither (one per quantized option, for the whole axis)
+    and makes one kernel call per option on its slice of the plan.
     Chunk and task boundaries depend on the plan and the worker count
     alone, and each placement's cells accumulate its own blocks in block
     order, so neither boundary can change a result.
@@ -138,10 +171,7 @@ def _placement_worker(args):
     cfg, plan, placements = args
     ms = plan.master_seed
     _, axis, metric = _axis_and_metric(plan)
-    where = {p_idx: generate_placement(
-        cfg, seed_stream(ms, p_idx, 0, 0, Role.PLACEMENT))
-        for p_idx in placements}
-    L, N, K, S = cfg.L, cfg.N, cfg.K, plan.n_samples
+    L, K, S = cfg.L, cfg.K, plan.n_samples
     if metric == "nmse":
         sweep = {"bits": np.repeat(np.asarray(axis)[:, None], L, 1)}
         score = nmse_sums
@@ -154,15 +184,14 @@ def _placement_worker(args):
             for opt in plan.options}
     pairs = [(p_idx, blk) for p_idx in placements
              for blk in range(plan.n_blocks)]
+    channels = trial_channels(cfg, ms, pairs)
     per_chunk = _pairs_per_chunk(plan)
 
     cells = {p_idx: {} for p_idx in placements}
     aborts = {p_idx: [] for p_idx in placements}
     for first in range(0, len(pairs), per_chunk):
         chunk = pairs[first:first + per_chunk]
-        Hs = [draw_channel(cfg, where[p_idx],
-                           seed_stream(ms, p_idx, blk, 0, Role.CHANNEL)).H
-              for p_idx, blk in chunk]
+        Hs = channels[first:first + per_chunk]
         failed = {}  # (placement, block) -> its abort record
         plans = {}
         for opt in plan.options:
@@ -174,23 +203,19 @@ def _placement_worker(args):
                 aborts[p_idx].append(failed[p_idx, blk])
                 continue
             H = Hs[j]
-            noise = np.sqrt(cfg.sigma2) * crandn(
-                seed_stream(ms, p_idx, blk, 0, Role.NOISE), L, N, S)
-            sig_rng = seed_stream(ms, p_idx, blk, 0, Role.SIGNAL)
             if metric == "nmse":
-                truth = np.sqrt(cfg.p) * crandn(sig_rng, K, S)
-                Y = H @ truth + noise
-            else:
-                truth = sig_rng.integers(0, 2, size=(K, S))
+                truth, Y = trial_samples(cfg, ms, p_idx, blk, H, S)
+            else:  # BPSK symbols
+                truth = seed_stream(ms, p_idx, blk, 0, Role.SIGNAL).integers(
+                    0, 2, size=(K, S))
                 s_unit = (2.0 * truth - 1.0).astype(complex)
                 Y = (np.sqrt(p_lin)[:, None, None, None] * (H @ s_unit)
-                     + noise)
+                     + trial_noise(cfg, ms, p_idx, blk, S))
             p_cells = cells[p_idx]
             for opt in plan.options:
                 cplan = plans[opt][j]
-                D = draw_dither(seed_stream(ms, p_idx, blk, 0, Role.DITHER,
-                                            option_tag=opt.mode),
-                                (L, cplan.r, S)) if opt.quantized else None
+                D = (trial_dither(ms, p_idx, blk, opt, (L, cplan.r, S))
+                     if opt.quantized else None)
                 sh, clips = kernels.apply_chain(
                     H, cplan.AH, cplan.V, cplan.gamma, cplan.delta, Y, D,
                     cplan.mode, opt.quantized)
@@ -215,9 +240,8 @@ def _plan_chunk(cfg, opt, Hs, sweep, pairs, failed):
     each one that fails is recorded there, keyed by (placement, block),
     as its abort.
     """
-    H = np.stack(Hs)
     try:
-        stacked = build_chain_plan(cfg, H[:, None] if sweep else H,
+        stacked = build_chain_plan(cfg, Hs[:, None] if sweep else Hs,
                                    option=opt, **sweep)
         return [stacked.block(j) for j in range(len(Hs))]
     except (ChainNumericsError, np.linalg.LinAlgError):
@@ -264,35 +288,22 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
 
     Only AP `ap` is reported, so the chain is planned and run on APs
     0..ap alone: the recursion and the kernel are causal, so its noise,
-    inputs and steps are those of the full chain, bit for bit. Draws are
-    made in the order placement, channel, `ap` (MISC), then per chunk the
-    noise, signal and dither, each of them for all L APs, so that no
-    stream depends on `ap`. A chunk's received samples are formed in the
-    array of its noise draw.
+    inputs and steps are those of the full chain, bit for bit. A chunk's
+    noise and dither are drawn for all L APs, so no stream depends on `ap`.
     """
     ms = plan.master_seed
     option, = plan.options
-    placement = generate_placement(
-        cfg, seed_stream(ms, 0, 0, 0, Role.PLACEMENT))
-    ch = draw_channel(cfg, placement, seed_stream(ms, 0, 0, 0, Role.CHANNEL))
+    H, = trial_channels(cfg, ms, [(0, 0)])
     ap = int(seed_stream(ms, 0, 0, 0, Role.MISC).integers(cfg.L))
     n = ap + 1
-    cplan = build_chain_plan(cfg, ch.H[:n], option=option,
-                             bits=cfg.b_l[:n])
-    L, N, K, r = cfg.L, cfg.N, cfg.K, cplan.r
+    cplan = build_chain_plan(cfg, H[:n], option=option, bits=cfg.b_l[:n])
     total = plan.n_samples * plan.n_blocks * plan.n_placements
     chunk = 20_000
-    eta = np.empty((r, total), dtype=complex)
-    pre = np.empty((r, total), dtype=complex)
+    eta, pre = np.empty((2, cplan.r, total), dtype=complex)
     for done in range(0, total, chunk):
         S = min(chunk, total - done)
-        Y = crandn(seed_stream(ms, 0, 0, done, Role.NOISE), L, N, S)[:n]
-        Y *= np.sqrt(cfg.sigma2)
-        s = crandn(seed_stream(ms, 0, 0, done, Role.SIGNAL), K, S)
-        s *= np.sqrt(cfg.p)
-        D = draw_dither(seed_stream(ms, 0, 0, done, Role.DITHER,
-                                    option_tag=option.mode), (L, r, S))
-        Y += cplan.H @ s
+        s, Y = trial_samples(cfg, ms, 0, 0, cplan.H, S, sample=done)
+        D = trial_dither(ms, 0, 0, option, (cfg.L, cplan.r, S), sample=done)
         _, eta[:, done:done + S], pre[:, done:done + S], _ = \
             apply_chain_collect(cplan, Y, D[:n], collect_ap=ap)
     del Y, s, D  # the last chunk's draws: free them for the validation
@@ -305,9 +316,8 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
                   for i, table in enumerate(report.cdfs)}
         tables["noise_stats.csv"] = (StatReport.HEADER, list(report.rows()))
     else:
-        tables = {"noise_cov.csv": (
-            ["index", "diagonal", "eigenvalue"],
-            np.column_stack([np.arange(1, r + 1), report.diag, report.eig]))}
+        tables = {"noise_cov.csv": (StatReport.COV_HEADER, np.column_stack(
+            [np.arange(1, cplan.r + 1), report.diag, report.eig]))}
     return SweepResult(options=[option.value], tables=tables,
                        stat_report=report)
 

@@ -42,6 +42,7 @@ class StatReport:
     HEADER = ("pair", "n_unclipped", "ks_re", "ks_im", "corr_input",
               "offdiag_ratio", "eig_vs_diag_rel")
     CDF_HEADER = ("value", "cdf_re", "cdf_im", "cdf_uniform")
+    COV_HEADER = ("index", "diagonal", "eigenvalue")
 
     n_samples: int
     n_unclipped: np.ndarray      # (r,) per pair, min over re/im

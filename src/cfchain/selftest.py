@@ -21,8 +21,8 @@ import numpy as np
 from . import kernels
 from .chain import build_chain_plan, centralized_mmse_oracle
 from .config import NetworkConfig, Option
-from .geometry import crandn, draw_channel, generate_placement, pathloss_db
-from .harness import Role, run_experiment, seed_stream
+from .geometry import pathloss_db
+from .harness import run_experiment, trial_channels, trial_samples
 from .metrics import fronthaul_bitrate, multiplier_width
 from .presets import preset
 from .quantizer import calibrate_dynamic_range
@@ -47,20 +47,14 @@ def check_oracle_equivalence() -> Check:
     cfg = NetworkConfig()
     n_inst = 100
     worst = 0.0
-    for i in range(n_inst):
-        placement = generate_placement(
-            cfg, seed_stream(1, i, 0, 0, Role.PLACEMENT))
-        ch = draw_channel(cfg, placement,
-                          seed_stream(1, i, 0, 0, Role.CHANNEL))
-        rng = seed_stream(1, i, 0, 0, Role.NOISE)
-        s = np.sqrt(cfg.p) * crandn(rng, cfg.K)
-        y = ch.H @ s + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N)
-        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-        sh, _ = kernels.apply_chain(
-            ch.H, plan.AH, plan.V, plan.gamma, plan.delta, y[:, :, None],
-            None, 0, False)
-        ref = centralized_mmse_oracle(ch.H, y, cfg.p, cfg.sigma2)
-        worst = max(worst, float(np.max(np.abs(sh[:, 0] - ref))))
+    Hs = trial_channels(cfg, 1, [(i, 0) for i in range(n_inst)])
+    for i, H in enumerate(Hs):
+        _, Y = trial_samples(cfg, 1, i, 0, H, 1)
+        plan = build_chain_plan(cfg, H, option=Option.NOQUANT)
+        sh, _ = kernels.apply_chain(H, plan.AH, plan.V, plan.gamma,
+                                    plan.delta, Y, None, 0, False)
+        ref = centralized_mmse_oracle(H, Y, cfg.p, cfg.sigma2)
+        worst = max(worst, float(np.max(np.abs(sh - ref))))
     return Check("oracle equivalence (lossless chain vs batch LMMSE)",
                  worst < ORACLE_BOUND,
                  f"max |diff| = {worst:.3e} over {n_inst} instances",
@@ -91,14 +85,7 @@ def check_covariance_monotonicity(n_chains: int = 500) -> Check:
     each option's chains are planned in one call per prefix, the last of
     which is the whole chain."""
     cfg = NetworkConfig()
-    H = np.empty((n_chains, cfg.L, cfg.N, cfg.K), dtype=complex)
-    for i in range(n_chains):
-        p_idx, blk = divmod(i, 20)
-        if blk == 0:
-            placement = generate_placement(
-                cfg, seed_stream(1, p_idx, 0, 0, Role.PLACEMENT))
-        H[i] = draw_channel(cfg, placement,
-                            seed_stream(1, p_idx, blk, 0, Role.CHANNEL)).H
+    H = trial_channels(cfg, 1, [divmod(i, 20) for i in range(n_chains)])
     worst_inc, worst_eig = -np.inf, np.inf
     for k, option in enumerate(Option):
         for n in range(1, cfg.L + 1):

@@ -16,7 +16,7 @@ from cfchain.chain import build_chain_plan
 from cfchain.cli import main
 from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
-from cfchain.harness import Role, run_experiment, seed_stream
+from cfchain.harness import run_experiment, trial_channels, trial_samples
 from cfchain.presets import preset
 from cfchain.selftest import GOLDEN_REL, KS_BOUND, OFFDIAG_BOUND, \
     check_covariance_monotonicity, check_formula_goldens, \
@@ -247,17 +247,10 @@ def test_criterion_6_covariance_recursion(report):
 
     # lossless chain: realized mean squared error matches trace(C_L)
     cfg = NetworkConfig()
-    placement = generate_placement(
-        cfg, seed_stream(1, 0, 0, 0, Role.PLACEMENT))
-    ch = draw_channel(cfg, placement,
-                      seed_stream(1, 0, 0, 0, Role.CHANNEL))
-    plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-    n = 10_000
-    rng = seed_stream(1, 0, 0, 0, Role.NOISE)
-    s = np.sqrt(cfg.p) * crandn(rng, cfg.K, n)
-    Y = np.einsum("lnk,ks->lns", ch.H, s) \
-        + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n)
-    sh, _ = kernels.apply_chain(ch.H, plan.AH, plan.V, plan.gamma, plan.delta,
+    H, = trial_channels(cfg, 1, [(0, 0)])
+    plan = build_chain_plan(cfg, H, option=Option.NOQUANT)
+    s, Y = trial_samples(cfg, 1, 0, 0, H, 10_000)
+    sh, _ = kernels.apply_chain(H, plan.AH, plan.V, plan.gamma, plan.delta,
                                 Y, None, 0, False)
     emp = float(np.mean(np.sum(np.abs(s - sh) ** 2, axis=0)))
     mc_rel = abs(emp - plan.traces[-1]) / plan.traces[-1]

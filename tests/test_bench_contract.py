@@ -11,10 +11,7 @@ benchmark, not the suite.
 
 import dataclasses
 import importlib
-import importlib.util
-import sys
 from collections import Counter
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,46 +19,22 @@ import pytest
 
 from cfchain import kernels, presets
 from cfchain.chain import ChainPlan, apply_chain_collect, build_chain_plan
-from cfchain.config import NetworkConfig, Option
-from cfchain.geometry import crandn, draw_channel, generate_placement
-from cfchain.harness import Role, run_experiment, seed_stream
+from cfchain.config import Option
+from cfchain.harness import run_experiment
 from cfchain.presets import PRESETS, preset
-from cfchain.quantizer import draw_dither
 from cfchain.runio import RunManifest, emit_results
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _perfbench(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # dataclasses look their module up there
-    spec.loader.exec_module(mod)
-    return mod
-
-
-def _tracer():
-    return _perfbench("tracer")
-
-
-def _channel(cfg):
-    placement = generate_placement(cfg, seed_stream(1, 0, 0, 0,
-                                                    Role.PLACEMENT))
-    return draw_channel(cfg, placement, seed_stream(1, 0, 0, 0, Role.CHANNEL))
+from scenario import PERFBENCH, load_perfbench, received, scenario, \
+    unit_dither
 
 
 def _block(S=32):
-    cfg = NetworkConfig()
-    ch = _channel(cfg)
-    plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
-    Y = ch.H @ (np.sqrt(cfg.p) * crandn(np.random.default_rng(0), cfg.K, S))
-    D = draw_dither(np.random.default_rng(1), (cfg.L, plan.r, S))
-    return plan, Y, D
+    cfg, H = scenario(seed=1)
+    plan = build_chain_plan(cfg, H, option=Option.OPTION1)
+    return plan, received(cfg, H, S, seed=1)[1], unit_dither(plan, S, seed=1)
 
 
 def test_every_target_resolves():
-    for mod_name, attr, _span in _tracer().TARGETS:
+    for mod_name, attr, _span in load_perfbench("tracer").TARGETS:
         mod = importlib.import_module(f"cfchain.{mod_name}")
         assert callable(getattr(mod, attr)), (mod_name, attr)
 
@@ -69,7 +42,8 @@ def test_every_target_resolves():
 def test_every_target_is_called(monkeypatch):
     # a target that still resolves but is no longer called through its
     # (module, attribute) would read 0 in the traced metrics, silently
-    targets = {(mod_name, attr) for mod_name, attr, _ in _tracer().TARGETS}
+    targets = {(mod_name, attr)
+               for mod_name, attr, _ in load_perfbench("tracer").TARGETS}
     calls = Counter()
     for mod_name, attr in targets:
         mod = importlib.import_module(f"cfchain.{mod_name}")
@@ -89,8 +63,7 @@ def test_every_target_is_called(monkeypatch):
 
 
 def test_plan_option_defaults_to_option1():
-    cfg = NetworkConfig()
-    H = _channel(cfg).H
+    cfg, H = scenario(seed=1)
     default = build_chain_plan(cfg, H)
     explicit = build_chain_plan(cfg, H, option=Option.OPTION1)
     assert default.option is explicit.option is Option.OPTION1
@@ -100,7 +73,7 @@ def test_plan_option_defaults_to_option1():
 
 
 def test_kernel_call_unpacks_as_the_tracer_expects():
-    tracer = _tracer()
+    tracer = load_perfbench("tracer")
     plan, Y, D = _block()
     args = (plan.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D,
             plan.mode, True)
@@ -113,7 +86,7 @@ def test_kernel_call_unpacks_as_the_tracer_expects():
 
 
 def test_collect_call_unpacks_as_the_tracer_expects():
-    tracer = _tracer()
+    tracer = load_perfbench("tracer")
     plan, Y, D = _block()
     out = apply_chain_collect(plan, Y, D, 2)
     counters = Counter()
@@ -159,7 +132,7 @@ def test_sweep_result_reads_as_the_benchmark_expects(tmp_path):
 def test_sweep_kernel_calls_unpack_as_the_tracer_expects(name, monkeypatch):
     # every kernel call a sweep makes goes through the tracer's count hook,
     # and the clips it counts are the ones the run's cells accumulated
-    tracer = _tracer()
+    tracer = load_perfbench("tracer")
     counters = Counter()
     calls = []
     real = kernels.apply_chain
@@ -188,7 +161,7 @@ def test_workloads_match_the_reference_tables(tmp_path, monkeypatch):
     # sizes, serially: a refactor that moves a CSV value fails here, not
     # only in the benchmark
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports checks
-    run = _perfbench("run")
+    run = load_perfbench("run")
     checks = run.checks
     failures = []
     for name, workload in run.WORKLOADS.items():

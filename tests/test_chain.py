@@ -11,7 +11,7 @@ from cfchain.chain import (ChainNumericsError, ChainPlan,
                            residual_covariance)
 from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
-from cfchain.harness import Role, seed_stream
+from cfchain.harness import trial_channels
 from cfchain.presets import preset
 from cfchain.quantizer import calibrate_dynamic_range
 from scenario import received, run_chain, scenario, unit_dither
@@ -20,9 +20,9 @@ from scenario import received, run_chain, scenario, unit_dither
 class TestDecorrelateAndCovariance:
     def test_zero_prior_passthrough(self):
         # the first AP has no prior estimate: it quantizes A^H y itself
-        cfg, ch = scenario(seed=1)
-        _, Y = received(cfg, ch, 64, seed=1)
-        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
+        cfg, H = scenario(seed=1)
+        _, Y = received(cfg, H, 64, seed=1)
+        plan = build_chain_plan(cfg, H, option=Option.OPTION1)
         _, _, pre, _ = apply_chain_collect(plan, Y, unit_dither(plan, 64), 0)
         assert np.array_equal(pre, plan.AH[0] @ Y[0])
 
@@ -41,10 +41,10 @@ class TestDecorrelateAndCovariance:
         assert not eta.any()
 
     def test_dimension_mismatch(self):
-        cfg, ch = scenario()
-        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
+        cfg, H = scenario()
+        plan = build_chain_plan(cfg, H, option=Option.NOQUANT)
         with pytest.raises(ValueError):
-            run_chain(ch.H, plan, np.zeros((cfg.L, cfg.N + 1, 3), complex))
+            run_chain(H, plan, np.zeros((cfg.L, cfg.N + 1, 3), complex))
 
     def test_residual_trivials(self, rng):
         H = crandn(rng, 4, 10)
@@ -123,9 +123,9 @@ class TestPcaBasis:
 class TestProjectAndObservation:
     def test_identity_projection(self):
         # option3 quantizes the raw received vector: A = I at every AP
-        cfg, ch = scenario(seed=2)
-        _, Y = received(cfg, ch, 32, seed=2)
-        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION3)
+        cfg, H = scenario(seed=2)
+        _, Y = received(cfg, H, 32, seed=2)
+        plan = build_chain_plan(cfg, H, option=Option.OPTION3)
         assert np.array_equal(plan.AH,
                               np.broadcast_to(np.eye(cfg.N), plan.AH.shape))
         _, _, pre, _ = apply_chain_collect(plan, Y, unit_dither(plan, 32), 0)
@@ -134,18 +134,18 @@ class TestProjectAndObservation:
     def test_nullspace_input(self):
         # with r < N, the eigendirections AP 0 discards project to zero
         with pytest.warns(UserWarning):
-            cfg, ch = scenario(seed=1, N=6, K=4)
-        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
-        R = residual_covariance(ch.H[0], cfg.p * np.eye(cfg.K), cfg.sigma2)
+            cfg, H = scenario(seed=1, N=6, K=4)
+        plan = build_chain_plan(cfg, H, option=Option.OPTION1)
+        R = residual_covariance(H[0], cfg.p * np.eye(cfg.K), cfg.sigma2)
         G = np.linalg.eigh(R)[1][:, :cfg.N - cfg.r]  # smallest eigenvalues
         assert np.max(np.abs(plan.AH[0] @ G)) < 1e-10
 
     def test_non_expansive(self, rng):
         with pytest.warns(UserWarning):
-            cfg, ch = scenario(seed=1, N=6, K=4)
+            cfg, H = scenario(seed=1, N=6, K=4)
         G = crandn(rng, cfg.N, 50)
         for opt in (Option.OPTION1, Option.OPTION2):
-            AH = build_chain_plan(cfg, ch.H, option=opt).AH
+            AH = build_chain_plan(cfg, H, option=opt).AH
             assert np.all(np.linalg.norm(AH @ G, axis=-2)
                           <= np.linalg.norm(G, axis=0) + 1e-12)
 
@@ -167,17 +167,17 @@ class TestProjectAndObservation:
 
     def test_observation_diag_matches_monte_carlo(self):
         # diag(R_f) vs sample variance of the forwarded observation
-        cfg, ch = scenario(seed=4)
-        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
+        cfg, H = scenario(seed=4)
+        plan = build_chain_plan(cfg, H, option=Option.OPTION1)
         n = 100_000
-        s, Y = received(cfg, ch, n, seed=4)
+        s, Y = received(cfg, H, n, seed=4)
         D = unit_dither(plan, n, seed=4)
         # AP 0: f = quantized projection of y (no prior to subtract)
         l = 0
         _, eta, pre, _ = apply_chain_collect(plan, Y, D, l)
         f = pre + plan.delta[l][:, None] * D[l] + eta
         var_emp = np.mean(np.abs(f) ** 2, axis=1)
-        R_G = residual_covariance(ch.H[l], cfg.p * np.eye(cfg.K), cfg.sigma2)
+        R_G = residual_covariance(H[l], cfg.p * np.eye(cfg.K), cfg.sigma2)
         Rf = observation_covariance(plan.AH[l].conj().T, R_G, plan.delta[l])
         assert np.allclose(var_emp, np.diag(Rf).real, rtol=0.03)
 
@@ -201,20 +201,20 @@ class TestBatchedPlan:
     @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
                                      Option.OPTION3, Option.NOQUANT])
     def test_bit_sweep(self, opt):
-        cfg, ch = scenario(seed=3)
+        cfg, H = scenario(seed=3)
         bits = np.repeat(np.arange(1, 9)[:, None], cfg.L, axis=1)
-        batched = build_chain_plan(cfg, ch.H, option=opt, bits=bits)
-        self._check(batched, [build_chain_plan(cfg, ch.H, option=opt, bits=b)
+        batched = build_chain_plan(cfg, H, option=opt, bits=bits)
+        self._check(batched, [build_chain_plan(cfg, H, option=opt, bits=b)
                               for b in bits])
 
     @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
                                      Option.OPTION3, Option.NOQUANT])
     def test_power_sweep(self, opt):
-        cfg, ch = scenario(seed=5)
+        cfg, H = scenario(seed=5)
         p_db = np.asarray(preset("fig5")[1].power_sweep_db, dtype=float)
         p_lin = 10.0 ** (p_db / 10.0)
-        batched = build_chain_plan(cfg, ch.H, option=opt, p=p_lin)
-        self._check(batched, [build_chain_plan(cfg, ch.H, option=opt, p=p)
+        batched = build_chain_plan(cfg, H, option=opt, p=p_lin)
+        self._check(batched, [build_chain_plan(cfg, H, option=opt, p=p)
                               for p in p_lin])
 
     @pytest.mark.parametrize("sweep", ["bits", "power", "flat"])
@@ -224,10 +224,7 @@ class TestBatchedPlan:
         # the harness stacks a chunk of blocks' channels in one call: each
         # block's slice must be bit-identical to that block's own plan
         cfg = NetworkConfig()
-        placement = generate_placement(
-            cfg, seed_stream(7, 0, 0, 0, Role.PLACEMENT))
-        Hs = np.stack([draw_channel(cfg, placement, seed_stream(
-            7, 0, blk, 0, Role.CHANNEL)).H for blk in range(4)])
+        Hs = trial_channels(cfg, 7, [(0, blk) for blk in range(4)])
         kw = {"bits": {"bits": np.repeat(np.arange(1, 9)[:, None], cfg.L,
                                          axis=1)},
               "power": {"p": 10.0 ** (np.arange(-20, 1, 2) / 10.0)},
@@ -245,11 +242,11 @@ class TestBatchedPlan:
         # a plan built from one block's channels against a sweep carries
         # them at every sweep point: block(0) is that block, not AP 0,
         # and evaluates as the batch's first point does
-        cfg, ch = scenario()
+        cfg, H = scenario()
         bits = np.repeat(np.arange(1, 9)[:, None], cfg.L, axis=1)
-        plan = build_chain_plan(cfg, ch.H, bits=bits)
-        assert np.array_equal(plan.block(0).H, ch.H)
-        _, Y = received(cfg, ch, 16)
+        plan = build_chain_plan(cfg, H, bits=bits)
+        assert np.array_equal(plan.block(0).H, H)
+        _, Y = received(cfg, H, 16)
         D = unit_dither(plan, 16)
         assert np.array_equal(apply_chain_collect(plan, Y, D, 1)[1][0],
                               apply_chain_collect(plan.block(0), Y, D, 1)[1])
@@ -260,10 +257,7 @@ class TestBatchedPlan:
         # per block, as a (T, 1) stack, not once per (block, bit width)
         import cfchain.chain as chain_mod
         cfg = NetworkConfig()
-        placement = generate_placement(
-            cfg, seed_stream(7, 0, 0, 0, Role.PLACEMENT))
-        Hs = np.stack([draw_channel(cfg, placement, seed_stream(
-            7, 0, blk, 0, Role.CHANNEL)).H for blk in range(3)])
+        Hs = trial_channels(cfg, 7, [(0, blk) for blk in range(3)])
         bits = np.repeat(np.arange(1, 9)[:, None], cfg.L, axis=1)
         batches = []
         real = chain_mod.pca_basis
@@ -280,9 +274,9 @@ class TestBatchedPlan:
         assert batches == [(3, 1)] + [(3, 8)] * (cfg.L - 1)
 
     def test_unbatched_shapes(self):
-        cfg, ch = scenario()
+        cfg, H = scenario()
         L, N, K, r = cfg.L, cfg.N, cfg.K, cfg.r
-        plan = build_chain_plan(cfg, ch.H)
+        plan = build_chain_plan(cfg, H)
         assert plan.AH.shape == (L, r, N)
         assert plan.V.shape == (L, K, r)
         assert plan.gamma.shape == plan.delta.shape == (L, r)
@@ -303,12 +297,12 @@ class TestRefineEstimate:
 
     def test_zero_covariance_keeps_state(self):
         # a prior without uncertainty (p = 0) is never refined
-        cfg, ch = scenario()
-        _, Y = received(cfg, ch, 8)
-        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1, p=0.0)
+        cfg, H = scenario()
+        _, Y = received(cfg, H, 8)
+        plan = build_chain_plan(cfg, H, option=Option.OPTION1, p=0.0)
         assert not plan.V.any()
         assert not plan.C.any()
-        sh, _ = run_chain(ch.H, plan, Y, unit_dither(plan, 8))
+        sh, _ = run_chain(H, plan, Y, unit_dither(plan, 8))
         assert not sh.any()
 
     def test_single_ap_textbook_lmmse(self, rng):
@@ -334,6 +328,16 @@ class TestRefineEstimate:
                              option=Option.NOQUANT)
 
 
+    def test_failure_names_the_incoming_covariance(self):
+        # at 150 dB the recursion's C loses its semidefiniteness and the
+        # next AP's observation covariance fails to factor
+        cfg, plan = preset("fig4", seed=1)
+        H, = trial_channels(cfg, plan.master_seed, [(0, 0)])
+        with pytest.raises(ChainNumericsError,
+                           match=r"error covariance min eig/\|trace\| -"):
+            build_chain_plan(cfg, H, option=Option.NOQUANT, p=1e15)
+
+
 class TestRunChain:
     def test_single_ap_chain_equals_refine(self, rng):
         # one AP with r < N: the LMMSE update from the retained
@@ -356,14 +360,14 @@ class TestRunChain:
         assert np.allclose(plan.C, C, rtol=0, atol=1e-9 * cfg.p)
 
     def test_fine_quantization_tracks_lossless(self):
-        cfg, ch = scenario(seed=2)
+        cfg, H = scenario(seed=2)
         n = 4000
-        s, Y = received(cfg, ch, n, seed=2)
-        plan_q = build_chain_plan(cfg, ch.H, option=Option.OPTION1,
+        s, Y = received(cfg, H, n, seed=2)
+        plan_q = build_chain_plan(cfg, H, option=Option.OPTION1,
                                   bits=np.full(cfg.L, 12))
-        plan_0 = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-        sh_q, _ = run_chain(ch.H, plan_q, Y, unit_dither(plan_q, n, 2))
-        sh_0, _ = run_chain(ch.H, plan_0, Y)
+        plan_0 = build_chain_plan(cfg, H, option=Option.NOQUANT)
+        sh_q, _ = run_chain(H, plan_q, Y, unit_dither(plan_q, n, 2))
+        sh_0, _ = run_chain(H, plan_0, Y)
         nm_q = np.mean(np.sum(np.abs(s - sh_q) ** 2, 0) /
                        np.sum(np.abs(s) ** 2, 0))
         nm_0 = np.mean(np.sum(np.abs(s - sh_0) ** 2, 0) /
@@ -372,16 +376,16 @@ class TestRunChain:
 
     def test_interap_orthogonality(self):
         # quantized output of AP 1 is uncorrelated with the innovation at AP 2
-        cfg, ch = scenario(seed=6)
-        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
+        cfg, H = scenario(seed=6)
+        plan = build_chain_plan(cfg, H, option=Option.OPTION1)
         n = 100_000
-        s, Y = received(cfg, ch, n, seed=6)
+        s, Y = received(cfg, H, n, seed=6)
         D = unit_dither(plan, n, seed=6)
         # reproduce f_1 and s_hat_1, then the AP-2 innovation
         _, eta, pre, _ = apply_chain_collect(plan, Y, D, 0)
         f1 = pre + plan.delta[0][:, None] * D[0] + eta
         s_hat1 = plan.V[0] @ f1
-        G2 = Y[1] - ch.H[1] @ s_hat1
+        G2 = Y[1] - H[1] @ s_hat1
         f1c = f1 - f1.mean(axis=1, keepdims=True)
         G2c = G2 - G2.mean(axis=1, keepdims=True)
         cross = (f1c @ G2c.conj().T) / n
@@ -404,14 +408,14 @@ class TestRunChain:
             np.sort(all_vals)[::-1][:cfg.r].sum(), rel=1e-12)
 
     def test_collect_path_matches_kernel(self):
-        cfg, ch = scenario(seed=9)
+        cfg, H = scenario(seed=9)
         n = 256
-        s, Y = received(cfg, ch, n, seed=9)
+        s, Y = received(cfg, H, n, seed=9)
         for opt in (Option.OPTION1, Option.OPTION2, Option.OPTION3):
-            plan = build_chain_plan(cfg, ch.H, option=opt)
+            plan = build_chain_plan(cfg, H, option=opt)
             D = unit_dither(plan, n, seed=9)
             sh_a, eta, pre, clips_a = apply_chain_collect(plan, Y, D, 2)
-            sh_b, clips_b = run_chain(ch.H, plan, Y, D)
+            sh_b, clips_b = run_chain(H, plan, Y, D)
             assert np.max(np.abs(sh_a - sh_b)) < 1e-12
             assert eta.shape == (plan.r, n)
             half = np.broadcast_to(plan.delta[2][:, None] / 2, eta.shape)
@@ -426,13 +430,13 @@ class TestRunChain:
     def test_prefix_plan_equals_full_plan(self, opt):
         # the noise statistics plan and run APs 0..ap alone: the recursion
         # and the kernel are causal, so a prefix is bit-identical
-        cfg, ch = scenario(seed=4)
+        cfg, H = scenario(seed=4)
         S = 128
-        _, Y = received(cfg, ch, S, seed=4)
-        full = build_chain_plan(cfg, ch.H, option=opt)
+        _, Y = received(cfg, H, S, seed=4)
+        full = build_chain_plan(cfg, H, option=opt)
         D = unit_dither(full, S, seed=4)
         for n in range(1, cfg.L + 1):
-            part = build_chain_plan(cfg, ch.H[:n], option=opt,
+            part = build_chain_plan(cfg, H[:n], option=opt,
                                     bits=cfg.b_l[:n])
             for name in ("AH", "V", "gamma", "delta"):
                 assert np.array_equal(getattr(part, name),

@@ -7,7 +7,7 @@ from cfchain.geometry import (ap_grid, build_spatial_covariance, crandn,
                               draw_channel, generate_placement, pathloss_db)
 from cfchain.harness import Role, seed_stream
 from cfchain.quantizer import calibrate_dynamic_range
-from scenario import scenario
+from scenario import received, scenario
 
 
 class TestPathloss:
@@ -182,13 +182,10 @@ class TestReceiveSignal:
     def test_empirical_covariance(self):
         # option3 calibrates each antenna on E|y_n|^2 = p |h_n|^2 + sigma2;
         # the received samples, formed as the harness forms them, agree
-        cfg, ch = scenario(seed=2)
-        rng = np.random.default_rng(7)
-        n = 50_000
-        Y = (ch.H @ (np.sqrt(cfg.p) * crandn(rng, cfg.K, n))
-             + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, n))
+        cfg, H = scenario(seed=2)
+        _, Y = received(cfg, H, 50_000, seed=2)
         gamma, _ = calibrate_dynamic_range(np.mean(np.abs(Y) ** 2, axis=-1),
                                            cfg.alpha, cfg.b_l)
-        plan = build_chain_plan(cfg, ch.H, option=Option.OPTION3)
+        plan = build_chain_plan(cfg, H, option=Option.OPTION3)
         assert np.allclose(gamma, plan.gamma, rtol=0.02)
 

@@ -5,8 +5,7 @@ import pytest
 
 from cfchain import harness, presets
 from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig, Option
-from cfchain.geometry import draw_channel, generate_placement
-from cfchain.harness import Role, run_experiment, seed_stream
+from cfchain.harness import Role, run_experiment, seed_stream, trial_channels
 from scenario import PERFBENCH, load_perfbench
 
 
@@ -49,16 +48,11 @@ def _poison(monkeypatch, cfg, plan, targets):
     """Make the harness's build_chain_plan fail for each (placement,
     block, option) in targets: whenever it plans that option on H that
     holds that block's channel, whether stacked with other blocks or
-    alone. Returns each placement's block channels, {placement: [H]}."""
+    alone. Returns each placement's block channels, {placement: H}."""
     import cfchain.harness as hmod
-    ms = plan.master_seed
-    channels = {}
-    for p_idx in sorted({t[0] for t in targets}):
-        where = generate_placement(
-            cfg, seed_stream(ms, p_idx, 0, 0, Role.PLACEMENT))
-        channels[p_idx] = [draw_channel(
-            cfg, where, seed_stream(ms, p_idx, blk, 0, Role.CHANNEL)).H
-            for blk in range(plan.n_blocks)]
+    channels = {p_idx: trial_channels(cfg, plan.master_seed, [
+        (p_idx, blk) for blk in range(plan.n_blocks)])
+        for p_idx in sorted({t[0] for t in targets})}
     poisoned = [(channels[p_idx][blk], opt) for p_idx, blk, opt in targets]
     real = hmod.build_chain_plan
 
@@ -382,9 +376,9 @@ class TestNoiseKinds:
                               n_samples=12_000, options=(Option.OPTION1,),
                               master_seed=1)
         run_experiment(plan, cfg)
-        ap = int(seed_stream(1, 0, 0, 0, Role.MISC).integers(cfg.L))
-        assert ap + 1 < cfg.L  # this seed leaves APs after ap to skip
-        assert calls == [(ap + 1, ap + 1, ap + 1, ap)]
+        (n_ah, n_y, n_d, ap), = calls
+        # this seed leaves APs after ap to skip
+        assert n_ah == n_y == n_d == ap + 1 < cfg.L
 
     @pytest.mark.parametrize("options", [
         (Option.NOQUANT,), (Option.OPTION1, Option.OPTION3)])

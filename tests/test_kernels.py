@@ -3,8 +3,7 @@ import pytest
 
 from cfchain.chain import build_chain_plan
 from cfchain.config import Option
-from cfchain.geometry import crandn
-from cfchain.harness import Role, seed_stream
+from cfchain.harness import trial_noise
 from cfchain.presets import preset
 from scenario import received, run_chain, scenario, unit_dither
 
@@ -27,13 +26,13 @@ class TestChainKernelBatch:
 
     @pytest.mark.parametrize("opt", OPTIONS)
     def test_bit_sweep_with_shared_samples(self, opt):
-        cfg, ch = scenario()
-        _, Y = received(cfg, ch, 256)
+        cfg, H = scenario()
+        _, Y = received(cfg, H, 1024)
         bits = np.repeat(BITS[:, None], cfg.L, axis=1)
-        plan = build_chain_plan(cfg, ch.H, option=opt, bits=bits)
+        plan = build_chain_plan(cfg, H, option=opt, bits=bits)
         U = unit_dither(plan, Y.shape[2])
-        batched = run_chain(ch.H, plan, Y, U)
-        singles = [run_chain(ch.H, build_chain_plan(cfg, ch.H, option=opt,
+        batched = run_chain(H, plan, Y, U)
+        singles = [run_chain(H, build_chain_plan(cfg, H, option=opt,
                                                     bits=b), Y, U)
                    for b in bits]
         self._check(batched, singles)
@@ -42,17 +41,16 @@ class TestChainKernelBatch:
 
     @pytest.mark.parametrize("opt", OPTIONS)
     def test_power_sweep_with_stacked_samples(self, opt):
-        cfg, ch = scenario()
+        cfg, H = scenario()
         S = 128
         p_lin = 10.0 ** (POWERS_DB / 10.0)
-        rng = seed_stream(0, 0, 0, 0, Role.SIGNAL)
-        s = np.sqrt(p_lin)[:, None, None] * crandn(rng, cfg.K, S)
-        Y = np.einsum("lnk,bks->blns", ch.H, s) \
-            + np.sqrt(cfg.sigma2) * crandn(rng, cfg.L, cfg.N, S)
-        plan = build_chain_plan(cfg, ch.H, option=opt, p=p_lin)
+        s, _ = received(cfg, H, S)
+        Y = (np.sqrt(p_lin / cfg.p)[:, None, None, None] * (H @ s)
+             + trial_noise(cfg, 0, 0, 0, S))
+        plan = build_chain_plan(cfg, H, option=opt, p=p_lin)
         U = unit_dither(plan, S)
-        batched = run_chain(ch.H, plan, Y, U)
-        singles = [run_chain(ch.H, build_chain_plan(cfg, ch.H, option=opt,
+        batched = run_chain(H, plan, Y, U)
+        singles = [run_chain(H, build_chain_plan(cfg, H, option=opt,
                                                     p=p), Y[i], U)
                    for i, p in enumerate(p_lin)]
         self._check(batched, singles)
@@ -62,25 +60,25 @@ class TestUnitDitherContract:
     """The kernel takes the unit dither and scales it by the plan's steps."""
 
     def test_lossless_needs_no_dither(self):
-        cfg, ch = scenario()
-        _, Y = received(cfg, ch, 64)
+        cfg, H = scenario()
+        _, Y = received(cfg, H, 64)
         bits = np.repeat(BITS[:, None], cfg.L, axis=1)
-        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT, bits=bits)
+        plan = build_chain_plan(cfg, H, option=Option.NOQUANT, bits=bits)
         zeros = np.zeros(plan.delta.shape + (Y.shape[2],), complex)
-        sh_none, clips_none = run_chain(ch.H, plan, Y)
-        sh_zero, clips_zero = run_chain(ch.H, plan, Y, zeros)
+        sh_none, clips_none = run_chain(H, plan, Y)
+        sh_zero, clips_zero = run_chain(H, plan, Y, zeros)
         assert np.array_equal(sh_none, sh_zero)
         assert np.array_equal(clips_none, clips_zero)
 
     @pytest.mark.parametrize("opt", OPTIONS[:3])
     def test_shared_dither_equals_its_broadcast(self, opt):
-        cfg, ch = scenario()
-        _, Y = received(cfg, ch, 64)
+        cfg, H = scenario()
+        _, Y = received(cfg, H, 64)
         bits = np.repeat(BITS[:, None], cfg.L, axis=1)
-        plan = build_chain_plan(cfg, ch.H, option=opt, bits=bits)
+        plan = build_chain_plan(cfg, H, option=opt, bits=bits)
         U = unit_dither(plan, Y.shape[2])
-        sh, clips = run_chain(ch.H, plan, Y, U)
-        sh_b, clips_b = run_chain(ch.H, plan, Y,
+        sh, clips = run_chain(H, plan, Y, U)
+        sh_b, clips_b = run_chain(H, plan, Y,
                                   np.broadcast_to(U, (len(BITS),) + U.shape))
         assert np.array_equal(sh, sh_b)
         assert np.array_equal(clips, clips_b)

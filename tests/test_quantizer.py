@@ -200,9 +200,9 @@ class TestKsUniform:
 
 def _collect_noise(n):
     """(eta, pre, delta) of AP 1's quantizers on n samples of option1."""
-    cfg, ch = scenario(seed=1)
-    plan = build_chain_plan(cfg, ch.H, option=Option.OPTION1)
-    _, Y = received(cfg, ch, n, seed=1)
+    cfg, H = scenario(seed=1)
+    plan = build_chain_plan(cfg, H, option=Option.OPTION1)
+    _, Y = received(cfg, H, n, seed=1)
     D = unit_dither(plan, n, seed=1)
     _, eta, pre, _ = apply_chain_collect(plan, Y, D, collect_ap=1)
     return eta, pre, plan.delta[1]

@@ -39,3 +39,17 @@ def test_test_modules_share_code_through_the_helper_module():
             found += [f"{path.name}: import {name}" for name in names
                       if name.startswith("test_")]
     assert found == []
+
+
+def test_only_the_harness_names_a_stream_role():
+    # the trial draws in harness.py state which stream feeds which draw;
+    # any other module draws through them
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "harness.py":
+            found += [f"{path.name}:{node.lineno}" for node in ast.walk(
+                ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.Attribute)
+                and "Role" in (getattr(node.value, "id", None),
+                               getattr(node.value, "attr", None))]
+    assert found == []
