@@ -15,8 +15,8 @@ only through their step sizes, whose noise model is
 The per-sample work is one loop over the APs, `kernels.evaluate_chain`:
 `kernels.apply_chain` runs it for the sweeps and `apply_chain_collect`
 runs it keeping one AP's quantizer internals for the noise statistics.
-`centralized_mmse_oracle` is the batch estimator the lossless chain is
-tested against.
+`centralized_mmse_oracle` is the batch estimator every option's chain
+is tested against.
 """
 
 from __future__ import annotations
@@ -222,15 +222,20 @@ def apply_chain_collect(plan: ChainPlan, Y: np.ndarray, D: np.ndarray,
     return s_hat, eta, pre, clips
 
 
-def centralized_mmse_oracle(H_all: np.ndarray, y_all: np.ndarray, p: float,
-                            sigma2: float) -> np.ndarray:
-    """Batch LMMSE on the stacked network: p Hb^H (p Hb Hb^H + s2 I)^-1 yb.
+def centralized_mmse_oracle(G: np.ndarray, z: np.ndarray, p: float,
+                            noise_var) -> np.ndarray:
+    """Batch LMMSE on stacked observations z = G s + noise:
+    p Gb^H (p Gb Gb^H + diag(noise_var))^-1 zb.
 
-    H_all is (L, N, K); y_all is (L, N), giving (K,), or (L, N, S),
-    giving (K, S). Test oracle for the lossless chain.
+    G is (L, r, K), each AP's observation rows; z is (L, r), giving (K,),
+    or (L, r, S), giving (K, S); noise_var, a scalar or (L, r), is the
+    variance of each observation's noise. On (H, Y, p, sigma2) it is the
+    centralized estimator of the lossless network. Test oracle for the
+    chain of every option.
     """
-    L, N, K = H_all.shape
-    Hb = H_all.reshape(L * N, K)
-    yb = y_all.reshape((L * N,) + y_all.shape[2:])
-    Ry = p * (Hb @ Hb.conj().T) + sigma2 * np.eye(L * N)
-    return p * (Hb.conj().T @ np.linalg.solve(Ry, yb))
+    L, r, K = G.shape
+    Gb = G.reshape(L * r, K)
+    zb = z.reshape((L * r,) + z.shape[2:])
+    Rz = p * (Gb @ Gb.conj().T) + np.diag(
+        np.broadcast_to(noise_var, (L, r)).ravel())
+    return p * (Gb.conj().T @ np.linalg.solve(Rz, zb))

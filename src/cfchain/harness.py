@@ -5,7 +5,8 @@ role) tuple maps to its own counter-based Philox stream, so any trial can
 be reproduced in isolation and worker count cannot change results. All
 processing options inside one sample consume identical channel, signal,
 and noise draws (common random numbers); only the dither is per-option.
-Which tuple feeds which draw is stated once, in the `trial_*` functions.
+Which tuple feeds which draw is stated once, in the `trial_*` functions,
+and only they call `seed_stream`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import partial
 
 import numpy as np
 
@@ -82,6 +84,22 @@ def trial_samples(cfg, ms, placement, block, H, S, sample=0):
     s *= np.sqrt(cfg.p)
     Y += H @ s
     return s, Y
+
+
+def trial_bpsk(cfg, ms, placement, block, H, S, p):
+    """(bits, Y): a block's BPSK bits (K, S) and the samples H's APs
+    receive at each transmit power of p (B,), (B, L, N, S)."""
+    bits = seed_stream(ms, placement, block, 0, Role.SIGNAL).integers(
+        0, 2, size=(cfg.K, S))
+    s = (2.0 * bits - 1.0).astype(complex)
+    Y = (np.sqrt(p)[:, None, None, None] * (H @ s)
+         + trial_noise(cfg, ms, placement, block, S))
+    return bits, Y
+
+
+def trial_collect_ap(cfg, ms):
+    """The AP whose quantization noise the noise statistics report."""
+    return int(seed_stream(ms, 0, 0, 0, Role.MISC).integers(cfg.L))
 
 
 def trial_dither(ms, placement, block, option, shape, sample=0):
@@ -156,8 +174,9 @@ def _placement_worker(args):
     `_pairs_per_chunk`, one chunk at a time; a chunk may span placements.
     For each chunk, one stacked plan call per option covers the chunk's
     channels and the whole axis (`_plan_chunk`). Then each pair draws its
-    samples and unit dither (one per quantized option, for the whole axis)
-    and makes one kernel call per option on its slice of the plan.
+    truth and samples (`trial_samples` or `trial_bpsk`) and unit dither
+    (one per quantized option, for the whole axis) and makes one kernel
+    call per option on its slice of the plan.
     Chunk and task boundaries depend on the plan and the worker count
     alone, and each placement's cells accumulate its own blocks in block
     order, so neither boundary can change a result.
@@ -173,14 +192,14 @@ def _placement_worker(args):
     _, axis, metric = _axis_and_metric(plan)
     L, K, S = cfg.L, cfg.K, plan.n_samples
     if metric == "nmse":
-        sweep = {"bits": np.repeat(np.asarray(axis)[:, None], L, 1)}
-        score = nmse_sums
+        sweep = {"bits": np.asarray(axis)[:, None]}
+        score, trial = nmse_sums, partial(trial_samples, cfg, ms, S=S)
     else:  # ber_vs_power
-        p_lin = 10.0 ** (np.asarray(axis, dtype=float) / 10.0)
-        sweep = {"p": p_lin}
+        sweep = {"p": 10.0 ** (np.asarray(axis, dtype=float) / 10.0)}
         score = ber_sums
+        trial = partial(trial_bpsk, cfg, ms, S=S, p=sweep["p"])
     # a lossless chain ignores the bit axis: one plan serves every bit width
-    flat = {opt: metric == "nmse" and not opt.quantized
+    flat = {opt: "bits" in sweep and not opt.quantized
             for opt in plan.options}
     pairs = [(p_idx, blk) for p_idx in placements
              for blk in range(plan.n_blocks)]
@@ -203,14 +222,7 @@ def _placement_worker(args):
                 aborts[p_idx].append(failed[p_idx, blk])
                 continue
             H = Hs[j]
-            if metric == "nmse":
-                truth, Y = trial_samples(cfg, ms, p_idx, blk, H, S)
-            else:  # BPSK symbols
-                truth = seed_stream(ms, p_idx, blk, 0, Role.SIGNAL).integers(
-                    0, 2, size=(K, S))
-                s_unit = (2.0 * truth - 1.0).astype(complex)
-                Y = (np.sqrt(p_lin)[:, None, None, None] * (H @ s_unit)
-                     + trial_noise(cfg, ms, p_idx, blk, S))
+            truth, Y = trial(p_idx, blk, H)
             p_cells = cells[p_idx]
             for opt in plan.options:
                 cplan = plans[opt][j]
@@ -294,7 +306,7 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
     ms = plan.master_seed
     option, = plan.options
     H, = trial_channels(cfg, ms, [(0, 0)])
-    ap = int(seed_stream(ms, 0, 0, 0, Role.MISC).integers(cfg.L))
+    ap = trial_collect_ap(cfg, ms)
     n = ap + 1
     cplan = build_chain_plan(cfg, H[:n], option=option, bits=cfg.b_l[:n])
     total = plan.n_samples * plan.n_blocks * plan.n_placements
@@ -302,11 +314,11 @@ def _run_noise_stats(plan: ExperimentPlan, cfg: NetworkConfig) -> SweepResult:
     eta, pre = np.empty((2, cplan.r, total), dtype=complex)
     for done in range(0, total, chunk):
         S = min(chunk, total - done)
-        s, Y = trial_samples(cfg, ms, 0, 0, cplan.H, S, sample=done)
+        _, Y = trial_samples(cfg, ms, 0, 0, cplan.H, S, sample=done)
         D = trial_dither(ms, 0, 0, option, (cfg.L, cplan.r, S), sample=done)
         _, eta[:, done:done + S], pre[:, done:done + S], _ = \
             apply_chain_collect(cplan, Y, D[:n], collect_ap=ap)
-    del Y, s, D  # the last chunk's draws: free them for the validation
+    del Y, D  # the last chunk's draws: free them for the validation
     cdf = plan.kind == "noise_cdf"
     report = validate_noise_statistics(
         eta, pre, cplan.delta[ap],

@@ -18,9 +18,9 @@ from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn, draw_channel, generate_placement
 from cfchain.harness import run_experiment, trial_channels, trial_samples
 from cfchain.presets import preset
-from cfchain.selftest import GOLDEN_REL, KS_BOUND, OFFDIAG_BOUND, \
-    check_covariance_monotonicity, check_formula_goldens, \
-    check_oracle_equivalence
+from cfchain.selftest import EIG_VS_DIAG_BOUND, GOLDEN_REL, KS_BOUND, \
+    KS_MIN_SAMPLES, OFFDIAG_BOUND, check_covariance_monotonicity, \
+    check_formula_goldens, check_oracle_equivalence
 
 WORKERS = min(8, os.cpu_count() or 1)
 
@@ -65,10 +65,10 @@ def test_criterion_2_noise_cdf(report):
     ks = max(rep.ks_re.max(), rep.ks_im.max())
     n = int(rep.n_unclipped.min())
     elapsed = time.perf_counter() - t0
-    ok = ks < KS_BOUND and n >= 100_000 and elapsed < 30.0
+    ok = ks < KS_BOUND and n >= KS_MIN_SAMPLES and elapsed < 30.0
     report(2, "quantization-noise CDF is uniform", ok,
             f"worst KS {ks:.4f} at >= {n} samples/pair, {elapsed:.1f}s")
-    assert n >= 100_000
+    assert n >= KS_MIN_SAMPLES
     assert ks < KS_BOUND
     assert elapsed < 30.0
 
@@ -79,13 +79,13 @@ def test_criterion_3_noise_covariance_diagonality(report):
     res = run_experiment(plan, cfg)
     rep = res.stat_report
     elapsed = time.perf_counter() - t0
-    ok = rep.offdiag_ratio < OFFDIAG_BOUND and rep.eig_vs_diag_rel < 0.05 \
-        and elapsed < 30.0
+    ok = (rep.offdiag_ratio < OFFDIAG_BOUND
+          and rep.eig_vs_diag_rel < EIG_VS_DIAG_BOUND and elapsed < 30.0)
     report(3, "quantization-noise covariance is diagonal", ok,
             f"offdiag/diag {rep.offdiag_ratio:.4f}, "
             f"eig-vs-diag {rep.eig_vs_diag_rel:.4f}, {elapsed:.1f}s")
     assert rep.offdiag_ratio < OFFDIAG_BOUND
-    assert rep.eig_vs_diag_rel < 0.05
+    assert rep.eig_vs_diag_rel < EIG_VS_DIAG_BOUND
     assert elapsed < 30.0
 
 

@@ -10,7 +10,7 @@ from cfchain.chain import (ChainNumericsError, ChainPlan,
                            observation_covariance, pca_basis,
                            residual_covariance)
 from cfchain.config import NetworkConfig, Option
-from cfchain.geometry import crandn, draw_channel, generate_placement
+from cfchain.geometry import crandn
 from cfchain.harness import trial_channels
 from cfchain.presets import preset
 from cfchain.quantizer import calibrate_dynamic_range
@@ -305,18 +305,15 @@ class TestRefineEstimate:
         sh, _ = run_chain(H, plan, Y, unit_dither(plan, 8))
         assert not sh.any()
 
-    def test_single_ap_textbook_lmmse(self, rng):
+    def test_single_ap_textbook_lmmse(self):
         # one AP, full basis: p H^H (p H H^H + s2 I)^-1 y
-        cfg = NetworkConfig(L=1, bits=3)
-        placement = generate_placement(cfg, np.random.default_rng(0))
-        ch = draw_channel(cfg, placement, np.random.default_rng(1))
-        y = (ch.H @ (np.sqrt(cfg.p) * crandn(rng, cfg.K, 1))
-             + np.sqrt(cfg.sigma2) * crandn(rng, 1, cfg.N, 1))
-        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-        H = ch.H[0]
+        cfg, H_all = scenario(L=1, bits=3)
+        _, y = received(cfg, H_all, 1)
+        plan = build_chain_plan(cfg, H_all, option=Option.NOQUANT)
+        H = H_all[0]
         ref = cfg.p * H.conj().T @ np.linalg.solve(
             cfg.p * (H @ H.conj().T) + cfg.sigma2 * np.eye(cfg.N), y[0])
-        sh, _ = run_chain(ch.H, plan, y)
+        sh, _ = run_chain(H_all, plan, y)
         assert np.max(np.abs(sh - ref)) < 1e-10 * np.max(np.abs(ref))
 
     def test_non_pd_observation_raises(self, monkeypatch):
@@ -339,23 +336,20 @@ class TestRefineEstimate:
 
 
 class TestRunChain:
-    def test_single_ap_chain_equals_refine(self, rng):
+    def test_single_ap_chain_equals_refine(self):
         # one AP with r < N: the LMMSE update from the retained
         # coordinates A^H y, written out
         with pytest.warns(UserWarning):
-            cfg = NetworkConfig(L=1, N=6, K=4, bits=3)
-        placement = generate_placement(cfg, np.random.default_rng(0))
-        ch = draw_channel(cfg, placement, np.random.default_rng(1))
-        y = (ch.H @ (np.sqrt(cfg.p) * crandn(rng, cfg.K, 1))
-             + np.sqrt(cfg.sigma2) * crandn(rng, 1, cfg.N, 1))
-        plan = build_chain_plan(cfg, ch.H, option=Option.NOQUANT)
-        H, AH = ch.H[0], plan.AH[0]
+            cfg, H_all = scenario(L=1, N=6, K=4, bits=3)
+        _, y = received(cfg, H_all, 1)
+        plan = build_chain_plan(cfg, H_all, option=Option.NOQUANT)
+        H, AH = H_all[0], plan.AH[0]
         R_f = AH @ (cfg.p * (H @ H.conj().T)
                     + cfg.sigma2 * np.eye(cfg.N)) @ AH.conj().T
         V = cfg.p * H.conj().T @ AH.conj().T @ np.linalg.inv(R_f)
         C = cfg.p * np.eye(cfg.K) - cfg.p * V @ AH @ H
         ref = V @ AH @ y[0]
-        sh, _ = run_chain(ch.H, plan, y)
+        sh, _ = run_chain(H_all, plan, y)
         assert np.max(np.abs(sh - ref)) < 1e-9 * np.max(np.abs(ref))
         assert np.allclose(plan.C, C, rtol=0, atol=1e-9 * cfg.p)
 
@@ -395,13 +389,9 @@ class TestRunChain:
 
     def test_retained_variance_is_maximal(self):
         # descending eigenvalues: any other r-subset retains less variance
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = NetworkConfig(N=6, K=4)  # N > K forces real truncation
-        placement = generate_placement(cfg, np.random.default_rng(1))
-        ch = draw_channel(cfg, placement, np.random.default_rng(2))
-        R = residual_covariance(ch.H[0], cfg.p * np.eye(cfg.K), cfg.sigma2)
+        with pytest.warns(UserWarning):
+            cfg, H = scenario(seed=1, N=6, K=4)  # N > K: real truncation
+        R = residual_covariance(H[0], cfg.p * np.eye(cfg.K), cfg.sigma2)
         A, vals = pca_basis(R, cfg.r)
         all_vals = np.linalg.eigvalsh(R)
         assert vals.sum() == pytest.approx(
@@ -470,3 +460,16 @@ class TestCentralizedOracle:
         assert out.shape == (4, 7)
         one = centralized_mmse_oracle(H, Y[:, :, 0], 0.5, 0.1)
         assert np.allclose(out[:, 0], one)
+
+    def test_per_observation_noise_variance(self, rng):
+        # a scalar variance is that variance on every observation, and
+        # an AP whose observations drown in noise adds nothing
+        G = crandn(rng, 3, 2, 4)
+        z = crandn(rng, 3, 2, 5)
+        var = np.full((3, 2), 0.1)
+        out = centralized_mmse_oracle(G, z, 0.5, var)
+        assert np.array_equal(out, centralized_mmse_oracle(G, z, 0.5, 0.1))
+        var[2] = 1e30
+        assert np.allclose(centralized_mmse_oracle(G, z, 0.5, var),
+                           centralized_mmse_oracle(G[:2], z[:2], 0.5, 0.1),
+                           rtol=1e-9, atol=0)

@@ -542,7 +542,7 @@ options = option1
         assert out.count("[PASS]") == 4
 
     def test_selftest_failure_exits_1(self, capsys, monkeypatch):
-        # a bound no lossless chain can meet fails exactly one check
+        # a bound no chain can meet fails exactly one check
         monkeypatch.setattr("cfchain.selftest.ORACLE_BOUND", 0.0)
         assert main(["selftest"]) == 1
         out = capsys.readouterr().out

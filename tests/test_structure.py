@@ -53,3 +53,21 @@ def test_only_the_harness_names_a_stream_role():
                 and "Role" in (getattr(node.value, "id", None),
                                getattr(node.value, "attr", None))]
     assert found == []
+
+
+
+def test_only_the_trial_draws_call_seed_stream():
+    # a stream tuple is stated by the one trial_* draw that uses it;
+    # everything else, the sweeps included, draws through those
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        in_trial = {id(node) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef)
+                    and fn.name.startswith("trial_")
+                    for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in in_trial
+                  and "seed_stream" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))]
+    assert found == []
