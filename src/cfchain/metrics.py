@@ -37,7 +37,7 @@ class Cell:
     """One (option, axis point) aggregate: error sums over energy sums.
 
     a/b are the per-user sums of `nmse_sums` or `ber_sums`. A sweep's cell
-    also keeps one metric value per placement for the half-width.
+    also keeps one metric value per placement for `mean_halfwidth`.
     """
 
     a: np.ndarray                 # per-user error sums (or bit errors)
@@ -68,11 +68,16 @@ class Cell:
         return float(self.a.sum() / self.b.sum())
 
     def halfwidth(self) -> float:
-        v = self.placement_values
-        v = v[~np.isnan(v)]
-        if v.size < 2:
-            return 0.0
-        return float(1.96 * v.std(ddof=1) / np.sqrt(v.size))
+        return mean_halfwidth(self.placement_values)[1]
+
+
+def mean_halfwidth(values: np.ndarray) -> tuple[float, float]:
+    """Mean and 95 % half-width 1.96 std(ddof=1) / sqrt(n) over the values
+    that are not NaN; the half-width is 0.0 when fewer than two remain."""
+    v = values[~np.isnan(values)]
+    if v.size < 2:
+        return float(v.mean()), 0.0
+    return float(v.mean()), float(1.96 * v.std(ddof=1) / np.sqrt(v.size))
 
 
 def multiplier_width(b_c: int, b_l: int, r: int) -> tuple[int, int]:

@@ -542,13 +542,19 @@ options = option1
         assert out.count("[PASS]") == 4
 
     def test_selftest_failure_exits_1(self, capsys, monkeypatch):
-        # a bound no chain can meet fails exactly one check
-        monkeypatch.setattr("cfchain.selftest.ORACLE_BOUND", 0.0)
-        assert main(["selftest"]) == 1
-        out = capsys.readouterr().out
-        assert out.count("[FAIL]") == 1
-        assert out.count("[PASS]") == 3
-        assert "[FAIL] oracle equivalence" in out
+        # a bound no run can meet fails exactly the check that holds it
+        for bound, value, check in [
+                ("ORACLE_BOUND", 0.0, "oracle equivalence"),
+                ("EIG_VS_DIAG_BOUND", 0.0, "quantization-noise statistics"),
+                ("KS_MIN_SAMPLES", 10 ** 9,
+                 "quantization-noise statistics")]:
+            with monkeypatch.context() as m:
+                m.setattr(f"cfchain.selftest.{bound}", value)
+                assert main(["selftest"]) == 1, bound
+            out = capsys.readouterr().out
+            assert out.count("[FAIL]") == 1, out
+            assert out.count("[PASS]") == 3, out
+            assert f"[FAIL] {check}" in out, out
 
     def test_runs_without_scipy(self, tmp_path):
         # the noise statistics and the selftest need numpy only

@@ -320,13 +320,20 @@ class TestRunExperiment:
         assert res.metadata["wall_time_s"] >= 0.0
 
 
+@pytest.fixture(scope="class")
+def noise_runs():
+    """{kind: result} of both noise kinds at one seed and size."""
+    return {kind: run_experiment(
+        ExperimentPlan(kind=kind, n_placements=1, n_blocks=1,
+                       n_samples=30_000, options=(Option.OPTION1,),
+                       master_seed=2), NetworkConfig())
+        for kind in ("noise_cdf", "noise_cov")}
+
+
 class TestNoiseKinds:
-    def test_noise_cdf_structure(self):
+    def test_noise_cdf_structure(self, noise_runs):
         cfg = NetworkConfig()
-        plan = ExperimentPlan(kind="noise_cdf", n_placements=1, n_blocks=1,
-                              n_samples=30_000, options=(Option.OPTION1,),
-                              master_seed=2)
-        res = run_experiment(plan, cfg)
+        res = noise_runs["noise_cdf"]
         assert res.stat_report.ks_re.shape == (cfg.r,)
         assert list(res.tables) == [f"noise_cdf_pair{i}.csv"
                                     for i in range(cfg.r)] + ["noise_stats.csv"]
@@ -337,15 +344,20 @@ class TestNoiseKinds:
             assert np.all(np.diff(c[:, 0]) >= 0)   # values sorted
             assert c[0, 1] == 0.0 and c[-1, 1] == 1.0
 
-    def test_noise_cov_structure(self):
-        cfg = NetworkConfig()
-        plan = ExperimentPlan(kind="noise_cov", n_placements=1, n_blocks=1,
-                              n_samples=30_000, options=(Option.OPTION1,),
-                              master_seed=2)
-        res = run_experiment(plan, cfg)
-        rows = np.asarray(res.tables["noise_cov.csv"][1])
-        assert rows.shape == (cfg.r, 3)
+    def test_noise_cov_structure(self, noise_runs):
+        rows = np.asarray(noise_runs["noise_cov"].tables["noise_cov.csv"][1])
+        assert rows.shape == (NetworkConfig().r, 3)
         assert np.all(np.diff(rows[:, 1]) <= 0)  # descending diagonal
+
+    def test_noise_kinds_share_one_report(self, noise_runs):
+        # criteria 2 and 3 hold their runs to one noise check: both kinds
+        # draw the same noise, so they measure the same statistics
+        cdf, cov = (noise_runs[k].stat_report
+                    for k in ("noise_cdf", "noise_cov"))
+        for name in ("ks_re", "ks_im", "n_unclipped", "corr_input", "diag",
+                     "eig", "offdiag_ratio", "eig_vs_diag_rel"):
+            assert np.array_equal(getattr(cdf, name), getattr(cov, name)), \
+                name
 
     def test_noise_kind_runs_the_plan_option(self):
         cfg = NetworkConfig()
