@@ -41,7 +41,8 @@ def _add_run_flags(p):
     p.add_argument("--out", default="results", metavar="DIR",
                    help="output directory (default: ./results)")
     p.add_argument("--seed", default=None,
-                   help="the run's seed: same as --override seed=N")
+                   help="the run's seed: --override master_seed=N, "
+                        "which an explicit --override master_seed= outranks")
     p.add_argument("--workers", type=positive_int, default=1,
                    help="worker processes, not placements: each runs "
                         "tasks of whole placements (default 1)")
@@ -76,8 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> list[str]:
-    """--override values, then --seed as a seed override."""
-    return args.override + ([] if args.seed is None else [f"seed={args.seed}"])
+    """--seed as the override master_seed=N, then the --override values,
+    so that an explicit --override master_seed= wins over --seed."""
+    seed = [] if args.seed is None else [f"master_seed={args.seed}"]
+    return seed + args.override
 
 
 def _execute(cfg, plan, args) -> int:

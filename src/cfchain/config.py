@@ -119,13 +119,6 @@ _KINDS = {
 }
 
 
-def coerce(cls, key: str, raw, field: str | None = None):
-    """raw, Text or a Python/JSON value, as field `key` of config class
-    cls, or as `field` with key an alias of it; a ConfigError names the
-    key and the raw value it rejects."""
-    return _KINDS[cls.__annotations__[field or key]](key, raw)
-
-
 def _coerce_fields(obj):
     """Type each of obj's fields in place."""
     for f in fields(obj):

@@ -23,9 +23,8 @@ PLACEMENT_DRAWS = 10_000  # tries per user to clear the d_min floor
 
 @dataclass
 class Placement:
-    """AP/user coordinates (meters) and the pairwise distance matrix."""
+    """User coordinates (meters) and the AP-user distance matrix."""
 
-    ap_positions: np.ndarray    # (L, 2)
     user_positions: np.ndarray  # (K, 2)
     distances: np.ndarray       # (L, K), floored at d_min
 
@@ -90,7 +89,7 @@ def generate_placement(cfg: NetworkConfig, rng: np.random.Generator) -> Placemen
                 f"{cfg.area_side:g} m")
     dist = np.linalg.norm(aps[:, None, :] - users[None, :, :], axis=2)
     dist = np.maximum(dist, cfg.d_min)
-    return Placement(ap_positions=aps, user_positions=users, distances=dist)
+    return Placement(user_positions=users, distances=dist)
 
 
 def build_spatial_covariance(cfg: NetworkConfig, beta_kl: float) -> np.ndarray:

@@ -12,7 +12,6 @@ and only they call `seed_stream`.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
@@ -376,6 +375,8 @@ def run_experiment(plan: ExperimentPlan, cfg: NetworkConfig,
                 for first in range(0, n_p, per_task)]
         workers = min(workers, len(args))
         if workers > 1:
+            # imported here: a serial run does not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             # a fork pool starts all its workers at the first submit
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 tasks = list(pool.map(_placement_worker, args))

@@ -4,7 +4,7 @@ All presets share the default network (5 APs x 4 antennas, 10 users,
 100 MHz / -85 dBm noise, -10 dB transmit power, 3-bit quantizers) and
 differ only in what they sweep and how many trials they spend. A preset
 is a set of plan keywords; `runio.build_config` turns it into a config
-and plan exactly as it does a config file, seed rule included.
+and plan exactly as it does a config file.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ PRESETS = {
 
 def preset(name: str, seed: int | None = None
            ) -> tuple[NetworkConfig, ExperimentPlan]:
-    """(config, plan) of a preset; a seed is the override `seed=N`."""
+    """(config, plan) of a preset; a seed is the override master_seed=N."""
     name = name.strip().lower()
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: "
                        f"{sorted(PRESETS)}")
     return build_config({}, PRESETS[name],
-                        [] if seed is None else [f"seed={seed}"])
+                        [] if seed is None else [f"master_seed={seed}"])

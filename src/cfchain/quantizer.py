@@ -44,7 +44,6 @@ class StatReport:
     CDF_HEADER = ("value", "cdf_re", "cdf_im", "cdf_uniform")
     COV_HEADER = ("index", "diagonal", "eigenvalue")
 
-    n_samples: int
     n_unclipped: np.ndarray      # (r,) per pair, min over re/im
     ks_re: np.ndarray            # (r,) KS distance of Re(eta_i) vs uniform
     ks_im: np.ndarray            # (r,)
@@ -196,7 +195,6 @@ def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
     r = len(delta)
     if eta.shape != pre.shape or eta.ndim != 2 or eta.shape[0] != r:
         raise ValueError("eta and pre_input must both be (r, n)")
-    n = eta.shape[1]
     half = delta[:, None] / 2.0 * (1 + 1e-12)
     ok_re = np.abs(eta.real) <= half
     ok_im = np.abs(eta.imag) <= half
@@ -232,8 +230,7 @@ def validate_noise_statistics(eta: np.ndarray, pre_input: np.ndarray,
     eig = np.sort(np.linalg.eigvalsh(cov))[::-1]
     dg = np.sort(diag)[::-1]
     eig_vs_diag = float(np.max(np.abs(eig - dg) / dg))
-    return StatReport(n_samples=n, n_unclipped=n_unclipped, ks_re=ks_re,
-                      ks_im=ks_im, diag=dg, eig=eig,
-                      offdiag_ratio=offdiag_ratio,
+    return StatReport(n_unclipped=n_unclipped, ks_re=ks_re, ks_im=ks_im,
+                      diag=dg, eig=eig, offdiag_ratio=offdiag_ratio,
                       eig_vs_diag_rel=eig_vs_diag, corr_input=corr_in,
                       cdfs=cdfs)

@@ -1,14 +1,14 @@
 """Config-file ingestion and result serialization.
 
 Config files are INI documents with [network] and [plan] sections whose
-keys mirror the NetworkConfig / ExperimentPlan field names. Unknown keys
-are hard errors (typo protection); RETIRED_KEYS are read and dropped.
-This module owns file formats only, and `config` owns every key's type:
-INI and override values are handed over as `config.Text`, manifest
-values as the JSON gives them. Files, presets and CLI overrides all
-resolve through `build_config`, which also checks config and plan
-together. `emit_results` writes the CSV tables a result carries, then a
-run manifest (JSON); feeding that manifest back to `run` reproduces the
+keys are the NetworkConfig / ExperimentPlan field names, one key per
+value. Unknown keys are hard errors (typo protection). This module owns
+file formats only, and `config` owns every key's type: INI and override
+values are handed over as `config.Text`, manifest values as the JSON
+gives them. Files, presets and CLI overrides all resolve through
+`build_config`, which also checks config and plan together.
+`emit_results` writes the CSV tables a result carries, then a run
+manifest (JSON); feeding that manifest back to `run` reproduces the
 run bit-exactly. The manifest records the config with its derived values,
 the plan (whose master_seed is the run's one seed) and the version once,
 at its top level; `result_metadata` holds only what the run measured.
@@ -26,17 +26,12 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__ as _version
-from .config import (NOISE_KINDS, ConfigError, ExperimentPlan, NetworkConfig,
-                     Text, check_power, coerce)
+from .config import (ConfigError, ExperimentPlan, NetworkConfig, Text,
+                     check_power)
 from .quantizer import check_alpha_bits
 
-# [network] keys earlier versions wrote, which no run reads: accepted from
-# files, manifests and overrides so that these keep replaying, then dropped
-RETIRED_KEYS = ("option", "carrier_freq_hz")
-_SECTION_KEYS = {
-    "network": {f.name for f in fields(NetworkConfig)} | {"seed"} | set(
-        RETIRED_KEYS),
-    "plan": {f.name for f in fields(ExperimentPlan)}}
+_SECTION_KEYS = {"network": {f.name for f in fields(NetworkConfig)},
+                 "plan": {f.name for f in fields(ExperimentPlan)}}
 
 
 def parse_overrides(overrides: list[str] | None) -> tuple[dict, dict]:
@@ -64,32 +59,15 @@ def build_config(net_kwargs: dict, plan_kwargs: dict,
                  overrides: list[str] | None = None
                  ) -> tuple[NetworkConfig, ExperimentPlan]:
     """Build (NetworkConfig, ExperimentPlan) from keyword sets, with
-    overrides (see parse_overrides) on top. The run's one seed is the first
-    given of: override master_seed, override seed, master_seed, seed, 1.
+    overrides (see parse_overrides) on top; of several overrides of a key
+    the last wins.
 
-    RETIRED_KEYS are dropped. A retired `option` still names the option of
-    a noise kind whose options list has more than one entry: that is the
-    one option such a file or manifest ran before [plan] options chose it.
     Config and plan are checked together: the plan's bit widths against
     alpha^2 < 3*4^b, its transmit powers by `check_power`.
     """
     net_ov, plan_ov = parse_overrides(overrides)
-    seeds = [coerce(ExperimentPlan, key, kw[key], "master_seed")
-             for kw, key in ((plan_ov, "master_seed"), (net_ov, "seed"),
-                             (plan_kwargs, "master_seed"),
-                             (net_kwargs, "seed")) if key in kw]
-    net = {**net_kwargs, **net_ov}
-    net.pop("seed", None)
-    retired = {key: net.pop(key) for key in RETIRED_KEYS if key in net}
-    cfg = NetworkConfig(**net)
-    plan_kw = {key: coerce(ExperimentPlan, key, raw) for key, raw in
-               {**plan_kwargs, **plan_ov}.items()}
-    plan_kw["master_seed"] = seeds[0] if seeds else ExperimentPlan.master_seed
-    if ("option" in retired
-            and plan_kw.get("kind", ExperimentPlan.kind) in NOISE_KINDS
-            and len(plan_kw.get("options", ExperimentPlan.options)) > 1):
-        plan_kw["options"] = (retired["option"],)
-    plan = ExperimentPlan(**plan_kw)
+    cfg = NetworkConfig(**{**net_kwargs, **net_ov})
+    plan = ExperimentPlan(**{**plan_kwargs, **plan_ov})
     if any(o.quantized for o in plan.options):
         bits = plan.bits_sweep if plan.kind == "nmse_vs_bits" else cfg.bits
         check_alpha_bits(cfg.alpha, min(bits))

@@ -1,8 +1,8 @@
 """Built-in invariant suite behind the `selftest` CLI subcommand.
 
-Each check returns a `Check`: its name, verdict, a one-line detail and
-the numbers it measured. The acceptance tests call the same checks, so
-each invariant and each bound below is stated once:
+Each check returns a `Check`: its name, verdict and a one-line detail
+that names the numbers it measured. The acceptance tests call the same
+checks, so each invariant and each bound below is stated once:
 
 - `check_oracle_equivalence` is criterion 1 (100 instances, every
   option);
@@ -44,7 +44,6 @@ class Check(NamedTuple):
     name: str
     ok: bool
     detail: str
-    values: dict
 
 
 def check_oracle_equivalence() -> Check:
@@ -76,8 +75,7 @@ def check_oracle_equivalence() -> Check:
     diffs = ", ".join(f"{o} {d:.3e}" for o, d in worst.items())
     return Check("oracle equivalence (each option's chain vs batch LMMSE)",
                  max_diff < ORACLE_BOUND,
-                 f"max |diff| {diffs} over {n_inst} instances",
-                 {"max_diff": max_diff, **worst, "n_instances": n_inst})
+                 f"max |diff| {diffs} over {n_inst} instances")
 
 
 def check_noise_statistics(report: StatReport) -> Check:
@@ -94,9 +92,7 @@ def check_noise_statistics(report: StatReport) -> Check:
                  "decorrelation)", ok,
                  f"worst KS {ks:.4f} at >= {n} unclipped samples/pair, "
                  f"offdiag/diag {offdiag:.4f}, eig-vs-diag {eig:.2e}, "
-                 f"input corr {corr:.4f}",
-                 {"ks": ks, "n_unclipped": n, "offdiag": offdiag,
-                  "eig_vs_diag": eig, "corr": corr})
+                 f"input corr {corr:.4f}")
 
 
 def _fig2_noise_statistics() -> Check:
@@ -125,9 +121,7 @@ def check_covariance_monotonicity(n_chains: int = 500) -> Check:
     ok = worst_inc <= COVARIANCE_BOUND and worst_eig >= -COVARIANCE_BOUND
     return Check("error-covariance recursion (monotone trace, PSD)", ok,
                  f"max trace increase {worst_inc:.2e}, "
-                 f"min eig/trace {worst_eig:.2e} over {n_chains} chains",
-                 {"max_trace_increase": worst_inc,
-                  "min_eig_over_trace": worst_eig, "n_chains": n_chains})
+                 f"min eig/trace {worst_eig:.2e} over {n_chains} chains")
 
 
 def _close(value, golden):
@@ -135,8 +129,8 @@ def _close(value, golden):
 
 
 def check_formula_goldens() -> Check:
-    """Closed-form arithmetic pinned to hand-computed values; `values`
-    maps each identity's name to whether it holds."""
+    """Closed-form arithmetic pinned to hand-computed values; the detail
+    names each identity that fails."""
     gamma, _ = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
     gamma2, delta2 = calibrate_dynamic_range([2.0, 0.5], alpha=2.5, b=4)
     width, b_s = multiplier_width(8, 3, 4)
@@ -165,8 +159,7 @@ def check_formula_goldens() -> Check:
     return Check("formula goldens (path loss, dynamic range, bit accounting)",
                  not failed,
                  f"{len(holds) - len(failed)}/{len(holds)} identities hold"
-                 f"{(', failed: ' + ', '.join(failed)) if failed else ''}",
-                 holds)
+                 f"{(', failed: ' + ', '.join(failed)) if failed else ''}")
 
 
 ALL_CHECKS = [check_formula_goldens, check_oracle_equivalence,
@@ -176,7 +169,7 @@ ALL_CHECKS = [check_formula_goldens, check_oracle_equivalence,
 def run_selftest() -> int:
     failures = 0
     for check in ALL_CHECKS:
-        name, ok, detail, _ = check()
+        name, ok, detail = check()
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 1

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -8,11 +9,12 @@ from pathlib import Path
 import pytest
 
 from cfchain.cli import main
-from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig, Option
+from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig
 from cfchain.presets import preset
-from cfchain.runio import RETIRED_KEYS, build_config, parse_config
+from cfchain.runio import build_config, parse_config
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def _write(tmp_path, text, name="scenario.ini"):
@@ -59,10 +61,19 @@ options = option1, noquant
         assert plan.n_samples == 1000 and type(plan.n_samples) is int
         assert [o.value for o in plan.options] == ["option1", "noquant"]
 
-    def test_unknown_key_is_fatal(self, tmp_path):
-        path = _write(tmp_path, "[network]\nL = 3\nnantennas = 4\n")
-        with pytest.raises(ConfigError, match="nantennas"):
-            parse_config(path)
+    @pytest.mark.parametrize("name,text,key", [
+        ("scenario.ini", "[network]\nL = 3\nnantennas = 4\n", "nantennas"),
+        # one key per value: no alias of a field and no dropped key
+        ("scenario.ini", "[network]\nseed = 9\n", "seed"),
+        ("scenario.ini", "[network]\noption = option1\n", "option"),
+        ("scenario.ini", "[network]\ncarrier_freq_hz = 2e9\n",
+         "carrier_freq_hz"),
+        ("manifest.json", json.dumps({"config": {"seed": 9}}), "seed"),
+    ], ids=["typo", "network_seed", "option", "carrier_freq_hz",
+            "manifest_seed"])
+    def test_unknown_key_is_fatal(self, tmp_path, name, text, key):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(_write(tmp_path, text, name))
 
     def test_unknown_section_is_fatal(self, tmp_path):
         path = _write(tmp_path, "[netwrk]\nL = 3\n")
@@ -78,22 +89,11 @@ options = option1, noquant
         build_config(dict(alpha=200.0, bits=1),
                      dict(kind="ber_vs_power", options=("noquant",)))
 
-    def test_retired_keys_are_dropped(self, tmp_path):
-        path = _write(tmp_path,
-                      "[network]\noption = noquant\ncarrier_freq_hz = 28e9\n")
-        cfg, plan = parse_config(path, overrides=["option=option2"])
-        assert (cfg, plan) == parse_config(None)
-        assert not set(RETIRED_KEYS) & set(cfg.as_dict())
-
-    def test_retired_option_names_a_noise_kinds_one_option(self):
-        _, plan = build_config(dict(option="option3"), dict(kind="noise_cdf"))
-        assert plan.options == (Option.OPTION3,)
-        # an options list of one entry wins; sweeps keep their list
-        _, plan = build_config(dict(option="option3"),
-                               dict(kind="noise_cov", options=("option1",)))
-        assert plan.options == (Option.OPTION1,)
-        _, plan = build_config(dict(option="option3"), {})
-        assert plan.options == ExperimentPlan.options
+    def test_readme_example_is_the_default_scenario(self, tmp_path):
+        # the documented example names every key at its default value
+        (text,) = re.findall(r"```ini\n(.*?)```",
+                             (ROOT / "README.md").read_text(), re.S)
+        assert parse_config(_write(tmp_path, text)) == parse_config(None)
 
     def test_overrides(self, tmp_path):
         cfg, plan = parse_config(_write(tmp_path, ""),
@@ -103,23 +103,24 @@ options = option1, noquant
 
     def test_integers_are_read_exactly(self):
         # 2**53 + 1 has no float64: a float round trip would give 2**53
-        cfg, plan = parse_config(None, ["seed=9007199254740993"])
+        cfg, plan = parse_config(None, ["master_seed=9007199254740993"])
         assert plan.master_seed == 9007199254740993
         _, plan = parse_config(None, ["n_samples=1e3"])
         assert plan.n_samples == 1000
         with pytest.raises(ConfigError, match="not an integer"):
             parse_config(None, ["L=2.5"])
 
-    def test_unknown_override(self, tmp_path):
-        with pytest.raises(ConfigError, match="zeta"):
-            parse_config(_write(tmp_path, ""), overrides=["zeta=1"])
+    @pytest.mark.parametrize("override", ["zeta=1", "seed=7"],
+                             ids=["typo", "seed"])
+    def test_unknown_override(self, override):
+        key = override.split("=")[0]
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            parse_config(None, overrides=[override])
 
 
 SMALL_RUN = """
-[network]
-seed = 9
-
 [plan]
+master_seed = 9
 kind = nmse_vs_bits
 bits_sweep = 2, 3
 n_placements = 4
@@ -142,9 +143,6 @@ EXIT_3 = {
         ("int_key", "[network]\nL = 2.5\n", "L = '2.5' is not an integer"),
         ("int_list", "[plan]\nbits_sweep = 2, 3.5\n",
          "bits_sweep = '3.5' is not an"),
-        # a seed that master_seed outranks is still typed
-        ("outranked_seed", "[network]\nseed = x\n\n[plan]\nmaster_seed = 3\n",
-         "seed = 'x' is not an integer"),
     ]),
     "too_few_noise_samples": ("ini", [
         ("too_few_noise_samples", "[plan]\nkind = noise_cdf\noptions = "
@@ -247,9 +245,9 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("text", [
         "[network]\nalpha = 4\n\n[plan]\nbits_sweep = 1, 2\n",
-        "[network]\noption = noquant\nalpha = 200\nbits = 1\n\n"
+        "[network]\nalpha = 200\nbits = 1\n\n"
         "[plan]\nkind = ber_vs_power\noptions = option1\n",
-    ], ids=["bits_sweep", "retired_option"])
+    ], ids=["bits_sweep", "bits_in_power_sweep"])
     def test_validate_checks_alpha_against_the_plan(self, tmp_path, capsys,
                                                      text):
         assert main(["validate", _write(tmp_path, text)]) == 3
@@ -352,60 +350,31 @@ n_samples = 8
         assert doc["config"]["derived"]["b_e"] == 1600
         assert doc["config"]["derived"]["b_l"] == [3] * 5
         # the plan's master_seed is the one seed: no copy beside it
-        assert "seed" not in doc and "seed" not in doc["config"]
+        assert "seed" not in doc
         assert "backend" not in doc
-        # no silent defaults: every config field and plan field materialized
-        for f in fields(NetworkConfig):
-            if f.init:
-                assert f.name in doc["config"], f.name
-        for f in fields(ExperimentPlan):
-            assert f.name in doc["plan"], f.name
-        assert not set(RETIRED_KEYS) & set(doc["config"])
+        # no silent defaults and nothing else: every config field (with
+        # the derived values) and every plan field, materialized
+        assert set(doc["config"]) == {
+            f.name for f in fields(NetworkConfig)} | {"derived"}
+        assert set(doc["plan"]) == {f.name for f in fields(ExperimentPlan)}
 
-    def test_manifest_with_retired_keys_replays_identically(self, tmp_path):
-        # manifests written before the retired keys were deleted carry them,
-        # and the unit conversions the config's derived values now hold
+    def test_manifest_with_older_copies_replays_identically(self, tmp_path):
+        # older manifests carry the unit conversions the config's derived
+        # values now hold, copies of the seed and the backend name beside
+        # the config, and the per-AP bits and covariance-report size in it
         out = tmp_path / "r"
         assert main(["run", _write(tmp_path, SMALL_RUN), "--out",
                      str(out)]) == 0
         doc = json.loads((out / "manifest.json").read_text())
-        doc["config"].update(option="option1", carrier_freq_hz=2e9)
         doc["conversions"] = {"p_db_to_watt": [-10.0, 0.1],
                               "noise_dbm_to_watt": [-85.0, 3.16e-12]}
-        # and the copies of the seed, the backend name, the per-AP bits
-        # and the covariance-report size they wrote
-        doc["config"].update(seed=9, bits=[3] * 5, b_e=1600)
+        doc["config"].update(bits=[3] * 5, b_e=1600)
         doc.update(seed=9, backend="numpy")
         old = tmp_path / "old.json"
         old.write_text(json.dumps(doc))
         assert main(["run", str(old), "--out", str(tmp_path / "re")]) == 0
         assert (tmp_path / "re" / "nmse_vs_bits.csv").read_bytes() == (
             out / "nmse_vs_bits.csv").read_bytes()
-
-    def test_noise_manifest_replays_its_retired_option(self, tmp_path):
-        # before [plan] options chose it, a noise kind ran [network] option,
-        # and its manifest listed all four options
-        ini = _write(tmp_path, """
-[plan]
-kind = noise_cov
-n_placements = 1
-n_blocks = 1
-n_samples = 12000
-options = option3
-""")
-        out = tmp_path / "direct"
-        assert main(["run", ini, "--out", str(out)]) == 0
-        doc = json.loads((out / "manifest.json").read_text())
-        doc["config"]["option"] = "option3"
-        doc["plan"]["options"] = ["option1", "option2", "option3", "noquant"]
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps(doc))
-        assert main(["run", str(old), "--out", str(tmp_path / "re")]) == 0
-        assert main(["run", str(old), "--out", str(tmp_path / "ov"),
-                     "--override", "options=option3"]) == 0
-        want = (out / "noise_cov.csv").read_bytes()
-        assert (tmp_path / "re" / "noise_cov.csv").read_bytes() == want
-        assert (tmp_path / "ov" / "noise_cov.csv").read_bytes() == want
 
     def test_seed_flag_overrides(self, tmp_path):
         path = _write(tmp_path, SMALL_RUN)
@@ -483,40 +452,27 @@ options = option1
         assert doc["config"]["L"] == 3
         assert doc["config"]["derived"]["b_l"] == [3, 3, 3]
 
-    @pytest.mark.parametrize("route,network,plan,args,want", [
-        ("run", "", "", [], 1),
-        ("run", "seed = 5", "", [], 5),
-        ("run", "", "master_seed = 6", [], 6),
-        ("run", "seed = 5", "master_seed = 6", [], 6),
-        ("run", "seed = 5", "master_seed = 6", ["--override", "seed=7"], 7),
-        ("run", "seed = 5", "master_seed = 6", ["--seed", "7"], 7),
-        ("run", "seed = 5", "master_seed = 6",
+    @pytest.mark.parametrize("route,plan,args,want", [
+        ("run", "", [], 1),
+        ("run", "master_seed = 6", [], 6),
+        ("run", "master_seed = 6", ["--seed", "7"], 7),
+        ("run", "master_seed = 6",
          ["--seed", "7", "--override", "master_seed=3"], 3),
-        ("run", "seed = 5", "master_seed = 6",
-         ["--override", "master_seed=3", "--override", "seed=7"], 3),
-        ("preset", None, None, [], 1),
-        ("preset", None, None, ["--override", "seed=7"], 7),
-        ("preset", None, None, ["--seed", "7"], 7),
-        ("preset", None, None,
-         ["--override", "seed=7", "--override", "master_seed=3"], 3),
-        ("preset(seed=)", None, None, 7, 7),
-    ], ids=["default", "file_seed", "file_master_seed",
-            "file_master_seed_over_seed", "override_seed_over_file",
-            "seed_flag_over_file", "override_master_seed_over_seed_flag",
-            "override_master_seed_over_override_seed", "preset_default",
-            "preset_override_seed", "preset_seed_flag",
-            "preset_override_master_seed_over_seed", "preset_api"])
-    def test_seed_precedence(self, tmp_path, route, network, plan, args,
-                             want):
-        # highest first: an override of master_seed, an override of seed
-        # (or --seed), the file's master_seed, its seed, 1
+        ("preset", None, [], 1),
+        ("preset", None, ["--seed", "7"], 7),
+        ("preset(seed=)", None, 7, 7),
+    ], ids=["default", "file_master_seed", "seed_flag_over_file",
+            "override_master_seed_over_seed_flag", "preset_default",
+            "preset_seed_flag", "preset_api"])
+    def test_seed_precedence(self, tmp_path, route, plan, args, want):
+        # highest first: an override of master_seed (--seed is one, placed
+        # before the --override values), the file's master_seed, 1
         if route == "preset(seed=)":
             assert preset("bitrate", seed=args)[1].master_seed == want
             return
         argv = ["preset", "bitrate"] if route == "preset" else [
-            "run", _write(tmp_path, f"[network]\n{network}\n[plan]\n"
-                          f"kind = bitrate_table\noptions = option1\n"
-                          f"{plan}\n")]
+            "run", _write(tmp_path, f"[plan]\nkind = bitrate_table\n"
+                          f"options = option1\n{plan}\n")]
         out = tmp_path / "out"
         assert main(argv + args + ["--out", str(out)]) == 0
         doc = json.loads((out / "manifest.json").read_text())

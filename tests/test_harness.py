@@ -70,8 +70,8 @@ def _poison(monkeypatch, cfg, plan, targets):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Put an in-process pool in place of the harness's process pool;
-    returns the list of the sizes it is made with."""
+    """Put an in-process pool in place of the process pool the harness
+    imports; returns the list of the sizes it is made with."""
     sizes = []
 
     class InlinePool:
@@ -87,7 +87,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     return sizes
 
 
