@@ -163,15 +163,18 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
     and p alone keeps their batch, so the starting covariance, AP 0's
     residual covariance and option2's R_y are formed and factored once
     per (block, p), not once per bit width, and broadcast where they are
-    written into the batch's arrays.
+    written into the batch's arrays. A lossless chain ignores the bits:
+    its plan keeps a unit axis where bits has a batch axis, one plan that
+    serves every bit width.
     """
     bits = np.asarray(cfg.b_l if bits is None else bits, dtype=np.int64)
+    if not option.quantized:
+        bits = bits[(slice(0, 1),) * (bits.ndim - 1)]
     p = np.asarray(cfg.p if p is None else p, dtype=float)
     L, N, K = H.shape[-3:]
     batch = np.broadcast_shapes(H.shape[:-3], bits.shape[:-1], p.shape)
     bits = np.broadcast_to(bits, batch + (L,))
     r = N if option is Option.OPTION3 else min(N, K)
-    quantized = option.quantized
 
     C = p[..., None, None] * np.eye(K, dtype=complex)
     AH = np.empty(batch + (L, r, N), dtype=complex)
@@ -194,7 +197,7 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
             else:  # OPTION3: no rotation
                 A = np.eye(N, dtype=complex)
                 input_var = np.diagonal(R_y, axis1=-2, axis2=-1).real
-        if quantized:
+        if option.quantized:
             gamma[..., l, :], delta[..., l, :] = calibrate_dynamic_range(
                 input_var, cfg.alpha, bits[..., l])
         R_f = observation_covariance(A, R_G, delta[..., l, :])

@@ -226,6 +226,9 @@ class NetworkConfig:
               f"bits values <= MAX_BITS = {MAX_BITS}")
         _need(self.area_side > 0, "area_side > 0")
         _need(self.d_min > 0, "d_min > 0")
+        _need(self.bandwidth_hz > 0, "bandwidth_hz > 0")
+        _need(self.coherence_bw_hz > 0, "coherence_bw_hz > 0")
+        _need(self.coherence_time_s > 0, "coherence_time_s > 0")
         _need(self.tau_d >= 0, "tau_d >= 0")
         _need(self.tau_d <= self.tau_c + 1e-9,
               f"tau_d <= T_c*B_c (tau_d={self.tau_d}, tau_c={self.tau_c:g})")
@@ -283,6 +286,7 @@ class ExperimentPlan:
         _need(self.n_placements >= 1, "n_placements >= 1")
         _need(self.n_blocks >= 1, "n_blocks >= 1")
         _need(self.n_samples >= 1, "n_samples >= 1")
+        _need(self.master_seed >= 0, "master_seed >= 0")
         _need(len(self.options) >= 1, "options non-empty")
         _need(len(set(self.options)) == len(self.options), "options unique")
         if self.kind in NOISE_KINDS:

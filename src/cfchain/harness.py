@@ -175,7 +175,8 @@ def _placement_worker(args):
     channels and the whole axis (`_plan_chunk`). Then each pair draws its
     truth and samples (`trial_samples` or `trial_bpsk`) and unit dither
     (one per quantized option, for the whole axis) and makes one kernel
-    call per option on its slice of the plan.
+    call per option on its slice of the plan, whose scores and clip counts
+    broadcast to the whole axis.
     Chunk and task boundaries depend on the plan and the worker count
     alone, and each placement's cells accumulate its own blocks in block
     order, so neither boundary can change a result.
@@ -197,9 +198,6 @@ def _placement_worker(args):
         sweep = {"p": 10.0 ** (np.asarray(axis, dtype=float) / 10.0)}
         score = ber_sums
         trial = partial(trial_bpsk, cfg, ms, S=S, p=sweep["p"])
-    # a lossless chain ignores the bit axis: one plan serves every bit width
-    flat = {opt: "bits" in sweep and not opt.quantized
-            for opt in plan.options}
     pairs = [(p_idx, blk) for p_idx in placements
              for blk in range(plan.n_blocks)]
     channels = trial_channels(cfg, ms, pairs)
@@ -211,11 +209,8 @@ def _placement_worker(args):
         chunk = pairs[first:first + per_chunk]
         Hs = channels[first:first + per_chunk]
         failed = {}  # (placement, block) -> its abort record
-        plans = {}
-        for opt in plan.options:
-            plans[opt] = _plan_chunk(cfg, opt, Hs,
-                                     {} if flat[opt] else sweep, chunk,
-                                     failed)
+        plans = {opt: _plan_chunk(cfg, opt, Hs, sweep, chunk, failed)
+                 for opt in plan.options}
         for j, (p_idx, blk) in enumerate(chunk):
             if (p_idx, blk) in failed:
                 aborts[p_idx].append(failed[p_idx, blk])
@@ -231,8 +226,8 @@ def _placement_worker(args):
                     H, cplan.AH, cplan.V, cplan.gamma, cplan.delta, Y, D,
                     cplan.mode, opt.quantized)
                 a, b = score(truth, sh)
-                if flat[opt]:
-                    a, clips = [a] * len(axis), [clips] * len(axis)
+                a = np.broadcast_to(a, (len(axis), K))
+                clips = np.broadcast_to(clips, (len(axis), L))
                 for i in range(len(axis)):
                     key = (opt.value, i)
                     if key not in p_cells:
@@ -246,14 +241,13 @@ def _plan_chunk(cfg, opt, Hs, sweep, pairs, failed):
     channels Hs: a list of each pair's plan, None where a pair has no plan.
 
     One build_chain_plan call stacks the chunk's channels against the
-    sweep (bits or p, or nothing) and each pair takes its slice. If the
-    call fails, the pairs not yet in `failed` are planned one at a time, and
-    each one that fails is recorded there, keyed by (placement, block),
-    as its abort.
+    sweep (bits or p) and each pair takes its slice. If the call fails,
+    the pairs not yet in `failed` are planned one at a time, and each one
+    that fails is recorded there, keyed by (placement, block), as its
+    abort.
     """
     try:
-        stacked = build_chain_plan(cfg, Hs[:, None] if sweep else Hs,
-                                   option=opt, **sweep)
+        stacked = build_chain_plan(cfg, Hs[:, None], option=opt, **sweep)
         return [stacked.block(j) for j in range(len(Hs))]
     except (ChainNumericsError, np.linalg.LinAlgError):
         pass

@@ -204,8 +204,15 @@ class TestBatchedPlan:
         cfg, H = scenario(seed=3)
         bits = np.repeat(np.arange(1, 9)[:, None], cfg.L, axis=1)
         batched = build_chain_plan(cfg, H, option=opt, bits=bits)
-        self._check(batched, [build_chain_plan(cfg, H, option=opt, bits=b)
-                              for b in bits])
+        if opt.quantized:
+            self._check(batched, [build_chain_plan(cfg, H, option=opt,
+                                                   bits=b) for b in bits])
+        else:  # a lossless chain ignores the bits: one plan, a unit axis
+            assert batched.AH.shape[0] == 1
+            single = build_chain_plan(cfg, H, option=opt)
+            for f in dataclasses.fields(ChainPlan):
+                assert np.array_equal(getattr(batched.block(0), f.name),
+                                      getattr(single, f.name)), f.name
 
     @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
                                      Option.OPTION3, Option.NOQUANT])

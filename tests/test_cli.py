@@ -1,8 +1,6 @@
 import json
 import os
 import re
-import subprocess
-import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,11 +8,13 @@ import pytest
 
 from cfchain.cli import main
 from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig
+from cfchain.harness import run_experiment
 from cfchain.presets import preset
 from cfchain.runio import build_config, parse_config
+from cfchain.selftest import (Check, check_noise_statistics,
+                              check_oracle_equivalence)
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = str(ROOT / "src")
 
 
 def _write(tmp_path, text, name="scenario.ini"):
@@ -186,6 +186,20 @@ EXIT_3 = {
          "bits values <= MAX_BITS = 52"),
         ("bits_sweep", "bits_sweep=8,60,1000,1100",
          "bits_sweep values <= MAX_BITS = 52"),
+        # a seed is a SeedSequence's entropy: a non-negative integer
+        ("negative_seed", "master_seed=-1", "master_seed >= 0"),
+        # the bit-rate accounting divides by the coherence bandwidth and
+        # time, and scales with the bandwidth: each must be positive
+        ("zero_bandwidth", "bandwidth_hz=0", "bandwidth_hz > 0"),
+        ("negative_bandwidth", "bandwidth_hz=-1e8", "bandwidth_hz > 0"),
+        ("zero_coherence_bw", "tau_d=0 coherence_bw_hz=0",
+         "coherence_bw_hz > 0"),
+        ("negative_coherence_bw", "tau_d=0 coherence_bw_hz=-2e5",
+         "coherence_bw_hz > 0"),
+        ("zero_coherence_time", "tau_d=0 coherence_time_s=0",
+         "coherence_time_s > 0"),
+        ("negative_coherence_time", "tau_d=0 coherence_time_s=-1e-3",
+         "coherence_time_s > 0"),
     ]),
     "manifest_section_not_an_object": ("manifest", [
         ("null_config", {"config": None},
@@ -498,37 +512,38 @@ options = option1
         assert out.count("[PASS]") == 4
 
     def test_selftest_failure_exits_1(self, capsys, monkeypatch):
-        # a bound no run can meet fails exactly the check that holds it
-        for bound, value, check in [
-                ("ORACLE_BOUND", 0.0, "oracle equivalence"),
-                ("EIG_VS_DIAG_BOUND", 0.0, "quantization-noise statistics"),
-                ("KS_MIN_SAMPLES", 10 ** 9,
-                 "quantization-noise statistics")]:
-            with monkeypatch.context() as m:
-                m.setattr(f"cfchain.selftest.{bound}", value)
-                assert main(["selftest"]) == 1, bound
-            out = capsys.readouterr().out
-            assert out.count("[FAIL]") == 1, out
-            assert out.count("[PASS]") == 3, out
-            assert f"[FAIL] {check}" in out, out
-
-    def test_runs_without_scipy(self, tmp_path):
-        # the noise statistics and the selftest need numpy only
-        code = (
-            "import sys\n"
-            "sys.modules['scipy'] = None\n"
-            "from cfchain.cli import main\n"
-            f"rc = main(['preset', 'fig2', '--out', {str(tmp_path)!r}, "
-            "'--override', 'n_samples=20000'])\n"
-            "sys.exit(rc or main(['selftest']))\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=600)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert (tmp_path / "noise_stats.csv").exists()
-        assert proc.stdout.count("[PASS]") == 4
+        # one failing check fails the run, and each check prints its line
+        monkeypatch.setattr("cfchain.selftest.ALL_CHECKS", [
+            lambda i=i: Check(f"check {i}", i != 2, f"detail {i}")
+            for i in range(4)])
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("[FAIL]") == 1, out
+        assert out.count("[PASS]") == 3, out
+        assert "[FAIL] check 2: detail 2" in out, out
 
     def test_usage_error_exit_code(self):
         assert main([]) == 2
         assert main(["preset", "nope"]) == 2
+
+
+@pytest.fixture(scope="module")
+def fig2_report():
+    """The seed-1 fig2 run's noise statistics, as the selftest checks."""
+    cfg, plan = preset("fig2", seed=1)
+    return run_experiment(plan, cfg).stat_report
+
+
+class TestSelftestBounds:
+    """A bound no run can meet fails exactly the check that holds it."""
+
+    @pytest.mark.parametrize("bound,value", [("EIG_VS_DIAG_BOUND", 0.0),
+                                             ("KS_MIN_SAMPLES", 10 ** 9)])
+    def test_noise_bound(self, fig2_report, monkeypatch, bound, value):
+        assert check_noise_statistics(fig2_report).ok
+        monkeypatch.setattr(f"cfchain.selftest.{bound}", value)
+        assert not check_noise_statistics(fig2_report).ok
+
+    def test_oracle_bound(self, monkeypatch):
+        monkeypatch.setattr("cfchain.selftest.ORACLE_BOUND", 0.0)
+        assert not check_oracle_equivalence().ok

@@ -2,6 +2,7 @@
 sees."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cfchain"
@@ -70,4 +71,23 @@ def test_only_the_trial_draws_call_seed_stream():
                   if isinstance(node, ast.Call) and id(node) not in in_trial
                   and "seed_stream" in (getattr(node.func, "id", None),
                                         getattr(node.func, "attr", None))]
+    assert found == []
+
+
+def test_the_package_imports_numpy_and_the_standard_library_only():
+    # numpy is pyproject's one dependency: every import of the package,
+    # one inside a function too, names it, the standard library or cfchain
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cfchain"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: import {name}"
+                      for name in names
+                      if name.split(".")[0] not in allowed]
     assert found == []
