@@ -164,10 +164,16 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows):
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()  # Python floats format faster than numpy's
+    """An ndarray table (of floats) formats each row with one %-string,
+    the bytes `_fmt` gives a float; a list table keeps `_fmt`, whose ints
+    stay str(x)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
+        if isinstance(rows, np.ndarray):
+            line = ",".join(["%.9g"] * rows.shape[1]) + "\n"
+            # Python floats format faster than numpy's
+            fh.writelines(line % tuple(row) for row in rows.tolist())
+            return
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 

@@ -4,13 +4,14 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cfchain.cli import main
 from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig
 from cfchain.harness import run_experiment
 from cfchain.presets import preset
-from cfchain.runio import build_config, parse_config
+from cfchain.runio import _write_csv, build_config, parse_config
 from cfchain.selftest import (Check, check_noise_statistics,
                               check_oracle_equivalence)
 
@@ -324,6 +325,18 @@ class TestCliCommands:
         assert len(header) == 1 + 2 * 3
         assert len(csv) == 1 + 2  # two bit values
         assert (out / "manifest.json").exists()
+
+    def test_array_and_list_tables_write_the_same_bytes(self, tmp_path):
+        values = [np.nan, np.inf, -np.inf, -0.0, 1e-300, 3.0,
+                  1.2345678901e11, 1.2345678912e-5]
+        table = np.array([values, values[::-1]])
+        header = [f"c{i}" for i in range(len(values))]
+        _write_csv(tmp_path / "array.csv", header, table)
+        _write_csv(tmp_path / "list.csv", header, table.tolist())
+        written = (tmp_path / "array.csv").read_bytes()
+        assert written == (tmp_path / "list.csv").read_bytes()
+        assert written.splitlines()[1] == (
+            b"nan,inf,-inf,-0,1e-300,3,1.23456789e+11,1.23456789e-05")
 
     def test_full_bit_axis_schema(self, tmp_path):
         # 8 bit values x 4 options: 8 rows, 1 + 4*2 columns

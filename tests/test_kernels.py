@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cfchain.chain import build_chain_plan
+from cfchain import kernels
+from cfchain.chain import apply_chain_collect, build_chain_plan
 from cfchain.config import Option
 from cfchain.harness import trial_noise
 from cfchain.presets import preset
@@ -84,3 +85,46 @@ class TestUnitDitherContract:
         assert np.array_equal(sh, sh_b)
         assert np.array_equal(clips, clips_b)
         assert clips.sum() > 0  # one bit clips: the counts are compared
+
+
+class TestFoldedChain:
+    """A sweep call of mode 0, 2 or 3 refines once, through the chain's
+    combiner; option1 and collect calls run the running-estimate loop."""
+
+    @staticmethod
+    def _plan_and_samples(opt, sweep, p_db, S=256):
+        cfg, H = scenario(p_db=p_db)
+        s, Y = received(cfg, H, S)
+        if sweep == "bits":
+            plan = build_chain_plan(cfg, H, option=opt, bits=np.repeat(
+                BITS[:, None], cfg.L, axis=1))
+        elif sweep == "power":
+            p_lin = 10.0 ** ((p_db + np.array([-20.0, -10.0, 0.0])) / 10.0)
+            Y = (np.sqrt(p_lin / cfg.p)[:, None, None, None] * (H @ s)
+                 + trial_noise(cfg, 0, 0, 0, S))
+            plan = build_chain_plan(cfg, H, option=opt, p=p_lin)
+        else:
+            plan = build_chain_plan(cfg, H, option=opt)
+        return H, plan, Y, unit_dither(plan, S) if opt.quantized else None
+
+    @pytest.mark.parametrize("p_db", [-10.0, 40.0, 80.0])
+    @pytest.mark.parametrize("sweep", ["single", "bits", "power"])
+    @pytest.mark.parametrize("opt", OPTIONS[1:])
+    def test_fold_matches_the_running_estimate(self, opt, sweep, p_db):
+        H, plan, Y, D = self._plan_and_samples(opt, sweep, p_db)
+        args = (H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D,
+                plan.mode, opt.quantized)
+        folded, clips, _, _ = kernels.evaluate_chain(*args)
+        running, clips_r, _, _ = kernels.evaluate_chain(*args, collect_ap=0)
+        assert folded.shape == running.shape
+        assert (np.max(np.abs(folded - running))
+                <= 1e-12 * np.max(np.abs(running)))
+        assert np.array_equal(clips, clips_r)
+
+    @pytest.mark.parametrize("sweep", ["single", "bits", "power"])
+    def test_option1_keeps_the_running_estimate(self, sweep):
+        H, plan, Y, D = self._plan_and_samples(Option.OPTION1, sweep, -10.0)
+        sh, clips = run_chain(H, plan, Y, D)
+        sh_c, _, _, clips_c = apply_chain_collect(plan, Y, D, collect_ap=0)
+        assert np.array_equal(sh, sh_c)
+        assert np.array_equal(clips, clips_c)
