@@ -91,8 +91,8 @@ def trial_bpsk(cfg, ms, placement, block, H, S, p):
     bits = seed_stream(ms, placement, block, 0, Role.SIGNAL).integers(
         0, 2, size=(cfg.K, S))
     s = (2.0 * bits - 1.0).astype(complex)
-    Y = (np.sqrt(p)[:, None, None, None] * (H @ s)
-         + trial_noise(cfg, ms, placement, block, S))
+    Y = np.sqrt(p)[:, None, None, None] * (H @ s)
+    Y += trial_noise(cfg, ms, placement, block, S)
     return bits, Y
 
 

@@ -2,15 +2,15 @@
 
 The chain kernel batches over the sample axis and, optionally, over a
 leading sweep axis (bit widths or transmit powers), so a whole sweep of
-one option runs in one call. Each AP's quantizers are
-`quantizer.quantize_complex`.
+one option runs in one call. Each AP quantizes in units of its own
+steps, by `quantizer.quantize_in_steps`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .quantizer import quantize_complex
+from .quantizer import quantize_in_steps, step_units
 
 
 def active_backend() -> str:
@@ -26,10 +26,10 @@ def active_backend() -> str:
 # arrays: H (L,N,K), one block's channels, or (...,L,N,K), AH (...,L,r,N)
 # = A^H, V (...,L,K,r), gamma/delta (...,L,r), Y (L,N,S) shared by the
 # batch or (...,L,N,S), D (L,r,S) or (...,L,r,S) the unit dither of
-# `quantizer.draw_dither`, which the kernel scales by delta (unused, and
-# may be None, when do_quant is false), all complex128/float64. A call
-# covers one block: the sweeps pass one block's slice of a plan stacked
-# over blocks (`ChainPlan.block`), whose batch is the sweep axis.
+# `quantizer.draw_dither` (unused, and may be None, when do_quant is
+# false), all complex128/float64. A call covers one block: the sweeps
+# pass one block's slice of a plan stacked over blocks (`ChainPlan.block`),
+# whose batch is the sweep axis.
 #
 # Sweep calls of modes 0, 2 and 3 fold the chain into one combiner. Their
 # quantizer input, A_l^H y_l (y_l for mode 3), does not read the running
@@ -41,6 +41,20 @@ def active_backend() -> str:
 # a collect call reports one AP's quantizer input, so both keep the
 # running estimate. The two evaluations agree to rounding, not bit for
 # bit: within 1.1e-15 of max|s| in the tests, up to p_db = 80.
+#
+# The quantizers run in step units. Once per call the rows of A^H are
+# scaled by 1/delta (modes 1 and 2; mode 3 scales y_l as it reads it), so
+# each AP forms x = (its quantizer input)/delta, adds the unit dither as
+# drawn, and `quantize_in_steps` floors and clamps x against one 2^(b-1)
+# per (batch entry, AP); no per-sample operand is a per-stream gamma or
+# delta. The steps come back in the combining: mode 1 scales the columns
+# of V by delta, and the folded combiner's columns are scaled by delta
+# after `chain_combiner` builds it from the unscaled V, whose P update
+# needs V. The running loop of a mode-2 or -3 collect call returns f to
+# input units and removes the prediction there, as the combiner does, so
+# a dead stream (delta = 0, 1/delta := 0) forwards zero under both
+# evaluations. A collect call reports in input units: pre from the
+# unscaled A^H, and eta = delta q - (pre + delta D).
 #
 # The combiner's product is split over sample slices of at most
 # _MACS_PER_PRODUCT complex multiply-adds per batch entry, the size of one
@@ -61,15 +75,22 @@ def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
     Returns the final estimates (...,K,S), per-AP clipped-component counts
     (...,L), and at collect_ap the realized quantization noise f - z (zero
     for a lossless chain) and the pre-dither quantizer input, each
-    (...,r,S); both are None when collect_ap is None. A sweep call
-    (collect_ap None) of mode 0, 2 or 3 refines once, after the loop,
-    through `chain_combiner`.
+    (...,r,S), in input units; both are None when collect_ap is None. A
+    sweep call (collect_ap None) of mode 0, 2 or 3 refines once, after the
+    loop, through `chain_combiner`.
     """
     L, _, K = H.shape[-3:]
     batch = AH.shape[:-3]
     r = AH.shape[-2]
     S = Y.shape[-1]
     fold = collect_ap is None and mode != 1
+    AHq, Vq = AH, V  # in step units when quantizing
+    if do_quant:
+        inv, levels = step_units(gamma, delta)
+        if mode != 3:
+            AHq = AH * inv[..., None]
+        if mode == 1:
+            Vq = V * delta[..., None, :]
     if fold:
         F = np.empty(batch + (L, r, S), dtype=complex)
     else:
@@ -77,43 +98,50 @@ def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
     clips = np.zeros(batch + (L,), dtype=np.int64)
     eta = pre = None
     for l in range(L):
-        AH_l = AH[..., l, :, :]
+        AH_l = AHq[..., l, :, :]
         Y_l = Y[..., l, :, :]
         if fold:
-            qin = Y_l if mode == 3 else AH_l @ Y_l
+            x = F[..., l, :, :]
+            if mode != 3:
+                np.matmul(AH_l, Y_l, out=x)
+            elif do_quant:
+                np.multiply(Y_l, inv[..., l, :, None], out=x)
+            else:
+                x[...] = Y_l
         else:
             pred = H[..., l, :, :] @ s_hat
             if mode <= 1:
-                qin = AH_l @ (Y_l - pred)
-                predp = None
+                resid = Y_l - pred
+                x = AH_l @ resid
             elif mode == 2:
-                qin = AH_l @ Y_l
-                predp = AH_l @ pred
+                x = AH_l @ Y_l
             else:
-                qin = Y_l
-                predp = pred
+                x = Y_l * inv[..., l, :, None] if do_quant else Y_l
+            if l == collect_ap:
+                pre = (Y_l.copy() if mode == 3 else
+                       AH[..., l, :, :] @ (Y_l if mode == 2 else resid))
         if do_quant:
-            step = delta[..., l, :, None]
-            f, clipped = quantize_complex(qin + step * D[..., l, :, :],
-                                          gamma[..., l, :, None], step)
-            clips[..., l] = np.count_nonzero(clipped, axis=(-3, -2, -1))
-        else:
-            f = qin
+            x += D[..., l, :, :]
+            clips[..., l] = quantize_in_steps(x, levels[..., l])
         if fold:
-            F[..., l, :, :] = f
             continue
+        f = x
+        if do_quant and (mode >= 2 or l == collect_ap):
+            f = delta[..., l, :, None] * x  # back in input units
         if l == collect_ap:
-            # z is formed again rather than kept from above: holding one
-            # more (...,r,S) array across APs raised the power sweep's
-            # page faults and wall time. qin may be a view of Y; the copy
-            # does not keep Y alive.
-            z = qin + step * D[..., l, :, :] if do_quant else qin
-            eta, pre = f - z, qin.copy()
-        if mode >= 2:
-            f = f - predp
-        s_hat += V[..., l, :, :] @ f
+            eta = (f - (pre + delta[..., l, :, None] * D[..., l, :, :])
+                   if do_quant else np.zeros_like(pre))
+        if mode <= 1:
+            s_hat += Vq[..., l, :, :] @ x
+        else:
+            # the prediction leaves in input units, as in the combiner
+            predp = AH[..., l, :, :] @ pred if mode == 2 else pred
+            s_hat += V[..., l, :, :] @ (f - predp)
     if fold:
-        Bc = chain_combiner(H, AH, V).reshape(batch + (K, L * r))
+        Bc = chain_combiner(H, AH, V)
+        if do_quant:
+            Bc *= delta[..., None, :, :]
+        Bc = Bc.reshape(batch + (K, L * r))
         F = F.reshape(batch + (L * r, S))
         s_hat = np.empty(batch + (K, S), dtype=complex)
         n = max(1, _MACS_PER_PRODUCT // (K * L * r))

@@ -1,16 +1,24 @@
 """Non-subtractive dithered uniform quantization of complex vectors,
 stated once here.
 
-Each complex stream gets a pair of identical real mid-rise quantizers
-(`quantize_complex`, `quantize_midrise`): 2^b levels at the centres of
-the cells of width delta = 2*gamma/2^b over [-gamma, gamma]; an input
-beyond +-gamma saturates at the outer level and counts as clipped, and
-gamma = delta = 0 gives a constant zero that never clips. A dither
-uniform over one step per real component is added before the quantizer
-and stays in the forwarded signal; it is drawn once per (block, option)
-at unit scale (`draw_dither`) and scaled by each chain's steps in
-`kernels.evaluate_chain`. The dynamic range counts the dither's own
-variance into the input, which gives the closed form
+Each complex stream gets a pair of identical real mid-rise quantizers:
+2^b levels at the centres of the cells of width delta = 2*gamma/2^b over
+[-gamma, gamma]; an input beyond +-gamma saturates at the outer level and
+counts as clipped, and gamma = delta = 0 forwards a constant zero that
+never clips. The quantizers run in units of their own step
+(`quantize_in_steps`): with x = input/delta and M = 2^(b-1) = gamma/delta,
+the level is delta * (clamp(floor(x), -M, M - 1) + 1/2), and |x| > M is
+clipped. That is the gamma-domain rule delta * (floor((input + gamma) /
+delta) + 1/2) - gamma, clamped to +-(gamma - delta/2), without a
+per-stream gamma or delta in the per-sample work: the kernel folds 1/delta
+into the projections and delta into the combiners (`step_units`).
+gamma/delta is exactly 2^(b-1), since delta = 2*gamma/2^b only shifts
+gamma's binary exponent, so one M per AP serves all of its streams. A
+dither uniform over one step per real component is added before the
+quantizer and stays in the forwarded signal; it is drawn once per (block,
+option) at unit scale (`draw_dither`), the quantizer's own scale, and
+`kernels.evaluate_chain` adds it as drawn. The dynamic range counts the
+dither's own variance into the input, which gives the closed form
 
     gamma_i = sqrt( alpha^2 * (1 - alpha^2 / (3*4^b))^-1 * var_i / 2 )
 
@@ -93,46 +101,36 @@ def calibrate_dynamic_range(input_var, alpha: float,
     return gamma, delta
 
 
-def quantize_midrise(x: np.ndarray, gamma: np.ndarray,
-                     delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quantize real values; gamma/delta broadcast against x.
+def step_units(gamma: np.ndarray,
+               delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1/delta (..., L, r), levels (..., L)): what a chain's quantizers
+    need to run in units of their steps.
 
-    Returns (values, clipped_mask). A zero step size degenerates to a
-    constant-zero quantizer that never counts clipping.
+    levels is gamma/delta = 2^(b-1), half of each AP's level count, read
+    once per AP as max gamma / max delta, since an AP's streams share b.
+    A dead stream (delta = 0) gets 1/delta := 0, and an AP whose streams
+    are all dead gets levels 1, which no unit dither reaches.
     """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(gamma, dtype=float)
-    d = np.asarray(delta, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = x + g
-        v /= d
-        np.floor(v, out=v)
-        v += 0.5
-        v *= d
-        v -= g
-        half = 0.5 * d
-        np.maximum(v, half - g, out=v)
-        np.minimum(v, g - half, out=v)
-    clipped = np.abs(x) > g
-    live = d > 0
-    if not live.all():
-        v = np.where(live, v, 0.0)
-        clipped = clipped & live
-    return v, clipped
+    inv = np.divide(1.0, delta, out=np.zeros_like(delta), where=delta > 0)
+    g, d = gamma.max(axis=-1), delta.max(axis=-1)
+    return inv, np.divide(g, d, out=np.ones_like(d), where=d > 0)
 
 
-def quantize_complex(z: np.ndarray, gamma: np.ndarray,
-                     delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One mid-rise quantizer each for the real and imaginary parts of z.
+def quantize_in_steps(x: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Quantize x (..., r, S) in place, in units of its step; returns the
+    clipped real components per leading entry (...).
 
-    gamma/delta broadcast against z. Both parts go through one call, as
-    the interleaved float view of z. Returns (values, clipped_mask) with
-    the mask shaped z.shape + (2,): real, imaginary.
+    x is the dithered input over delta; levels (...) is 2^(b-1), from
+    `step_units`. Each real component with |x| > levels is clipped and
+    becomes clamp(floor(x), -levels, levels - 1) + 1/2.
     """
-    x = np.ascontiguousarray(z, dtype=complex)[..., None].view(float)
-    v, clipped = quantize_midrise(x, np.asarray(gamma)[..., None],
-                                  np.asarray(delta)[..., None])
-    return v.view(complex)[..., 0], clipped
+    v = x.view(float)
+    m = levels[..., None, None]
+    clipped = np.count_nonzero(np.abs(v) > m, axis=(-2, -1))
+    np.floor(v, out=v)
+    np.clip(v, -m, m - 1.0, out=v)
+    v += 0.5
+    return clipped
 
 
 def noise_covariance(delta) -> np.ndarray:
@@ -149,8 +147,7 @@ def draw_dither(rng: np.random.Generator, shape) -> np.ndarray:
 
     The real parts are drawn before the imaginary parts, each straight into
     one complex array: the values are those of u + 1j*v, bit for bit. The
-    chain kernel scales it by each quantizer's step size delta where it
-    adds it.
+    chain kernel adds it as drawn to inputs in units of their steps.
     """
     D = np.empty(shape, dtype=complex)
     D.real = rng.uniform(-0.5, 0.5, shape)

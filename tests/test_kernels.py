@@ -6,11 +6,13 @@ from cfchain.chain import apply_chain_collect, build_chain_plan
 from cfchain.config import Option
 from cfchain.harness import trial_noise
 from cfchain.presets import preset
+from cfchain.quantizer import step_units
 from scenario import received, run_chain, scenario, unit_dither
 
 OPTIONS = [Option.OPTION1, Option.OPTION2, Option.OPTION3, Option.NOQUANT]
 BITS = np.arange(1, 9)
 POWERS_DB = np.asarray(preset("fig5")[1].power_sweep_db, dtype=float)
+WIDTHS = np.array([1, 2, 3, 5, 8])  # unequal per-AP bit widths, L = 5
 
 
 class TestChainKernelBatch:
@@ -59,7 +61,7 @@ class TestChainKernelBatch:
 
 
 class TestUnitDitherContract:
-    """The kernel takes the unit dither and scales it by the plan's steps."""
+    """The kernel takes the unit dither and adds it in step units."""
 
     def test_lossless_needs_no_dither(self):
         cfg, H = scenario()
@@ -103,12 +105,14 @@ class TestFoldedChain:
             Y = (np.sqrt(p_lin / cfg.p)[:, None, None, None] * (H @ s)
                  + trial_noise(cfg, 0, 0, 0, S))
             plan = build_chain_plan(cfg, H, option=opt, p=p_lin)
+        elif sweep == "widths":
+            plan = build_chain_plan(cfg, H, option=opt, bits=WIDTHS)
         else:
             plan = build_chain_plan(cfg, H, option=opt)
         return H, plan, Y, unit_dither(plan, S) if opt.quantized else None
 
     @pytest.mark.parametrize("p_db", [-10.0, 40.0, 80.0])
-    @pytest.mark.parametrize("sweep", ["single", "bits", "power"])
+    @pytest.mark.parametrize("sweep", ["single", "bits", "power", "widths"])
     @pytest.mark.parametrize("opt", OPTIONS[1:])
     def test_fold_matches_the_running_estimate(self, opt, sweep, p_db):
         H, plan, Y, D = self._plan_and_samples(opt, sweep, p_db)
@@ -121,10 +125,38 @@ class TestFoldedChain:
                 <= 1e-12 * np.max(np.abs(running)))
         assert np.array_equal(clips, clips_r)
 
-    @pytest.mark.parametrize("sweep", ["single", "bits", "power"])
+    @pytest.mark.parametrize("sweep", ["single", "bits", "power", "widths"])
     def test_option1_keeps_the_running_estimate(self, sweep):
         H, plan, Y, D = self._plan_and_samples(Option.OPTION1, sweep, -10.0)
         sh, clips = run_chain(H, plan, Y, D)
         sh_c, _, _, clips_c = apply_chain_collect(plan, Y, D, collect_ap=0)
         assert np.array_equal(sh, sh_c)
         assert np.array_equal(clips, clips_c)
+
+
+class TestStepUnits:
+    """The kernel quantizes in units of each stream's step, with one level
+    count per (batch entry, AP) read from the plan as gamma/delta."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.9])
+    @pytest.mark.parametrize("sweep", ["single", "bits", "power", "widths"])
+    @pytest.mark.parametrize("opt", OPTIONS[:3])
+    def test_plan_levels_are_exact_powers_of_two(self, opt, sweep, rho):
+        # delta = 2 gamma / 2^b is exact in binary floating point, so
+        # gamma/delta is 2^(b-1) exactly, for every stream
+        cfg, H = scenario(rho=rho)
+        if sweep == "bits":
+            bits = np.repeat(BITS[:, None], cfg.L, axis=1)
+            plan = build_chain_plan(cfg, H, option=opt, bits=bits)
+        elif sweep == "power":
+            bits = cfg.b_l
+            plan = build_chain_plan(cfg, H, option=opt,
+                                    p=10.0 ** (POWERS_DB / 10.0))
+        else:
+            bits = WIDTHS if sweep == "widths" else cfg.b_l
+            plan = build_chain_plan(cfg, H, option=opt, bits=bits)
+        expected = np.broadcast_to(2.0 ** (np.asarray(bits) - 1)[..., None],
+                                   plan.gamma.shape)
+        assert np.array_equal(plan.gamma / plan.delta, expected)
+        _, levels = step_units(plan.gamma, plan.delta)
+        assert np.array_equal(levels, expected[..., 0])

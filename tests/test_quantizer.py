@@ -6,9 +6,9 @@ from cfchain.config import MAX_BITS, ConfigError, Option
 from cfchain.harness import Role, seed_stream
 from cfchain.quantizer import (InsufficientSamplesError,
                                calibrate_dynamic_range, draw_dither,
-                               ks_uniform, quantize_complex, quantize_midrise,
+                               ks_uniform, quantize_in_steps, step_units,
                                validate_noise_statistics)
-from scenario import received, scenario, unit_dither
+from scenario import received, run_chain, scenario, unit_dither
 
 
 class TestCalibration:
@@ -52,7 +52,7 @@ class TestCalibration:
 
 
 def _scaled_dither(delta, rng, n):
-    """(r, n) dither of steps delta, scaled as the harness scales it."""
+    """(r, n) dither of steps delta: the unit dither in input units."""
     return delta[:, None] * draw_dither(rng, (delta.size, n))
 
 
@@ -100,8 +100,30 @@ def _unit_bank(b):
 
 def _quantize(bank, z):
     """The quantizers of bank = (gamma, delta) on one complex value, as
-    the chain applies them: (f, clipped mask)."""
-    return quantize_complex(np.array([z]), *bank)
+    the chain applies them, in step units: (f, clipped components)."""
+    gamma, delta = bank
+    inv, levels = step_units(gamma[None], delta[None])
+    x = np.array([[z * inv[0, 0]]])
+    clipped = quantize_in_steps(x, levels[0])
+    return delta * x[0], clipped
+
+
+def _gamma_domain_midrise(u, gamma, delta):
+    """The gamma-domain mid-rise rule the step-unit rule replaced, as the
+    oracle: (levels, clipped mask) of real inputs u."""
+    v = np.floor((u + gamma) / delta)
+    v = (v + 0.5) * delta - gamma
+    return (np.clip(v, delta / 2 - gamma, gamma - delta / 2),
+            np.abs(u) > gamma)
+
+
+def _step_midrise(u, gamma, delta):
+    """The step-unit rule on real inputs u, one quantizer per value:
+    (levels delta*q, clipped mask)."""
+    inv, levels = step_units(np.array([[gamma]]), np.array([[delta]]))
+    x = (u * inv[0, 0]).astype(complex).reshape(-1, 1, 1)
+    clipped = quantize_in_steps(x, np.full(u.size, levels[0]))
+    return delta * x.real.ravel(), clipped.astype(bool)
 
 
 class TestQuantize:
@@ -122,10 +144,10 @@ class TestQuantize:
         bank = _unit_bank(3)
         f, clipped = _quantize(bank, 10.0 + 0.0j)
         assert f[0].real == pytest.approx(1.0 - bank[1][0] / 2)
-        assert np.count_nonzero(clipped) == 1
+        assert clipped == 1
         f, clipped = _quantize(bank, -10.0 - 10.0j)
         assert f[0].real == pytest.approx(-1.0 + bank[1][0] / 2)
-        assert np.count_nonzero(clipped) == 2
+        assert clipped == 2
 
     def test_monotone_per_component(self, rng):
         bank = _unit_bank(4)
@@ -147,21 +169,65 @@ class TestQuantize:
         x = np.sqrt(2.0 / 2.0) * rng.standard_normal(n)  # var 1 per real
         d = rng.uniform(-0.5, 0.5, n) * delta[0]
         z = x + d
-        v, clipped = quantize_midrise(
-            z, gamma[0] * np.ones(n), delta[0] * np.ones(n))
+        v, clipped = _step_midrise(z, gamma[0], delta[0])
         eta = (v - z)[~clipped]
         assert np.var(eta) == pytest.approx(delta[0] ** 2 / 12, rel=0.02)
 
     def test_broadcasting_per_row(self, rng):
-        x = rng.normal(0, 1, (4, 100))
-        g = np.array([1.0, 2.0, 0.5, 3.0])[:, None]
-        d = 2 * g / 8
-        v, c = quantize_midrise(x, g, d)
-        assert v.shape == x.shape
+        # one level count per leading entry: a stacked call equals one
+        # call per entry, values and clip counts
+        x = rng.normal(0, 4, (4, 2, 50)) + 1j * rng.normal(0, 4, (4, 2, 50))
+        levels = np.array([1.0, 2.0, 4.0, 128.0])
+        q = x.copy()
+        clipped = quantize_in_steps(q, levels)
+        assert q.shape == x.shape and clipped.shape == (4,)
         for i in range(4):
-            vi, ci = quantize_midrise(x[i], g[i, 0] * np.ones(100),
-                                      d[i, 0] * np.ones(100))
-            assert np.array_equal(v[i], vi)
+            qi = x[i].copy()
+            assert quantize_in_steps(qi, levels[i]) == clipped[i]
+            assert np.array_equal(q[i], qi)
+        assert clipped[0] > 0
+
+    @pytest.mark.parametrize("b", list(range(1, 9)) + [MAX_BITS])
+    def test_matches_the_gamma_domain_rule(self, rng, b):
+        # the step-unit rule against the gamma-domain formula it replaced:
+        # levels to 1 ulp of gamma and equal clip masks for b <= 8; at
+        # MAX_BITS, where the gamma-domain sums themselves round at up to
+        # a step, levels within two steps
+        gamma, delta = calibrate_dynamic_range([rng.uniform(0.1, 10.0)],
+                                               alpha=3.0, b=b)
+        g, d = gamma[0], delta[0]
+        u = rng.uniform(-1.5 * g, 1.5 * g, 20_000)
+        new, clipped = _step_midrise(u, g, d)
+        old, clipped_old = _gamma_domain_midrise(u, g, d)
+        assert np.array_equal(clipped, clipped_old)
+        assert clipped.any() and not clipped.all()
+        bound = np.spacing(g) if b <= 8 else 2 * d
+        assert np.max(np.abs(new - old)) <= bound
+
+
+class TestDeadStreams:
+    """A stream with delta = 0 forwards zero and counts no clip, and an AP
+    whose streams are all dead yields no NaN."""
+
+    @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
+                                     Option.OPTION3])
+    def test_dead_streams_forward_zero(self, opt):
+        cfg, H = scenario(seed=1, bits=3)
+        _, Y = received(cfg, H, 256, seed=1)
+        plan = build_chain_plan(cfg, H, option=opt)
+        plan.gamma[1] = plan.delta[1] = 0.0        # AP 1: all dead
+        plan.gamma[2, 0] = plan.delta[2, 0] = 0.0  # AP 2: stream 0 dead
+        D = unit_dither(plan, 256, seed=1)
+        sh, clips = run_chain(H, plan, Y, D)
+        assert np.isfinite(sh).all()
+        assert clips[1] == 0 and clips.sum() > 0
+        for ap, dead in ((1, slice(None)), (2, 0)):
+            sh_c, eta, pre, clips_c = apply_chain_collect(plan, Y, D, ap)
+            # eta = f - z with z = pre + 0 * dither: f is zero
+            assert np.array_equal(eta[dead], -pre[dead])
+            assert np.array_equal(clips_c, clips)
+            assert (np.max(np.abs(sh_c - sh))
+                    <= 1e-12 * np.max(np.abs(sh)))
 
 
 def _sup_distance(x, delta):

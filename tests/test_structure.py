@@ -74,6 +74,24 @@ def test_only_the_trial_draws_call_seed_stream():
     assert found == []
 
 
+def test_the_step_unit_quantizer_has_one_call_site():
+    # quantizing in step units needs the kernel's scaled projections and
+    # combiners, so kernels.evaluate_chain is the one caller of the rule
+    rule = ("step_units", "quantize_in_steps")
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {id(node): f"{path.name}::{fn.name}" for fn in ast.walk(tree)
+                 if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        found += [(owner.get(id(node), path.name), name)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  for name in rule
+                  if name in (getattr(node.func, "id", None),
+                              getattr(node.func, "attr", None))]
+    assert sorted(found) == [("kernels.py::evaluate_chain", name)
+                             for name in sorted(rule)]
+
+
 def test_the_package_imports_numpy_and_the_standard_library_only():
     # numpy is pyproject's one dependency: every import of the package,
     # one inside a function too, names it, the standard library or cfchain
