@@ -15,13 +15,13 @@ only through their step sizes, whose noise model is
 The per-sample work is one loop over the APs, `kernels.evaluate_chain`:
 `kernels.apply_chain` runs it for the sweeps and `apply_chain_collect`
 runs it keeping one AP's quantizer internals for the noise statistics.
-A sweep of option2, option3 or the lossless chain only quantizes in that
-loop: their quantizer inputs do not read the running estimate, so the
-chain is linear in what the APs forward and one combiner
+The option chooses how the loop refines, not the kind of call. Option2,
+option3 and the lossless chain only quantize in that loop: their
+quantizer inputs do not read the running estimate, so the chain is
+linear in what the APs forward and one combiner
 (`kernels.chain_combiner`, built from H, A^H and V) refines once after
 it. Option1 quantizes the de-correlated residual, which reads the
-estimate, and a collect call reports one AP's internals, so both carry
-the estimate through every AP.
+estimate, so it carries the estimate through every AP.
 `centralized_mmse_oracle` is the batch estimator every option's chain
 is tested against.
 """

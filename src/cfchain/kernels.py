@@ -31,16 +31,16 @@ def active_backend() -> str:
 # pass one block's slice of a plan stacked over blocks (`ChainPlan.block`),
 # whose batch is the sweep axis.
 #
-# Sweep calls of modes 0, 2 and 3 fold the chain into one combiner. Their
-# quantizer input, A_l^H y_l (y_l for mode 3), does not read the running
-# estimate s, and each AP's update s <- (I - V_l A_l^H H_l) s + V_l f_l is
-# linear in s, so the chain's output is s = sum_l B_l f_l with
-# B_l = prod_{j>l} (I - V_j A_j^H H_j) V_l: the loop only quantizes, and
-# one (K, L*r) combiner, built backward over the APs once per call, takes
-# the stacked f. Mode 1 quantizes A_l^H (y_l - H_l s), which reads s, and
-# a collect call reports one AP's quantizer input, so both keep the
-# running estimate. The two evaluations agree to rounding, not bit for
-# bit: within 1.1e-15 of max|s| in the tests, up to p_db = 80.
+# The mode chooses the evaluation, whatever the call. Modes 0, 2 and 3
+# fold the chain into one combiner. Their quantizer input, A_l^H y_l (y_l
+# for mode 3), does not read the running estimate s, and each AP's update
+# s <- (I - V_l A_l^H H_l) s + V_l f_l is linear in s, so the chain's
+# output is s = sum_l B_l f_l with B_l = prod_{j>l} (I - V_j A_j^H H_j) V_l:
+# the loop only quantizes, into the stacked f, and one (K, L*r) combiner,
+# built backward over the APs once per call, takes it. Mode 1 quantizes
+# A_l^H (y_l - H_l s), which reads s, so it keeps the running estimate.
+# A collect call runs the same evaluation as a sweep call and reads one
+# AP's internals on the way, so the two agree bit for bit.
 #
 # The quantizers run in step units. Once per call the rows of A^H are
 # scaled by 1/delta (modes 1 and 2; mode 3 scales y_l as it reads it), so
@@ -50,11 +50,9 @@ def active_backend() -> str:
 # delta. The steps come back in the combining: mode 1 scales the columns
 # of V by delta, and the folded combiner's columns are scaled by delta
 # after `chain_combiner` builds it from the unscaled V, whose P update
-# needs V. The running loop of a mode-2 or -3 collect call returns f to
-# input units and removes the prediction there, as the combiner does, so
-# a dead stream (delta = 0, 1/delta := 0) forwards zero under both
-# evaluations. A collect call reports in input units: pre from the
-# unscaled A^H, and eta = delta q - (pre + delta D).
+# needs V. A dead stream (delta = 0, 1/delta := 0) forwards zero. A
+# collect call reports in input units: pre from the unscaled A^H, and
+# eta = delta q - (pre + delta D).
 #
 # The combiner's product is split over sample slices of at most
 # _MACS_PER_PRODUCT complex multiply-adds per batch entry, the size of one
@@ -75,21 +73,21 @@ def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
     Returns the final estimates (...,K,S), per-AP clipped-component counts
     (...,L), and at collect_ap the realized quantization noise f - z (zero
     for a lossless chain) and the pre-dither quantizer input, each
-    (...,r,S), in input units; both are None when collect_ap is None. A
-    sweep call (collect_ap None) of mode 0, 2 or 3 refines once, after the
-    loop, through `chain_combiner`.
+    (...,r,S), in input units; both are None when collect_ap is None.
+    Mode 1 refines the running estimate at every AP; modes 0, 2 and 3
+    refine once, after the loop, through `chain_combiner`.
     """
     L, _, K = H.shape[-3:]
     batch = AH.shape[:-3]
     r = AH.shape[-2]
     S = Y.shape[-1]
-    fold = collect_ap is None and mode != 1
+    fold = mode != 1
     AHq, Vq = AH, V  # in step units when quantizing
     if do_quant:
         inv, levels = step_units(gamma, delta)
         if mode != 3:
             AHq = AH * inv[..., None]
-        if mode == 1:
+        if not fold:
             Vq = V * delta[..., None, :]
     if fold:
         F = np.empty(batch + (L, r, S), dtype=complex)
@@ -98,45 +96,29 @@ def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
     clips = np.zeros(batch + (L,), dtype=np.int64)
     eta = pre = None
     for l in range(L):
-        AH_l = AHq[..., l, :, :]
         Y_l = Y[..., l, :, :]
         if fold:
-            x = F[..., l, :, :]
+            x, resid = F[..., l, :, :], Y_l  # nothing is predicted
             if mode != 3:
-                np.matmul(AH_l, Y_l, out=x)
+                np.matmul(AHq[..., l, :, :], Y_l, out=x)
             elif do_quant:
                 np.multiply(Y_l, inv[..., l, :, None], out=x)
             else:
                 x[...] = Y_l
         else:
-            pred = H[..., l, :, :] @ s_hat
-            if mode <= 1:
-                resid = Y_l - pred
-                x = AH_l @ resid
-            elif mode == 2:
-                x = AH_l @ Y_l
-            else:
-                x = Y_l * inv[..., l, :, None] if do_quant else Y_l
-            if l == collect_ap:
-                pre = (Y_l.copy() if mode == 3 else
-                       AH[..., l, :, :] @ (Y_l if mode == 2 else resid))
+            resid = Y_l - H[..., l, :, :] @ s_hat
+            x = AHq[..., l, :, :] @ resid
+        if l == collect_ap:
+            pre = Y_l.copy() if mode == 3 else AH[..., l, :, :] @ resid
         if do_quant:
             x += D[..., l, :, :]
             clips[..., l] = quantize_in_steps(x, levels[..., l])
-        if fold:
-            continue
-        f = x
-        if do_quant and (mode >= 2 or l == collect_ap):
-            f = delta[..., l, :, None] * x  # back in input units
         if l == collect_ap:
-            eta = (f - (pre + delta[..., l, :, None] * D[..., l, :, :])
+            eta = (delta[..., l, :, None] * x
+                   - (pre + delta[..., l, :, None] * D[..., l, :, :])
                    if do_quant else np.zeros_like(pre))
-        if mode <= 1:
+        if not fold:
             s_hat += Vq[..., l, :, :] @ x
-        else:
-            # the prediction leaves in input units, as in the combiner
-            predp = AH[..., l, :, :] @ pred if mode == 2 else pred
-            s_hat += V[..., l, :, :] @ (f - predp)
     if fold:
         Bc = chain_combiner(H, AH, V)
         if do_quant:

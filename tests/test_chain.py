@@ -413,7 +413,8 @@ class TestRunChain:
             D = unit_dither(plan, n, seed=9)
             sh_a, eta, pre, clips_a = apply_chain_collect(plan, Y, D, 2)
             sh_b, clips_b = run_chain(H, plan, Y, D)
-            assert np.max(np.abs(sh_a - sh_b)) < 1e-12
+            assert np.array_equal(sh_a, sh_b)
+            assert np.array_equal(clips_a, clips_b)
             assert eta.shape == (plan.r, n)
             half = np.broadcast_to(plan.delta[2][:, None] / 2, eta.shape)
             z = pre + plan.delta[2][:, None] * D[2]

@@ -90,8 +90,9 @@ class TestUnitDitherContract:
 
 
 class TestFoldedChain:
-    """A sweep call of mode 0, 2 or 3 refines once, through the chain's
-    combiner; option1 and collect calls run the running-estimate loop."""
+    """Modes 0, 2 and 3 refine once, through the chain's combiner, and
+    option1 runs the running-estimate loop, on sweep and collect calls
+    alike."""
 
     @staticmethod
     def _plan_and_samples(opt, sweep, p_db, S=256):
@@ -111,27 +112,58 @@ class TestFoldedChain:
             plan = build_chain_plan(cfg, H, option=opt)
         return H, plan, Y, unit_dither(plan, S) if opt.quantized else None
 
+    @staticmethod
+    def _running_lmmse(plan, Y, D):
+        """(s, clips): the LMMSE update s <- s + V_l (f_l - A_l^H H_l s)
+        run AP by AP over the forwarded observations
+        f_l = pre_l + delta_l D_l + eta_l (pre_l when lossless) that a
+        collect call at each AP reports, and the clip counts of those
+        calls, which must agree."""
+        args = (plan.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D,
+                plan.mode, plan.option.quantized)
+        batch = np.broadcast_shapes(plan.AH.shape[:-3], Y.shape[:-3])
+        s = np.zeros(batch + plan.V.shape[-2:-1] + Y.shape[-1:],
+                     dtype=complex)
+        counts = []
+        for l in range(plan.H.shape[-3]):
+            _, clips, eta, pre = kernels.evaluate_chain(*args, collect_ap=l)
+            f = pre
+            if plan.option.quantized:
+                f = pre + plan.delta[..., l, :, None] * D[..., l, :, :] + eta
+            G_l = plan.AH[..., l, :, :] @ plan.H[..., l, :, :]
+            s = s + plan.V[..., l, :, :] @ (f - G_l @ s)
+            counts.append(clips)
+        assert all(np.array_equal(c, counts[0]) for c in counts)
+        return s, counts[0]
+
     @pytest.mark.parametrize("p_db", [-10.0, 40.0, 80.0])
     @pytest.mark.parametrize("sweep", ["single", "bits", "power", "widths"])
     @pytest.mark.parametrize("opt", OPTIONS[1:])
     def test_fold_matches_the_running_estimate(self, opt, sweep, p_db):
         H, plan, Y, D = self._plan_and_samples(opt, sweep, p_db)
-        args = (H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D,
-                plan.mode, opt.quantized)
-        folded, clips, _, _ = kernels.evaluate_chain(*args)
-        running, clips_r, _, _ = kernels.evaluate_chain(*args, collect_ap=0)
+        folded, clips = run_chain(H, plan, Y, D)
+        running, clips_r = self._running_lmmse(plan, Y, D)
         assert folded.shape == running.shape
         assert (np.max(np.abs(folded - running))
                 <= 1e-12 * np.max(np.abs(running)))
         assert np.array_equal(clips, clips_r)
 
     @pytest.mark.parametrize("sweep", ["single", "bits", "power", "widths"])
-    def test_option1_keeps_the_running_estimate(self, sweep):
-        H, plan, Y, D = self._plan_and_samples(Option.OPTION1, sweep, -10.0)
+    @pytest.mark.parametrize("opt", OPTIONS)
+    def test_collect_call_equals_the_sweep_call(self, opt, sweep):
+        H, plan, Y, D = self._plan_and_samples(opt, sweep, -10.0)
         sh, clips = run_chain(H, plan, Y, D)
         sh_c, _, _, clips_c = apply_chain_collect(plan, Y, D, collect_ap=0)
         assert np.array_equal(sh, sh_c)
         assert np.array_equal(clips, clips_c)
+
+    def test_lossless_collect_reports_the_forwarded_projection(self):
+        # under the fold, AP l forwards A_l^H y_l, with no quantization noise
+        _, plan, Y, _ = self._plan_and_samples(Option.NOQUANT, "single", 40.0)
+        for l in range(plan.H.shape[-3]):
+            _, eta, pre, _ = apply_chain_collect(plan, Y, None, l)
+            assert not eta.any()
+            assert np.array_equal(pre, plan.AH[l] @ Y[l])
 
 
 class TestStepUnits:

@@ -226,8 +226,7 @@ class TestDeadStreams:
             # eta = f - z with z = pre + 0 * dither: f is zero
             assert np.array_equal(eta[dead], -pre[dead])
             assert np.array_equal(clips_c, clips)
-            assert (np.max(np.abs(sh_c - sh))
-                    <= 1e-12 * np.max(np.abs(sh)))
+            assert np.array_equal(sh_c, sh)
 
 
 def _sup_distance(x, delta):
