@@ -12,16 +12,14 @@ call stacks it over many blocks' channels and a whole sweep axis, and
 `ChainPlan.block` hands each block its own slice. The quantizers enter
 only through their step sizes, whose noise model is
 `quantizer.noise_covariance`.
-The per-sample work is one loop over the APs, `kernels.evaluate_chain`:
-`kernels.apply_chain` runs it for the sweeps and `apply_chain_collect`
-runs it keeping one AP's quantizer internals for the noise statistics.
-The option chooses how the loop refines, not the kind of call. Option2,
-option3 and the lossless chain only quantize in that loop: their
-quantizer inputs do not read the running estimate, so the chain is
-linear in what the APs forward and one combiner
-(`kernels.chain_combiner`, built from H, A^H and V) refines once after
-it. Option1 quantizes the de-correlated residual, which reads the
-estimate, so it carries the estimate through every AP.
+The per-sample work is one evaluation for every option,
+`kernels.evaluate_chain`: every AP's projection goes into one stack F,
+a loop quantizes it AP by AP (faster than one pass over all of F), and
+the estimate is Bc F. Bc is `kernels.chain_combiner` for the options that
+quantize a view of the raw samples; option1 quantizes the de-correlated
+residual, so Bc stacks its V_l and the loop subtracts each AP's
+prediction, a prefix of Bc F. `kernels.apply_chain` forms the estimate
+for the sweeps; `apply_chain_collect` reads one AP's noise off F.
 `centralized_mmse_oracle` is the batch estimator every option's chain
 is tested against.
 """
@@ -218,18 +216,27 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
 
 def apply_chain_collect(plan: ChainPlan, Y: np.ndarray, D: np.ndarray,
                         collect_ap: int):
-    """Evaluate the plan's chain on the unit dither D (L,r,S) and keep
-    one AP's quantizer internals.
-
-    Returns (s_hat (K,S), eta (r,S), pre (r,S), clips (L,)) where eta is
-    the realized quantization noise at collect_ap and pre the pre-dither
-    quantizer input there. Used by the noise-statistics experiments.
+    """One AP's quantizer internals, for the noise statistics: the plan's
+    chain on the unit dither D (L,r,S), returning (None, eta (r,S),
+    pre (r,S), clips (L,)), the realized quantization noise at collect_ap
+    (zero when lossless) and the pre-dither input there, in input units,
+    and the clip counts. No estimate is formed; slot 0 keeps the tuple's
+    order, since perfbench reads the clips from slot 3.
     """
     # not kernels.apply_chain: traced kernel clips must equal Cell.clipped
-    s_hat, clips, eta, pre = kernels.evaluate_chain(
+    Bc, F, clips = kernels.evaluate_chain(
         plan.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D, plan.mode,
-        plan.option.quantized, collect_ap)
-    return s_hat, eta, pre, clips
+        plan.option.quantized)
+    l, r = collect_ap, plan.r
+    y = Y[..., l, :, :]
+    if plan.mode == 1 and l:  # the residual against the estimate so far
+        y = y - plan.H[..., l, :, :] @ kernels.chain_product(
+            Bc[..., :l * r], F[..., :l * r, :])
+    pre = plan.AH[..., l, :, :] @ y
+    d = plan.delta[..., l, :, None]
+    eta = (d * F[..., l * r:(l + 1) * r, :] - (pre + d * D[..., l, :, :])
+           if plan.option.quantized else np.zeros_like(pre))
+    return None, eta, pre, clips
 
 
 def centralized_mmse_oracle(G: np.ndarray, z: np.ndarray, p: float,

@@ -2,8 +2,7 @@
 
 The chain kernel batches over the sample axis and, optionally, over a
 leading sweep axis (bit widths or transmit powers), so a whole sweep of
-one option runs in one call. Each AP quantizes in units of its own
-steps, by `quantizer.quantize_in_steps`.
+one option runs in one call.
 """
 
 from __future__ import annotations
@@ -31,105 +30,95 @@ def active_backend() -> str:
 # pass one block's slice of a plan stacked over blocks (`ChainPlan.block`),
 # whose batch is the sweep axis.
 #
-# The mode chooses the evaluation, whatever the call. Modes 0, 2 and 3
-# fold the chain into one combiner. Their quantizer input, A_l^H y_l (y_l
-# for mode 3), does not read the running estimate s, and each AP's update
-# s <- (I - V_l A_l^H H_l) s + V_l f_l is linear in s, so the chain's
-# output is s = sum_l B_l f_l with B_l = prod_{j>l} (I - V_j A_j^H H_j) V_l:
-# the loop only quantizes, into the stacked f, and one (K, L*r) combiner,
-# built backward over the APs once per call, takes it. Mode 1 quantizes
-# A_l^H (y_l - H_l s), which reads s, so it keeps the running estimate.
-# A collect call runs the same evaluation as a sweep call and reads one
-# AP's internals on the way, so the two agree bit for bit.
+# Every mode runs one evaluation: one product projects every AP's y_l
+# into the stack F (...,L*r,S), as A_l^H y_l (y_l for mode 3), one loop
+# over the APs adds the dither and quantizes each AP's slice, and the estimate
+# is one product s = Bc F, with Bc (...,K,L*r) holding each AP's weight.
+# Modes 0, 2 and 3 quantize views of the raw y_l, so the chain is linear
+# in F and Bc is `chain_combiner`. Mode 1 quantizes A_l^H (y_l - H_l s):
+# with Bc = [V_0 ... V_{L-1}] its estimate after AP l-1 is
+# Bc[:, :l*r] F[:l*r], so its loop first subtracts the prediction
+# W[l*r:(l+1)*r, :l*r] F[:l*r], W = (A^H H) Bc built once per call. The
+# loop stays per AP: one pass over all of F (1.76 MB at the fig5 shapes,
+# 352 kB per AP) quantized slower. A collect call reads its AP's noise
+# and input off F (`chain.apply_chain_collect`), forms no estimate, and
+# keeps slot 0 of its tuple, None, for callers that read the clips from
+# slot 3.
 #
 # The quantizers run in step units. Once per call the rows of A^H are
-# scaled by 1/delta (modes 1 and 2; mode 3 scales y_l as it reads it), so
-# each AP forms x = (its quantizer input)/delta, adds the unit dither as
-# drawn, and `quantize_in_steps` floors and clamps x against one 2^(b-1)
-# per (batch entry, AP); no per-sample operand is a per-stream gamma or
-# delta. The steps come back in the combining: mode 1 scales the columns
-# of V by delta, and the folded combiner's columns are scaled by delta
-# after `chain_combiner` builds it from the unscaled V, whose P update
-# needs V. A dead stream (delta = 0, 1/delta := 0) forwards zero. A
-# collect call reports in input units: pre from the unscaled A^H, and
-# eta = delta q - (pre + delta D).
+# scaled by 1/delta (mode 3 scales y_l as it projects), so each AP forms
+# x = (its quantizer input)/delta, adds the unit dither as drawn, and
+# `quantize_in_steps` floors and clamps x against one 2^(b-1) per (batch
+# entry, AP). The steps come back in Bc's columns, scaled by delta (for
+# modes 0, 2 and 3 after `chain_combiner` builds Bc from the unscaled V,
+# whose P update needs V). A dead stream (delta = 0, 1/delta := 0)
+# forwards zero.
 #
-# The combiner's product is split over sample slices of at most
-# _MACS_PER_PRODUCT complex multiply-adds per batch entry, the size of one
-# AP's V_l f at the fig5 shapes (K, r, S) = (10, 4, 500). One unsliced
-# K x L*r x S product crosses OpenBLAS's threading threshold: with BLAS
-# threads unpinned in a 2-worker pool on 2 vCPUs it stalled acceptance
-# criterion 5 from about 20 s to 82-98 s, and the sliced product runs it
-# in 17-21 s.
+# Products over the sample axis (`chain_product`) run over sample slices
+# of at most _MACS_PER_PRODUCT complex multiply-adds per batch entry, one
+# AP's V_l f at the fig5 shapes (K, r, S) = (10, 4, 500): one unsliced
+# K x L*r x S product crosses OpenBLAS's threading threshold, and with
+# BLAS threads unpinned in a 2-worker pool on 2 vCPUs it stalled
+# acceptance criterion 5 from about 20 s to 82-98 s.
 # ---------------------------------------------------------------------------
 
 _MACS_PER_PRODUCT = 20_000
 
 
-def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant,
-                   collect_ap=None):
-    """The one loop over APs: de-correlate, quantize, refine.
+def evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant):
+    """The one evaluation of every mode: project every AP, then, AP by
+    AP (one pass over all of F runs out of cache), subtract mode 1's
+    prediction and quantize.
 
-    Returns the final estimates (...,K,S), per-AP clipped-component counts
-    (...,L), and at collect_ap the realized quantization noise f - z (zero
-    for a lossless chain) and the pre-dither quantizer input, each
-    (...,r,S), in input units; both are None when collect_ap is None.
-    Mode 1 refines the running estimate at every AP; modes 0, 2 and 3
-    refine once, after the loop, through `chain_combiner`.
+    Returns (Bc (...,K,L*r), F (...,L*r,S), clips (...,L)): the estimate
+    is Bc F (`chain_product`), F what the APs forward (in step units when
+    quantizing) and clips each AP's clipped real components. A collect
+    call reads F alone, so slot 0 of its tuple is None.
     """
     L, _, K = H.shape[-3:]
-    batch = AH.shape[:-3]
-    r = AH.shape[-2]
-    S = Y.shape[-1]
-    fold = mode != 1
-    AHq, Vq = AH, V  # in step units when quantizing
+    batch, r, S = AH.shape[:-3], AH.shape[-2], Y.shape[-1]
+    AHq = AH  # in step units when quantizing
     if do_quant:
         inv, levels = step_units(gamma, delta)
         if mode != 3:
             AHq = AH * inv[..., None]
-        if not fold:
-            Vq = V * delta[..., None, :]
-    if fold:
-        F = np.empty(batch + (L, r, S), dtype=complex)
+    F = np.empty(batch + (L, r, S), dtype=complex)
+    if mode != 3:
+        np.matmul(AHq, Y, out=F)
     else:
-        s_hat = np.zeros(batch + (K, S), dtype=complex)
-    clips = np.zeros(batch + (L,), dtype=np.int64)
-    eta = pre = None
-    for l in range(L):
-        Y_l = Y[..., l, :, :]
-        if fold:
-            x, resid = F[..., l, :, :], Y_l  # nothing is predicted
-            if mode != 3:
-                np.matmul(AHq[..., l, :, :], Y_l, out=x)
-            elif do_quant:
-                np.multiply(Y_l, inv[..., l, :, None], out=x)
-            else:
-                x[...] = Y_l
-        else:
-            resid = Y_l - H[..., l, :, :] @ s_hat
-            x = AHq[..., l, :, :] @ resid
-        if l == collect_ap:
-            pre = Y_l.copy() if mode == 3 else AH[..., l, :, :] @ resid
-        if do_quant:
-            x += D[..., l, :, :]
-            clips[..., l] = quantize_in_steps(x, levels[..., l])
-        if l == collect_ap:
-            eta = (delta[..., l, :, None] * x
-                   - (pre + delta[..., l, :, None] * D[..., l, :, :])
-                   if do_quant else np.zeros_like(pre))
-        if not fold:
-            s_hat += Vq[..., l, :, :] @ x
-    if fold:
+        np.multiply(Y, inv[..., None] if do_quant else 1.0, out=F)
+    F = F.reshape(batch + (L * r, S))
+    if mode == 1:
+        Vq = V * delta[..., None, :] if do_quant else V
+        Bc = np.moveaxis(Vq, -3, -2).reshape(batch + (K, L * r))
+        W = (AHq @ H).reshape(batch + (L * r, K)) @ Bc
+    else:
         Bc = chain_combiner(H, AH, V)
         if do_quant:
             Bc *= delta[..., None, :, :]
         Bc = Bc.reshape(batch + (K, L * r))
-        F = F.reshape(batch + (L * r, S))
-        s_hat = np.empty(batch + (K, S), dtype=complex)
-        n = max(1, _MACS_PER_PRODUCT // (K * L * r))
-        for a in range(0, S, n):
-            np.matmul(Bc, F[..., a:a + n], out=s_hat[..., a:a + n])
-    return s_hat, clips, eta, pre
+    clips = np.zeros(batch + (L,), dtype=np.int64)
+    for l in range(L):
+        x = F[..., l * r:(l + 1) * r, :]
+        if mode == 1 and l:
+            x -= chain_product(W[..., l * r:(l + 1) * r, :l * r],
+                               F[..., :l * r, :])
+        if do_quant:  # a contiguous copy quantizes faster than strided x
+            q = x + D[..., l, :, :]
+            clips[..., l] = quantize_in_steps(q, levels[..., l])
+            x[...] = q
+    return Bc, F, clips
+
+
+def chain_product(B, F):
+    """B (...,M,n) @ F (...,n,S), in B's batch shape, over sample slices
+    of at most _MACS_PER_PRODUCT complex multiply-adds per batch entry."""
+    M, n = B.shape[-2:]
+    out = np.empty(B.shape[:-1] + F.shape[-1:], dtype=complex)
+    step = max(1, _MACS_PER_PRODUCT // (M * n))
+    for a in range(0, F.shape[-1], step):
+        np.matmul(B, F[..., a:a + step], out=out[..., a:a + step])
+    return out
 
 
 def chain_combiner(H, AH, V):
@@ -151,4 +140,6 @@ def chain_combiner(H, AH, V):
 
 def apply_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant):
     """Final estimates (...,K,S) and per-AP clip counts (...,L)."""
-    return evaluate_chain(H, AH, V, gamma, delta, Y, D, mode, do_quant)[:2]
+    Bc, F, clips = evaluate_chain(H, AH, V, gamma, delta, Y, D, mode,
+                                  do_quant)
+    return chain_product(Bc, F), clips

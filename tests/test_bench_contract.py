@@ -92,9 +92,12 @@ def test_collect_call_unpacks_as_the_tracer_expects():
     counters = Counter()
     tracer._collect_counts(counters, (plan, Y, D, 2), out)
     s_hat, eta, pre, clips = out
-    assert s_hat.shape == (plan.V.shape[1], Y.shape[2])
+    assert s_hat is None  # the estimate comes from apply_chain
     assert eta.shape == pre.shape == (plan.r, Y.shape[2])
     assert counters["collect_clipped"] == int(clips.sum())
+    assert np.array_equal(clips, kernels.apply_chain(
+        plan.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D, plan.mode,
+        True)[1])
 
 
 def test_active_backend_resolves():

@@ -9,7 +9,7 @@ import pytest
 
 from cfchain.cli import main
 from cfchain.config import ConfigError, ExperimentPlan, NetworkConfig
-from cfchain.harness import run_experiment
+from cfchain.harness import run_experiment, trial_channels
 from cfchain.presets import preset
 from cfchain.runio import _write_csv, build_config, parse_config
 from cfchain.selftest import (Check, check_noise_statistics,
@@ -558,5 +558,10 @@ class TestSelftestBounds:
         assert not check_noise_statistics(fig2_report).ok
 
     def test_oracle_bound(self, monkeypatch):
+        # two instances suffice to fail a zero bound; criterion 1 runs
+        # and times the full check
+        real = trial_channels
+        monkeypatch.setattr("cfchain.selftest.trial_channels",
+                            lambda cfg, ms, pairs: real(cfg, ms, pairs[:2]))
         monkeypatch.setattr("cfchain.selftest.ORACLE_BOUND", 0.0)
         assert not check_oracle_equivalence().ok

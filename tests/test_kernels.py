@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from cfchain import kernels
 from cfchain.chain import apply_chain_collect, build_chain_plan
 from cfchain.config import Option
 from cfchain.harness import trial_noise
 from cfchain.presets import preset
-from cfchain.quantizer import step_units
+from cfchain.quantizer import quantize_in_steps, step_units
 from scenario import received, run_chain, scenario, unit_dither
 
 OPTIONS = [Option.OPTION1, Option.OPTION2, Option.OPTION3, Option.NOQUANT]
@@ -90,9 +89,10 @@ class TestUnitDitherContract:
 
 
 class TestFoldedChain:
-    """Modes 0, 2 and 3 refine once, through the chain's combiner, and
-    option1 runs the running-estimate loop, on sweep and collect calls
-    alike."""
+    """Every mode is one evaluation, s = Bc F: modes 0, 2 and 3 through
+    the chain's combiner, option1 through its stacked V_l with each AP's
+    prediction subtracted in the loop. Each is checked against a running
+    LMMSE chain written here."""
 
     @staticmethod
     def _plan_and_samples(opt, sweep, p_db, S=256):
@@ -119,14 +119,12 @@ class TestFoldedChain:
         f_l = pre_l + delta_l D_l + eta_l (pre_l when lossless) that a
         collect call at each AP reports, and the clip counts of those
         calls, which must agree."""
-        args = (plan.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D,
-                plan.mode, plan.option.quantized)
         batch = np.broadcast_shapes(plan.AH.shape[:-3], Y.shape[:-3])
         s = np.zeros(batch + plan.V.shape[-2:-1] + Y.shape[-1:],
                      dtype=complex)
         counts = []
         for l in range(plan.H.shape[-3]):
-            _, clips, eta, pre = kernels.evaluate_chain(*args, collect_ap=l)
+            _, eta, pre, clips = apply_chain_collect(plan, Y, D, l)
             f = pre
             if plan.option.quantized:
                 f = pre + plan.delta[..., l, :, None] * D[..., l, :, :] + eta
@@ -148,13 +146,47 @@ class TestFoldedChain:
                 <= 1e-12 * np.max(np.abs(running)))
         assert np.array_equal(clips, clips_r)
 
+    @staticmethod
+    def _option1_chain(plan, Y, D):
+        """(s, clips, pres): option1's chain written AP by AP, quantizing
+        x = A_l^H (y_l - H_l s) / delta + D_l and refining
+        s <- s + delta V_l q, with each AP's input A_l^H (y_l - H_l s)."""
+        inv, levels = step_units(plan.gamma, plan.delta)
+        batch = np.broadcast_shapes(plan.AH.shape[:-3], Y.shape[:-3])
+        s = np.zeros(batch + plan.V.shape[-2:-1] + Y.shape[-1:],
+                     dtype=complex)
+        clips, pres = [], []
+        for l in range(plan.H.shape[-3]):
+            pre = plan.AH[..., l, :, :] @ (Y[..., l, :, :]
+                                           - plan.H[..., l, :, :] @ s)
+            x = pre * inv[..., l, :, None] + D[..., l, :, :]
+            clips.append(quantize_in_steps(x, levels[..., l]))
+            s = s + (plan.V[..., l, :, :]
+                     * plan.delta[..., l, None, :]) @ x
+            pres.append(pre)
+        return s, np.stack(clips, axis=-1), pres
+
+    @pytest.mark.parametrize("p_db", [-10.0, 40.0, 80.0])
+    @pytest.mark.parametrize("sweep", ["single", "bits", "power", "widths"])
+    def test_option1_matches_its_running_chain(self, sweep, p_db):
+        H, plan, Y, D = self._plan_and_samples(Option.OPTION1, sweep, p_db)
+        sh, clips = run_chain(H, plan, Y, D)
+        s, clips_r, pres = self._option1_chain(plan, Y, D)
+        assert sh.shape == s.shape
+        assert np.max(np.abs(sh - s)) <= 1e-12 * np.max(np.abs(s))
+        assert np.array_equal(clips, clips_r)
+        for l, pre in enumerate(pres):
+            _, _, pre_c, _ = apply_chain_collect(plan, Y, D, l)
+            assert (np.max(np.abs(pre_c - pre))
+                    <= 1e-12 * np.max(np.abs(pre)))
+
     @pytest.mark.parametrize("sweep", ["single", "bits", "power", "widths"])
     @pytest.mark.parametrize("opt", OPTIONS)
     def test_collect_call_equals_the_sweep_call(self, opt, sweep):
         H, plan, Y, D = self._plan_and_samples(opt, sweep, -10.0)
-        sh, clips = run_chain(H, plan, Y, D)
+        _, clips = run_chain(H, plan, Y, D)
         sh_c, _, _, clips_c = apply_chain_collect(plan, Y, D, collect_ap=0)
-        assert np.array_equal(sh, sh_c)
+        assert sh_c is None  # a collect call forms no estimate
         assert np.array_equal(clips, clips_c)
 
     def test_lossless_collect_reports_the_forwarded_projection(self):
