@@ -10,16 +10,9 @@ with the trace of the error covariance after each AP and the final error
 covariance. The recursion's matrices are small (N x N and K x K), so one
 call stacks it over many blocks' channels and a whole sweep axis, and
 `ChainPlan.block` hands each block its own slice. The quantizers enter
-only through their step sizes, whose noise model is
-`quantizer.noise_covariance`.
-The per-sample work is one evaluation for every option,
-`kernels.evaluate_chain`: every AP's projection goes into one stack F,
-a loop quantizes it AP by AP (faster than one pass over all of F), and
-the estimate is Bc F. Bc is `kernels.chain_combiner` for the options that
-quantize a view of the raw samples; option1 quantizes the de-correlated
-residual, so Bc stacks its V_l and the loop subtracts each AP's
-prediction, a prefix of Bc F. `kernels.apply_chain` forms the estimate
-for the sweeps; `apply_chain_collect` reads one AP's noise off F.
+the recursion only through their step sizes, whose noise model is
+`quantizer.noise_covariance`; a plan keeps each AP's bit width and its
+streams' steps for the per-sample work, which is `kernels.py`'s.
 `centralized_mmse_oracle` is the batch estimator every option's chain
 is tested against.
 """
@@ -30,7 +23,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import kernels
 from .config import NetworkConfig, Option
 from .quantizer import calibrate_dynamic_range, noise_covariance
 
@@ -128,7 +120,7 @@ class ChainPlan:
     H: np.ndarray        # (..., L, N, K) the channels, a broadcast view
     AH: np.ndarray       # (..., L, r, N) projection rows A^H
     V: np.ndarray        # (..., L, K, r) combining matrices
-    gamma: np.ndarray    # (..., L, r) dynamic ranges (zeros for NOQUANT)
+    bits: np.ndarray     # (..., L) int64 bit widths (zeros for NOQUANT)
     delta: np.ndarray    # (..., L, r) step sizes (zeros for NOQUANT)
     traces: np.ndarray   # (..., L+1) trace of C before/after each AP
     C: np.ndarray        # (..., K, K) final error covariance
@@ -169,12 +161,12 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
     residual covariance and option2's R_y are formed and factored once
     per (block, p), not once per bit width, and broadcast where they are
     written into the batch's arrays. A lossless chain ignores the bits:
-    its plan keeps a unit axis where bits has a batch axis, one plan that
-    serves every bit width.
+    its plan keeps a unit axis where bits has a batch axis, and zero
+    bits, one plan that serves every bit width.
     """
     bits = np.asarray(cfg.b_l if bits is None else bits, dtype=np.int64)
-    if not option.quantized:
-        bits = bits[(slice(0, 1),) * (bits.ndim - 1)]
+    if not option.quantized:  # no quantizer, one plan for every width
+        bits = np.zeros_like(bits[(slice(0, 1),) * (bits.ndim - 1)])
     p = np.asarray(cfg.p if p is None else p, dtype=float)
     L, N, K = H.shape[-3:]
     batch = np.broadcast_shapes(H.shape[:-3], bits.shape[:-1], p.shape)
@@ -184,7 +176,6 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
     C = p[..., None, None] * np.eye(K, dtype=complex)
     AH = np.empty(batch + (L, r, N), dtype=complex)
     V = np.empty(batch + (L, K, r), dtype=complex)
-    gamma = np.zeros(batch + (L, r))
     delta = np.zeros(batch + (L, r))
     traces = np.empty(batch + (L + 1,))
     traces[..., 0] = np.trace(C, axis1=-2, axis2=-1).real
@@ -203,40 +194,15 @@ def build_chain_plan(cfg: NetworkConfig, H: np.ndarray,
                 A = np.eye(N, dtype=complex)
                 input_var = np.diagonal(R_y, axis1=-2, axis2=-1).real
         if option.quantized:
-            gamma[..., l, :], delta[..., l, :] = calibrate_dynamic_range(
-                input_var, cfg.alpha, bits[..., l])
+            delta[..., l, :] = calibrate_dynamic_range(
+                input_var, cfg.alpha, bits[..., l])[1]
         R_f = observation_covariance(A, R_G, delta[..., l, :])
         V[..., l, :, :], C = _combiner_and_covariance(C, H_l, A, R_f)
         AH[..., l, :, :] = _ct(A)
         traces[..., l + 1] = np.trace(C, axis1=-2, axis2=-1).real
 
     return ChainPlan(option=option, H=np.broadcast_to(H, batch + (L, N, K)),
-                     AH=AH, V=V, gamma=gamma, delta=delta, traces=traces, C=C)
-
-
-def apply_chain_collect(plan: ChainPlan, Y: np.ndarray, D: np.ndarray,
-                        collect_ap: int):
-    """One AP's quantizer internals, for the noise statistics: the plan's
-    chain on the unit dither D (L,r,S), returning (None, eta (r,S),
-    pre (r,S), clips (L,)), the realized quantization noise at collect_ap
-    (zero when lossless) and the pre-dither input there, in input units,
-    and the clip counts. No estimate is formed; slot 0 keeps the tuple's
-    order, since perfbench reads the clips from slot 3.
-    """
-    # not kernels.apply_chain: traced kernel clips must equal Cell.clipped
-    Bc, F, clips = kernels.evaluate_chain(
-        plan.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D, plan.mode,
-        plan.option.quantized)
-    l, r = collect_ap, plan.r
-    y = Y[..., l, :, :]
-    if plan.mode == 1 and l:  # the residual against the estimate so far
-        y = y - plan.H[..., l, :, :] @ kernels.chain_product(
-            Bc[..., :l * r], F[..., :l * r, :])
-    pre = plan.AH[..., l, :, :] @ y
-    d = plan.delta[..., l, :, None]
-    eta = (d * F[..., l * r:(l + 1) * r, :] - (pre + d * D[..., l, :, :])
-           if plan.option.quantized else np.zeros_like(pre))
-    return None, eta, pre, clips
+                     AH=AH, V=V, bits=bits, delta=delta, traces=traces, C=C)
 
 
 def centralized_mmse_oracle(G: np.ndarray, z: np.ndarray, p: float,

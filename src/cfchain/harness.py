@@ -19,9 +19,10 @@ from functools import partial
 import numpy as np
 
 from . import kernels
-from .chain import ChainNumericsError, apply_chain_collect, build_chain_plan
+from .chain import ChainNumericsError, build_chain_plan
 from .config import NOISE_KINDS, ExperimentPlan, NetworkConfig, Option
 from .geometry import crandn, draw_channel, generate_placement
+from .kernels import apply_chain_collect
 from .metrics import (Cell, ber_sums, fronthaul_bitrate, multiplier_width,
                       nmse_sums)
 from .quantizer import StatReport, draw_dither, validate_noise_statistics
@@ -223,7 +224,7 @@ def _placement_worker(args):
                 D = (trial_dither(ms, p_idx, blk, opt, (L, cplan.r, S))
                      if opt.quantized else None)
                 sh, clips = kernels.apply_chain(
-                    H, cplan.AH, cplan.V, cplan.gamma, cplan.delta, Y, D,
+                    H, cplan.AH, cplan.V, cplan.bits, cplan.delta, Y, D,
                     cplan.mode, opt.quantized)
                 a, b = score(truth, sh)
                 a = np.broadcast_to(a, (len(axis), K))

@@ -11,9 +11,8 @@ the level is delta * (clamp(floor(x), -M, M - 1) + 1/2), and |x| > M is
 clipped. That is the gamma-domain rule delta * (floor((input + gamma) /
 delta) + 1/2) - gamma, clamped to +-(gamma - delta/2), without a
 per-stream gamma or delta in the per-sample work: the kernel folds 1/delta
-into the projections and delta into the combiners (`step_units`).
-gamma/delta is exactly 2^(b-1), since delta = 2*gamma/2^b only shifts
-gamma's binary exponent, so one M per AP serves all of its streams. A
+into the projections and delta into the combiners, and takes one M per
+AP from the plan's bit widths (`step_units`). A
 dither uniform over one step per real component is added before the
 quantizer and stays in the forwarded signal; it is drawn once per (block,
 option) at unit scale (`draw_dither`), the quantizer's own scale, and
@@ -27,7 +26,8 @@ alpha^2 < 3*4^b (`check_alpha_bits`). Dither and quantization noise are
 each uniform over one step per real component, delta^2/6 per complex
 stream, so the downstream estimator models them as diag(delta^2/3)
 (`noise_covariance`); `uniform_cdf` states the uniform law, which
-`validate_noise_statistics` checks against realized noise.
+`validate_noise_statistics` checks against realized noise
+(`kernels.apply_chain_collect`).
 """
 
 from __future__ import annotations
@@ -101,19 +101,17 @@ def calibrate_dynamic_range(input_var, alpha: float,
     return gamma, delta
 
 
-def step_units(gamma: np.ndarray,
+def step_units(bits: np.ndarray,
                delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(1/delta (..., L, r), levels (..., L)): what a chain's quantizers
-    need to run in units of their steps.
+    need to run in units of their steps, from the plan's bit widths
+    (..., L) and step sizes (..., L, r).
 
-    levels is gamma/delta = 2^(b-1), half of each AP's level count, read
-    once per AP as max gamma / max delta, since an AP's streams share b.
-    A dead stream (delta = 0) gets 1/delta := 0, and an AP whose streams
-    are all dead gets levels 1, which no unit dither reaches.
+    levels is 2^(b-1), half of each AP's level count, which its streams
+    share. A dead stream (delta = 0) gets 1/delta := 0 and forwards zero.
     """
     inv = np.divide(1.0, delta, out=np.zeros_like(delta), where=delta > 0)
-    g, d = gamma.max(axis=-1), delta.max(axis=-1)
-    return inv, np.divide(g, d, out=np.ones_like(d), where=d > 0)
+    return inv, np.ldexp(1.0, bits - 1)
 
 
 def quantize_in_steps(x: np.ndarray, levels: np.ndarray) -> np.ndarray:

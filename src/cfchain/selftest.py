@@ -20,8 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .chain import (apply_chain_collect, build_chain_plan,
-                    centralized_mmse_oracle)
+from .chain import build_chain_plan, centralized_mmse_oracle
 from .config import NetworkConfig, Option
 from .geometry import pathloss_db
 from .harness import (run_experiment, trial_channels, trial_dither,
@@ -60,10 +59,10 @@ def check_oracle_equivalence() -> Check:
         for option in Option:
             plan = build_chain_plan(cfg, H, option=option)
             D = trial_dither(1, i, 0, option, plan.delta.shape + (1,))
-            sh, _ = kernels.apply_chain(H, plan.AH, plan.V, plan.gamma,
+            sh, _ = kernels.apply_chain(H, plan.AH, plan.V, plan.bits,
                                         plan.delta, Y, D, plan.mode,
                                         option.quantized)
-            eta = np.stack([apply_chain_collect(plan, Y, D, l)[1]
+            eta = np.stack([kernels.apply_chain_collect(plan, Y, D, l)[1]
                             for l in range(cfg.L)])
             ref = centralized_mmse_oracle(
                 plan.AH @ H, plan.AH @ Y + plan.delta[..., None] * D + eta,

@@ -33,7 +33,7 @@ def unit_dither(plan, S, seed=0):
 def run_chain(H, plan, Y, D=None):
     """(s_hat, clips) of the plan on channels H, samples Y and unit dither
     D (None for a lossless plan), by the call the sweeps make."""
-    return kernels.apply_chain(H, plan.AH, plan.V, plan.gamma, plan.delta,
+    return kernels.apply_chain(H, plan.AH, plan.V, plan.bits, plan.delta,
                                Y, D, plan.mode, plan.option.quantized)
 
 

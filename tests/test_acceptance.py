@@ -235,7 +235,7 @@ def test_criterion_6_covariance_recursion(report):
     H, = trial_channels(cfg, 1, [(0, 0)])
     plan = build_chain_plan(cfg, H, option=Option.NOQUANT)
     s, Y = trial_samples(cfg, 1, 0, 0, H, 10_000)
-    sh, _ = kernels.apply_chain(H, plan.AH, plan.V, plan.gamma, plan.delta,
+    sh, _ = kernels.apply_chain(H, plan.AH, plan.V, plan.bits, plan.delta,
                                 Y, None, 0, False)
     emp = float(np.mean(np.sum(np.abs(s - sh) ** 2, axis=0)))
     mc_rel = abs(emp - plan.traces[-1]) / plan.traces[-1]

@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from cfchain import kernels, presets
-from cfchain.chain import ChainPlan, apply_chain_collect, build_chain_plan
+from cfchain.chain import ChainPlan, build_chain_plan
 from cfchain.config import Option
 from cfchain.harness import run_experiment
+from cfchain.kernels import apply_chain_collect
 from cfchain.presets import PRESETS, preset
 from cfchain.runio import RunManifest, emit_results
 from scenario import PERFBENCH, load_perfbench, received, scenario, \
@@ -75,7 +76,7 @@ def test_plan_option_defaults_to_option1():
 def test_kernel_call_unpacks_as_the_tracer_expects():
     tracer = load_perfbench("tracer")
     plan, Y, D = _block()
-    args = (plan.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D,
+    args = (plan.H, plan.AH, plan.V, plan.bits, plan.delta, Y, D,
             plan.mode, True)
     out = kernels.apply_chain(*args)
     counters = Counter()
@@ -96,7 +97,7 @@ def test_collect_call_unpacks_as_the_tracer_expects():
     assert eta.shape == pre.shape == (plan.r, Y.shape[2])
     assert counters["collect_clipped"] == int(clips.sum())
     assert np.array_equal(clips, kernels.apply_chain(
-        plan.H, plan.AH, plan.V, plan.gamma, plan.delta, Y, D, plan.mode,
+        plan.H, plan.AH, plan.V, plan.bits, plan.delta, Y, D, plan.mode,
         True)[1])
 
 

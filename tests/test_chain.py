@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from cfchain import kernels
-from cfchain.chain import (ChainNumericsError, ChainPlan,
-                           apply_chain_collect, build_chain_plan,
+from cfchain.chain import (ChainNumericsError, ChainPlan, build_chain_plan,
                            centralized_mmse_oracle, hermitize,
                            observation_covariance, pca_basis,
                            residual_covariance)
 from cfchain.config import NetworkConfig, Option
 from cfchain.geometry import crandn
 from cfchain.harness import trial_channels
+from cfchain.kernels import apply_chain_collect
 from cfchain.presets import preset
 from cfchain.quantizer import calibrate_dynamic_range
 from scenario import received, run_chain, scenario, unit_dither
@@ -188,8 +188,8 @@ class TestBatchedPlan:
 
     @staticmethod
     def _fields(plan):
-        return {"AH": plan.AH, "V": plan.V, "gamma": plan.gamma,
-                "C": plan.C}
+        return {"AH": plan.AH, "V": plan.V, "delta": plan.delta,
+                "bits": plan.bits, "C": plan.C}
 
     def _check(self, batched, singles):
         for name, stacked in self._fields(batched).items():
@@ -287,7 +287,8 @@ class TestBatchedPlan:
         plan = build_chain_plan(cfg, H)
         assert plan.AH.shape == (L, r, N)
         assert plan.V.shape == (L, K, r)
-        assert plan.gamma.shape == plan.delta.shape == (L, r)
+        assert plan.bits.shape == (L,)
+        assert plan.delta.shape == (L, r)
         assert plan.r == r
         assert plan.C.shape == (K, K)
         assert plan.traces.shape == (L + 1,)
@@ -419,7 +420,8 @@ class TestRunChain:
             assert eta.shape == (plan.r, n)
             half = np.broadcast_to(plan.delta[2][:, None] / 2, eta.shape)
             z = pre + plan.delta[2][:, None] * D[2]
-            unclipped = np.abs(z.real) <= plan.gamma[2][:, None]
+            top = plan.delta[2][:, None] * 2.0 ** (plan.bits[2] - 1)
+            unclipped = np.abs(z.real) <= top
             assert np.all(np.abs(eta.real)[unclipped]
                           <= half[unclipped] + 1e-15)
 
@@ -437,7 +439,7 @@ class TestRunChain:
         for n in range(1, cfg.L + 1):
             part = build_chain_plan(cfg, H[:n], option=opt,
                                     bits=cfg.b_l[:n])
-            for name in ("AH", "V", "gamma", "delta"):
+            for name in ("AH", "V", "bits", "delta"):
                 assert np.array_equal(getattr(part, name),
                                       getattr(full, name)[:n]), name
             assert np.array_equal(part.traces, full.traces[..., :n + 1])

@@ -184,8 +184,8 @@ class TestReceiveSignal:
         # the received samples, formed as the harness forms them, agree
         cfg, H = scenario(seed=2)
         _, Y = received(cfg, H, 50_000, seed=2)
-        gamma, _ = calibrate_dynamic_range(np.mean(np.abs(Y) ** 2, axis=-1),
+        _, delta = calibrate_dynamic_range(np.mean(np.abs(Y) ** 2, axis=-1),
                                            cfg.alpha, cfg.b_l)
         plan = build_chain_plan(cfg, H, option=Option.OPTION3)
-        assert np.allclose(gamma, plan.gamma, rtol=0.02)
+        assert np.allclose(delta, plan.delta, rtol=0.02)
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cfchain.chain import apply_chain_collect, build_chain_plan
+from cfchain.chain import build_chain_plan
 from cfchain.config import Option
 from cfchain.harness import trial_noise
+from cfchain.kernels import apply_chain_collect
 from cfchain.presets import preset
 from cfchain.quantizer import quantize_in_steps, step_units
 from scenario import received, run_chain, scenario, unit_dither
@@ -151,7 +152,7 @@ class TestFoldedChain:
         """(s, clips, pres): option1's chain written AP by AP, quantizing
         x = A_l^H (y_l - H_l s) / delta + D_l and refining
         s <- s + delta V_l q, with each AP's input A_l^H (y_l - H_l s)."""
-        inv, levels = step_units(plan.gamma, plan.delta)
+        inv, levels = step_units(plan.bits, plan.delta)
         batch = np.broadcast_shapes(plan.AH.shape[:-3], Y.shape[:-3])
         s = np.zeros(batch + plan.V.shape[-2:-1] + Y.shape[-1:],
                      dtype=complex)
@@ -200,14 +201,14 @@ class TestFoldedChain:
 
 class TestStepUnits:
     """The kernel quantizes in units of each stream's step, with one level
-    count per (batch entry, AP) read from the plan as gamma/delta."""
+    count per (batch entry, AP) from the plan's bits."""
 
     @pytest.mark.parametrize("rho", [0.0, 0.9])
     @pytest.mark.parametrize("sweep", ["single", "bits", "power", "widths"])
     @pytest.mark.parametrize("opt", OPTIONS[:3])
     def test_plan_levels_are_exact_powers_of_two(self, opt, sweep, rho):
-        # delta = 2 gamma / 2^b is exact in binary floating point, so
-        # gamma/delta is 2^(b-1) exactly, for every stream
+        # the plan keeps the bits each sweep passed, broadcast to its
+        # batch, and each AP's level count is exactly 2^(b-1)
         cfg, H = scenario(rho=rho)
         if sweep == "bits":
             bits = np.repeat(BITS[:, None], cfg.L, axis=1)
@@ -219,8 +220,7 @@ class TestStepUnits:
         else:
             bits = WIDTHS if sweep == "widths" else cfg.b_l
             plan = build_chain_plan(cfg, H, option=opt, bits=bits)
-        expected = np.broadcast_to(2.0 ** (np.asarray(bits) - 1)[..., None],
-                                   plan.gamma.shape)
-        assert np.array_equal(plan.gamma / plan.delta, expected)
-        _, levels = step_units(plan.gamma, plan.delta)
-        assert np.array_equal(levels, expected[..., 0])
+        expected = np.broadcast_to(2.0 ** (np.asarray(bits) - 1),
+                                   plan.bits.shape)
+        _, levels = step_units(plan.bits, plan.delta)
+        assert np.array_equal(levels, expected)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cfchain.chain import apply_chain_collect, build_chain_plan
+from cfchain.chain import build_chain_plan
 from cfchain.config import MAX_BITS, ConfigError, Option
 from cfchain.harness import Role, seed_stream
+from cfchain.kernels import apply_chain_collect
 from cfchain.quantizer import (InsufficientSamplesError,
                                calibrate_dynamic_range, draw_dither,
                                ks_uniform, quantize_in_steps, step_units,
@@ -13,11 +14,10 @@ from scenario import received, run_chain, scenario, unit_dither
 
 class TestCalibration:
     def test_zero_variance_degenerates(self):
-        bank = calibrate_dynamic_range([0.0], alpha=3.0, b=3)
-        gamma, delta = bank
+        gamma, delta = calibrate_dynamic_range([0.0], alpha=3.0, b=3)
         assert gamma[0] == 0.0
         assert delta[0] == 0.0
-        f, clipped = _quantize(bank, 0.3 + 0.1j)
+        f, clipped = _quantize((3, delta), 0.3 + 0.1j)
         assert f[0] == 0.0
         assert not clipped.any()
 
@@ -91,18 +91,18 @@ class TestDither:
 
 
 def _unit_bank(b):
-    """gamma = 1 exactly, for hand-checkable level geometry."""
-    gamma, delta = calibrate_dynamic_range([1.0], alpha=3.0, b=b)
-    gamma[:] = 1.0
+    """(b, delta) with gamma = 1 exactly, for hand-checkable level
+    geometry."""
+    _, delta = calibrate_dynamic_range([1.0], alpha=3.0, b=b)
     delta[:] = 2.0 / 2.0 ** b
-    return gamma, delta
+    return b, delta
 
 
 def _quantize(bank, z):
-    """The quantizers of bank = (gamma, delta) on one complex value, as
+    """The quantizers of bank = (b, delta) on one complex value, as
     the chain applies them, in step units: (f, clipped components)."""
-    gamma, delta = bank
-    inv, levels = step_units(gamma[None], delta[None])
+    b, delta = bank
+    inv, levels = step_units(np.array([b]), delta[None])
     x = np.array([[z * inv[0, 0]]])
     clipped = quantize_in_steps(x, levels[0])
     return delta * x[0], clipped
@@ -117,10 +117,10 @@ def _gamma_domain_midrise(u, gamma, delta):
             np.abs(u) > gamma)
 
 
-def _step_midrise(u, gamma, delta):
+def _step_midrise(u, b, delta):
     """The step-unit rule on real inputs u, one quantizer per value:
     (levels delta*q, clipped mask)."""
-    inv, levels = step_units(np.array([[gamma]]), np.array([[delta]]))
+    inv, levels = step_units(np.array([b]), np.array([[delta]]))
     x = (u * inv[0, 0]).astype(complex).reshape(-1, 1, 1)
     clipped = quantize_in_steps(x, np.full(u.size, levels[0]))
     return delta * x.real.ravel(), clipped.astype(bool)
@@ -164,12 +164,12 @@ class TestQuantize:
 
     def test_realized_noise_variance(self, rng):
         # unclipped samples: var(eta) -> delta^2/12 per real component
-        gamma, delta = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
+        _, delta = calibrate_dynamic_range([2.0], alpha=3.0, b=3)
         n = 100_000
         x = np.sqrt(2.0 / 2.0) * rng.standard_normal(n)  # var 1 per real
         d = rng.uniform(-0.5, 0.5, n) * delta[0]
         z = x + d
-        v, clipped = _step_midrise(z, gamma[0], delta[0])
+        v, clipped = _step_midrise(z, 3, delta[0])
         eta = (v - z)[~clipped]
         assert np.var(eta) == pytest.approx(delta[0] ** 2 / 12, rel=0.02)
 
@@ -197,7 +197,7 @@ class TestQuantize:
                                                alpha=3.0, b=b)
         g, d = gamma[0], delta[0]
         u = rng.uniform(-1.5 * g, 1.5 * g, 20_000)
-        new, clipped = _step_midrise(u, g, d)
+        new, clipped = _step_midrise(u, b, d)
         old, clipped_old = _gamma_domain_midrise(u, g, d)
         assert np.array_equal(clipped, clipped_old)
         assert clipped.any() and not clipped.all()
@@ -212,21 +212,25 @@ class TestDeadStreams:
     @pytest.mark.parametrize("opt", [Option.OPTION1, Option.OPTION2,
                                      Option.OPTION3])
     def test_dead_streams_forward_zero(self, opt):
-        cfg, H = scenario(seed=1, bits=3)
-        _, Y = received(cfg, H, 256, seed=1)
-        plan = build_chain_plan(cfg, H, option=opt)
-        plan.gamma[1] = plan.delta[1] = 0.0        # AP 1: all dead
-        plan.gamma[2, 0] = plan.delta[2, 0] = 0.0  # AP 2: stream 0 dead
-        D = unit_dither(plan, 256, seed=1)
-        sh, clips = run_chain(H, plan, Y, D)
-        assert np.isfinite(sh).all()
-        assert clips[1] == 0 and clips.sum() > 0
-        for ap, dead in ((1, slice(None)), (2, 0)):
-            sh_c, eta, pre, clips_c = apply_chain_collect(plan, Y, D, ap)
-            # eta = f - z with z = pre + 0 * dither: f is zero
-            assert np.array_equal(eta[dead], -pre[dead])
-            assert np.array_equal(clips_c, clips)
-            assert sh_c is None
+        # at b = 1 a dead AP's level count 2^(b-1) is 1, the least: the
+        # unit dither alone never clips it. A one-bit range is 6 sigma per
+        # real component, so 256 samples of options 2 and 3 clip nowhere
+        for b in (1, 3, 8):
+            cfg, H = scenario(seed=1, bits=b)
+            _, Y = received(cfg, H, 256, seed=1)
+            plan = build_chain_plan(cfg, H, option=opt)
+            plan.delta[1] = 0.0     # AP 1: all dead
+            plan.delta[2, 0] = 0.0  # AP 2: stream 0 dead
+            D = unit_dither(plan, 256, seed=1)
+            sh, clips = run_chain(H, plan, Y, D)
+            assert np.isfinite(sh).all()
+            assert clips[1] == 0 and (b == 1 or clips.sum() > 0), b
+            for ap, dead in ((1, slice(None)), (2, 0)):
+                sh_c, eta, pre, clips_c = apply_chain_collect(plan, Y, D, ap)
+                # eta = f - z with z = pre + 0 * dither: f is zero
+                assert np.array_equal(eta[dead], -pre[dead])
+                assert np.array_equal(clips_c, clips)
+                assert sh_c is None
 
 
 def _sup_distance(x, delta):

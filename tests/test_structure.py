@@ -92,6 +92,24 @@ def test_the_step_unit_quantizer_has_one_call_site():
                              for name in sorted(rule)]
 
 
+def test_only_the_kernel_reads_the_forwarded_stack():
+    # the stack F the APs forward, in step units, and its combiner are
+    # the kernel's layout: every other module calls apply_chain or
+    # apply_chain_collect
+    stack = {"evaluate_chain", "chain_product", "chain_combiner"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "name", None))
+            if isinstance(name, str) and name.lstrip("_") in stack:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: "
+                             f"{name}")
+    assert found == []
+
+
 def test_the_package_imports_numpy_and_the_standard_library_only():
     # numpy is pyproject's one dependency: every import of the package,
     # one inside a function too, names it, the standard library or cfchain
